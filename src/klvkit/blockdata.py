@@ -389,6 +389,10 @@ def block_from_json(doc: dict) -> BlockData:
         params = {}
         for rec in doc["params"]:
             label = str(rec["label"])
+            if label in params:
+                raise BlockFormatError(f"duplicate label {label!r}")
+            if type(rec["length"]) is not int:
+                raise BlockFormatError(f"length of {label!r} is not an integer")
             status = tuple(_STATUS_BY_NAME[s] for s in rec["status"])
             cayley = tuple(
                 frozenset(str(x) for x in c) if c is not None else None
@@ -396,7 +400,7 @@ def block_from_json(doc: dict) -> BlockData:
             )
             params[label] = Parameter(
                 label=label,
-                length=int(rec["length"]),
+                length=rec["length"],
                 cartan_class=str(rec.get("cartan_class", "")),
                 status=status,
                 cross=tuple(str(x) for x in rec["cross"]),

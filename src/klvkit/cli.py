@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -74,6 +75,11 @@ def _report(command: str, inputs: list[str], payload: dict) -> dict:
     }
 
 
+def _emit_violations(command: str, path: str, violations) -> int:
+    _emit(_report(command, [path], {"violations": [v.to_json() for v in violations]}))
+    return 0 if not violations else 1
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -87,15 +93,15 @@ def _cmd_validate(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(str(exc)) from exc
         violations = blockdata.validate_block_doc(doc)
-    _emit(_report("validate", [args.block],
-                  {"violations": [v.to_json() for v in violations]}))
-    return 0 if not violations else 1
+    return _emit_violations("validate", args.block, violations)
 
 
 def _cmd_blocks(args) -> int:
     b = _load_block(args.block)
-    classes = klv.partition_blocks(b)
-    _emit(_report("blocks", [args.block], {"blocks": classes}))
+    violations = blockdata.validate_block(b)
+    if violations:
+        return _emit_violations("blocks", args.block, violations)
+    _emit(_report("blocks", [args.block], {"blocks": klv.partition_blocks(b)}))
     return 0
 
 
@@ -118,9 +124,7 @@ def _cmd_klv(args) -> int:
     b = _load_block(args.block)
     violations = blockdata.validate_block(b)
     if violations:
-        _emit(_report("klv", [args.block],
-                      {"violations": [v.to_json() for v in violations]}))
-        return 1
+        return _emit_violations("klv", args.block, violations)
     payload: dict = {"blocks": [], "order": [], "R": {}, "P": {}, "M": [], "m": []}
     ok = True
     quad_ok, counter = hecke.check_quadratic(b)
@@ -153,23 +157,14 @@ def _cmd_induce(args) -> int:
         c = correspondence.load_correspondence(args.map)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise InputError(f"malformed correspondence file: {exc}") from exc
-    if args.delta is not None:
-        deltas = [args.delta]
-    else:
-        deltas = sorted(L.params)
-    verdicts = []
-    worst = "Irreducible"
-    for delta in deltas:
-        try:
-            rec = correspondence.induced_verdict(L, G, c, delta)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        verdicts.append(rec)
-        if rec["verdict"] != "Irreducible":
-            worst = "NoConclusion"
+    deltas = [args.delta] if args.delta is not None else sorted(L.params)
+    try:
+        verdicts = correspondence.induced_verdict(L, G, c, deltas)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     _emit(_report("induce", [args.source, args.target, args.map],
                   {"verdicts": verdicts}))
-    if args.require_verdict and worst != "Irreducible":
+    if args.require_verdict and any(v["verdict"] != "Irreducible" for v in verdicts):
         return 1
     return 0
 
@@ -242,8 +237,17 @@ def _cmd_translate_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Takes a word such as -1/2 or -1,0,0 as a value, not an option:
+    argparse only does so for plain negative numbers by default."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="klvkit",
         description="Exact block combinatorics, multiplicity matrices, and "
                     "irreducibility certificates for induced parameters. "

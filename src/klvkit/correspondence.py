@@ -18,7 +18,7 @@ from .klv import compute_P, compute_duality, multiplicities, partition_blocks
 
 __all__ = [
     "Correspondence", "check_correspondence", "check_image_union_of_blocks",
-    "compare_multiplicities", "induced_verdict",
+    "compare_multiplicities", "induced_verdict", "mult_by_block",
     "correspondence_from_json", "correspondence_to_json", "load_correspondence",
 ]
 
@@ -100,7 +100,8 @@ def check_image_union_of_blocks(G: BlockData, c: Correspondence):
     return True, None
 
 
-def _mult_by_block(b: BlockData):
+def mult_by_block(b: BlockData) -> dict:
+    """Label -> MultMatrices of its class, one KLV solve per class."""
     out = {}
     for cls in partition_blocks(b):
         r = compute_duality(b, cls)
@@ -120,11 +121,10 @@ def _entry(mm, row: str, col: str) -> int:
     return mm.M[i][j]
 
 
-def compare_multiplicities(L: BlockData, G: BlockData, c: Correspondence) -> bool:
-    """Two independent multiplicity computations must agree through the
-    map on every pair of source labels."""
-    ml = _mult_by_block(L)
-    mg = _mult_by_block(G)
+def compare_multiplicities(ml: dict, mg: dict, c: Correspondence) -> bool:
+    """The source and target multiplicities (label -> MultMatrices, as
+    from `mult_by_block`) must agree through the map on every pair of
+    source labels."""
     labels = sorted(c.pairs)
     for a in labels:
         for b_ in labels:
@@ -133,38 +133,40 @@ def compare_multiplicities(L: BlockData, G: BlockData, c: Correspondence) -> boo
     return True
 
 
+def _M_column(mm, col: str) -> dict:
+    j = mm.order.index(col)
+    return {mm.order[i]: mm.M[i][j] for i in range(len(mm.order)) if mm.M[i][j]}
+
+
 def induced_verdict(L: BlockData, G: BlockData, c: Correspondence,
-                    delta: str) -> dict:
-    """Verdict record for the induced module of the irreducible at delta."""
-    if delta not in L.params:
-        raise ValueError(f"unknown label: {delta}")
-    report: dict = {"delta": delta}
-    violations = check_correspondence(L, G, c)
-    report["correspondence_violations"] = violations
-    closed, witness = (None, None)
-    mults_agree = None
-    if not violations:
+                    deltas: list[str]) -> list[dict]:
+    """Verdict records for the induced modules of the irreducibles at
+    each delta.  The map is checked and each block solved once."""
+    for delta in deltas:
+        if delta not in L.params:
+            raise ValueError(f"unknown label: {delta}")
+    if not deltas:
+        return []
+    shared: dict = {"correspondence_violations": check_correspondence(L, G, c)}
+    ml = mg = None
+    if not shared["correspondence_violations"]:
         closed, witness = check_image_union_of_blocks(G, c)
-        report["image_union_of_blocks"] = closed
+        shared["image_union_of_blocks"] = closed
         if witness is not None:
-            report["straddled_class"] = sorted(witness)
+            shared["straddled_class"] = sorted(witness)
         if closed:
-            mults_agree = compare_multiplicities(L, G, c)
-            report["multiplicities_agree"] = mults_agree
-    if not violations and closed and mults_agree:
-        report["verdict"] = "Irreducible"
-        report["image"] = c.pairs[delta]
-        ml = _mult_by_block(L)[delta]
-        mg = _mult_by_block(G)[c.pairs[delta]]
-        j = ml.order.index(delta)
-        report["source_M_column"] = {
-            ml.order[i]: ml.M[i][j] for i in range(len(ml.order)) if ml.M[i][j]
-        }
-        jg = mg.order.index(c.pairs[delta])
-        report["target_M_column"] = {
-            mg.order[i]: mg.M[i][jg] for i in range(len(mg.order)) if mg.M[i][jg]
-        }
-    else:
-        report["verdict"] = "NoConclusion"
-        report["reason"] = "preconditions not established"
-    return report
+            ml, mg = mult_by_block(L), mult_by_block(G)
+            shared["multiplicities_agree"] = compare_multiplicities(ml, mg, c)
+    records = []
+    for delta in deltas:
+        report = {"delta": delta, **shared}
+        if shared.get("multiplicities_agree"):
+            report["verdict"] = "Irreducible"
+            report["image"] = c.pairs[delta]
+            report["source_M_column"] = _M_column(ml[delta], delta)
+            report["target_M_column"] = _M_column(mg[c.pairs[delta]], c.pairs[delta])
+        else:
+            report["verdict"] = "NoConclusion"
+            report["reason"] = "preconditions not established"
+        records.append(report)
+    return records

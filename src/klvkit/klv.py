@@ -436,17 +436,14 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
 
 def duality_map(b: BlockData, r: RMatrix) -> dict[str, ModuleElement]:
     """Reconstruct D on basis elements from the R-matrix."""
-    dual = {}
-    for gamma in r.order:
+    coeffs: dict[str, dict] = {gamma: {} for gamma in r.order}
+    for (phi, gamma), poly in r.entries.items():
+        if gamma not in coeffs:
+            continue
         lg = b.params[gamma].length
-        coeffs = {}
-        for (phi, g2), poly in r.entries.items():
-            if g2 != gamma:
-                continue
-            sign = -1 if (lg - b.params[phi].length) % 2 else 1
-            coeffs[phi] = (poly * sign).shifted(-2 * lg)
-        dual[gamma] = ModuleElement(coeffs)
-    return dual
+        sign = -1 if (lg - b.params[phi].length) % 2 else 1
+        coeffs[gamma][phi] = (poly * sign).shifted(-2 * lg)
+    return {gamma: ModuleElement(c) for gamma, c in coeffs.items()}
 
 
 def verify_duality(b: BlockData, block: list[str], r: RMatrix) -> bool:

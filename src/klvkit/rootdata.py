@@ -267,11 +267,11 @@ def integral_subsystem(d: RootDatum, lam: InfChar | GVec) -> tuple[IntVec, ...]:
     return tuple(sorted(a for a in d.roots if d.pairing(a, coords).is_integer()))
 
 
-def weyl_enumerate(d: RootDatum, cap: int | None = None) -> list[IntMat]:
-    """All Weyl group elements as lattice matrices, by BFS over the
-    canonical simple reflections.  Deterministic order."""
+def _weyl_bfs(d: RootDatum, roots, cap: int | None) -> list[IntMat]:
+    """Group generated by the reflections in roots, in BFS order from
+    the identity; WeylCapExceeded once it would exceed cap elements."""
     cap = default_weyl_cap() if cap is None else cap
-    gens = [reflection_matrix(d, a) for a in d.canonical_base()]
+    gens = [reflection_matrix(d, a) for a in roots]
     ident = _identity(d.rank)
     seen = {ident}
     order = [ident]
@@ -291,25 +291,15 @@ def weyl_enumerate(d: RootDatum, cap: int | None = None) -> list[IntMat]:
     return order
 
 
+def weyl_enumerate(d: RootDatum, cap: int | None = None) -> list[IntMat]:
+    """All Weyl group elements as lattice matrices, by BFS over the
+    canonical simple reflections.  Deterministic order."""
+    return _weyl_bfs(d, d.canonical_base(), cap)
+
+
 def weyl_subgroup(d: RootDatum, simples, cap: int | None = None) -> list[IntMat]:
-    """Subgroup generated by the reflections in the given roots."""
-    cap = default_weyl_cap() if cap is None else cap
-    gens = [reflection_matrix(d, a) for a in simples]
-    ident = _identity(d.rank)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                gw = _mat_mul(g, w)
-                if gw not in seen:
-                    if len(seen) + 1 > cap:
-                        raise WeylCapExceeded(f"Weyl group exceeds cap {cap}")
-                    seen.add(gw)
-                    nxt.append(gw)
-        frontier = nxt
-    return sorted(seen)
+    """Subgroup generated by the reflections in the given roots, sorted."""
+    return sorted(_weyl_bfs(d, simples, cap))
 
 
 def weyl_stabilizer(d: RootDatum, xi: InfChar, cap: int | None = None) -> list[IntMat]:

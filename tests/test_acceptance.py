@@ -20,7 +20,7 @@ from klvkit.blockdata import (
     validate_block_doc,
 )
 from klvkit.correspondence import Correspondence, check_correspondence, \
-    compare_multiplicities, induced_verdict
+    compare_multiplicities, induced_verdict, mult_by_block
 from klvkit.gaussian import GaussRat, gvec
 from klvkit.genericity import check_hypD, emit_arrangement, verdict
 from klvkit.hecke import check_braid, check_quadratic
@@ -145,9 +145,9 @@ def test_criterion_5_correspondence_end_to_end():
     swap = Correspondence({"D+": "D-", "D-": "D+", "P": "P"}, 0)
     for c in (ident, swap):
         assert check_correspondence(G, G, c) == []
-        assert compare_multiplicities(G, G, c)
+        assert compare_multiplicities(mult_by_block(G), mult_by_block(G), c)
         for delta in G.params:
-            assert induced_verdict(G, G, c, delta)["verdict"] == "Irreducible"
+            assert induced_verdict(G, G, c, [delta])[0]["verdict"] == "Irreducible"
 
     def mutated(**edits):
         label = edits.pop("_label")
@@ -169,7 +169,7 @@ def test_criterion_5_correspondence_end_to_end():
     # and a corrupted label map is caught even between valid blocks
     bad_map = Correspondence({"D+": "P", "D-": "D+", "P": "D-"}, 0)
     assert check_correspondence(G, G, bad_map) != []
-    assert not compare_multiplicities(G, G, bad_map)
+    assert not compare_multiplicities(mult_by_block(G), mult_by_block(G), bad_map)
 
 
 def test_criterion_6_genericity_exact_on_rank_one_split():

@@ -124,6 +124,22 @@ def test_format_errors():
         })
 
 
+def test_duplicate_label_rejected(sl2r_doc):
+    doc = json.loads(json.dumps(sl2r_doc))
+    doc["params"].append(dict(doc["params"][0]))
+    with pytest.raises(BlockFormatError, match="duplicate label 'D\\+'"):
+        block_from_json(doc)
+    assert [v.axiom for v in validate_block_doc(doc)] == ["AX_STRUCTURE"]
+
+
+@pytest.mark.parametrize("length", [True, "1", 1.0, None])
+def test_length_must_be_json_integer(sl2r_doc, length):
+    doc = _doc_with(sl2r_doc, "P", length=length)
+    with pytest.raises(BlockFormatError, match="not an integer"):
+        block_from_json(doc)
+    assert [v.axiom for v in validate_block_doc(doc)] == ["AX_STRUCTURE"]
+
+
 def test_length_edit_names_arrow_axiom(sl2r_doc):
     doc = _doc_with(sl2r_doc, "P", length=2)
     violations = validate_block_doc(doc)

@@ -1,10 +1,20 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from klvkit.blockdata import block_to_json, builtin_sl2r_block
+from klvkit.blockdata import (
+    block_to_json,
+    builtin_nci2_block,
+    builtin_sl2r_block,
+    generate_complex_block,
+)
 from klvkit.cli import run
 
+from test_blockdata import _doc_with
 from test_rootdata import A1xA1, SL2_SPLIT
 
 
@@ -44,6 +54,67 @@ def test_blocks_partition(capsys):
     code, rep = _run(capsys, "blocks", "builtin:sl2r")
     assert code == 0
     assert rep["blocks"] == [["D+", "D-", "P"]]
+
+
+@pytest.mark.parametrize("base, label, edit, axiom", [
+    ("sl2r", "P", {"cayley": [["D+", "X"]]}, "AX_UNKNOWN_LABEL"),
+    ("sl2r", "P", {"status": []}, "AX_STRUCTURE"),
+    ("nci2", "P1", {"cross": ["X"]}, "AX_UNKNOWN_LABEL"),
+])
+def test_blocks_reports_violations(capsys, tmp_path, base, label, edit, axiom):
+    blocks = {"sl2r": builtin_sl2r_block, "nci2": builtin_nci2_block}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(_doc_with(block_to_json(blocks[base]()), label, **edit)))
+    code, rep = _run(capsys, "blocks", str(p))
+    assert code == 1
+    assert "blocks" not in rep
+    assert axiom in {v["axiom"] for v in rep["violations"]}
+
+
+_FUZZ_BASES = [
+    block_to_json(builtin_sl2r_block()),
+    block_to_json(builtin_nci2_block()),
+    block_to_json(generate_complex_block(("s1", "s2"), ((1, 3), (3, 1)))),
+]
+_OTHER_TYPES = [None, True, 1, 1.5, "1", [], {}, [[None]]]
+
+
+@st.composite
+def _mutated_block_docs(draw):
+    """One mutation of a valid block document: drop a key, change a
+    value's type, point a link at an unknown label, or shorten an array."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
+    rec = draw(st.sampled_from(doc["params"]))
+    where = draw(st.sampled_from([doc, rec]))
+    kind = draw(st.sampled_from(["drop", "retype", "unknown", "shorten"]))
+    if kind == "drop":
+        del where[draw(st.sampled_from(sorted(where)))]
+    elif kind == "retype":
+        key = draw(st.sampled_from(sorted(where)))
+        where[key] = draw(st.sampled_from(
+            [v for v in _OTHER_TYPES if type(v) is not type(where[key])]))
+    elif kind == "unknown":
+        s = draw(st.integers(0, len(rec["cross"]) - 1))
+        if draw(st.booleans()) or rec["cayley"][s] is None:
+            rec["cross"][s] = "X"
+        else:
+            rec["cayley"][s] = rec["cayley"][s] + ["X"]
+    else:
+        key = draw(st.sampled_from(
+            sorted(k for k, v in where.items() if isinstance(v, list) and v)))
+        where[key] = where[key][:-1]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_mutated_block_docs())
+def test_mutated_block_files_never_raise(tmp_path_factory, doc):
+    p = tmp_path_factory.getbasetemp() / "mutated.json"
+    p.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        for command in ("blocks", "validate", "klv"):
+            assert run([command, str(p)]) in (0, 1, 2), command
 
 
 def test_hecke_apply(capsys):
@@ -108,6 +179,28 @@ def test_arrangement_window(capsys, sl2_path):
     coset = rep["families"][0]
     assert coset["kind"] == "IntegerCoset"
     assert coset["members"] == ["-3", "-2", "-1", "0", "1", "2", "3"]
+
+
+def test_vector_values_may_start_with_minus(capsys, tmp_path, sl2_path):
+    code, rep = _run(capsys, "generic", sl2_path, "--xi-m", "-1/2",
+                     "--nu", "-1")
+    assert code == 0
+    assert (code, rep) == _run(capsys, "generic", sl2_path, "--xi-m=-1/2",
+                               "--nu=-1")
+    p = tmp_path / "a1a1.json"
+    p.write_text(json.dumps(A1xA1))
+    code, rep = _run(capsys, "generic", str(p), "--xi-m", "-1,0",
+                     "--nu", "-1,0")
+    assert code == 0 and rep["verdict"]
+    code, rep = _run(capsys, "arrangement", str(p), "--xi-m", "-1,0",
+                     "--window", "-1/2", "3")
+    assert code == 0 and rep["window"] == ["-1/2", "3"]
+    code, rep = _run(capsys, "translate-check", sl2_path,
+                     "--xi", "-1/2", "--mu", "-1")
+    assert code == 0 and rep["violations"] == []
+    code, rep = _run(capsys, "translate-check", str(p),
+                     "--xi", "-1/2,0", "--mu", "-1,0")
+    assert code == 0 and rep["violations"] == []
 
 
 def test_translate_check(capsys, tmp_path, sl2_path):

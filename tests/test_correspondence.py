@@ -16,6 +16,7 @@ from klvkit.correspondence import (
     correspondence_from_json,
     correspondence_to_json,
     induced_verdict,
+    mult_by_block,
 )
 
 IDENT = Correspondence({"D+": "D+", "D-": "D-", "P": "P"}, 0)
@@ -37,7 +38,7 @@ def test_identity_correspondence_passes():
 def test_outer_swap_passes():
     b = builtin_sl2r_block()
     assert check_correspondence(b, b, SWAP) == []
-    assert compare_multiplicities(b, b, SWAP)
+    assert compare_multiplicities(mult_by_block(b), mult_by_block(b), SWAP)
 
 
 def test_length_shift():
@@ -45,7 +46,7 @@ def test_length_shift():
     G = builtin_sl2r_block()
     c = Correspondence(IDENT.pairs, -3)
     assert check_correspondence(L, G, c) == []
-    assert compare_multiplicities(L, G, c)
+    assert compare_multiplicities(mult_by_block(L), mult_by_block(G), c)
     assert check_correspondence(L, G, IDENT) != []
 
 
@@ -83,12 +84,12 @@ def test_compare_multiplicities_catches_corruption():
     c = Correspondence({"D+": "P1", "D-": "P2", "P": "D"}, 0)
     # lengths/status all differ -> checks fail, and multiplicities differ too
     assert check_correspondence(L, G, c) != []
-    assert not compare_multiplicities(L, G, c)
+    assert not compare_multiplicities(mult_by_block(L), mult_by_block(G), c)
 
 
 def test_induced_verdict_irreducible():
     b = builtin_sl2r_block()
-    rec = induced_verdict(b, b, IDENT, "P")
+    rec, = induced_verdict(b, b, IDENT, ["P"])
     assert rec["verdict"] == "Irreducible"
     assert rec["image"] == "P"
     assert rec["source_M_column"] == {"D+": -1, "D-": -1, "P": 1}
@@ -98,11 +99,11 @@ def test_induced_verdict_irreducible():
 def test_induced_verdict_no_conclusion_on_bad_map():
     b = builtin_sl2r_block()
     bad = Correspondence({"D+": "D+", "D-": "D-", "P": "P"}, 5)
-    rec = induced_verdict(b, b, bad, "P")
+    rec, = induced_verdict(b, b, bad, ["P"])
     assert rec["verdict"] == "NoConclusion"
     assert rec["reason"] == "preconditions not established"
     with pytest.raises(ValueError):
-        induced_verdict(b, b, IDENT, "nope")
+        induced_verdict(b, b, IDENT, ["nope"])
 
 
 def test_singleton_blocks_trivially_irreducible():
@@ -113,7 +114,7 @@ def test_singleton_blocks_trivially_irreducible():
                     "cayley": [None]}],
     }
     b = block_from_json(doc)
-    rec = induced_verdict(b, b, Correspondence({"x": "x"}, 0), "x")
+    rec, = induced_verdict(b, b, Correspondence({"x": "x"}, 0), ["x"])
     assert rec["verdict"] == "Irreducible"
     assert rec["source_M_column"] == {"x": 1}
 
