@@ -28,6 +28,10 @@ class InputError(Exception):
     pass
 
 
+# A KLV solve that fails on valid input: exit 1, not 2.
+_SOLVE_ERRORS = (klv.DualityError, klv.PSolveError, klv.MultiplicityError)
+
+
 def _digest(path: str) -> str:
     if path in _BUILTIN_BLOCKS:
         return "builtin"
@@ -157,13 +161,21 @@ def _cmd_induce(args) -> int:
         c = correspondence.load_correspondence(args.map)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise InputError(f"malformed correspondence file: {exc}") from exc
+    inputs = [args.source, args.target, args.map]
+    violations = {"source": blockdata.validate_block(L),
+                  "target": blockdata.validate_block(G)}
+    if any(violations.values()):
+        _emit(_report("induce", inputs, {"violations": {
+            role: [v.to_json() for v in vs] for role, vs in violations.items()}}))
+        return 1
     deltas = [args.delta] if args.delta is not None else sorted(L.params)
     try:
         verdicts = correspondence.induced_verdict(L, G, c, deltas)
+    except _SOLVE_ERRORS:
+        raise
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _emit(_report("induce", [args.source, args.target, args.map],
-                  {"verdicts": verdicts}))
+    _emit(_report("induce", inputs, {"verdicts": verdicts}))
     if args.require_verdict and any(v["verdict"] != "Irreducible" for v in verdicts):
         return 1
     return 0
@@ -322,12 +334,9 @@ def run(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (klv.DualityError, klv.PSolveError, klv.MultiplicityError) as exc:
+    except _SOLVE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except rootdata.WeylCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

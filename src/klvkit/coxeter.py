@@ -12,6 +12,9 @@ _CARTAN_PAIR = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3)}
 
 IntMat = tuple[tuple[int, ...], ...]
 
+# Most elements an enumerated group may have.
+_CAP = 100_000
+
 
 class CoxeterCapExceeded(RuntimeError):
     pass
@@ -41,7 +44,7 @@ class CoxeterGroup:
     length: dict[IntMat, int] = field(init=False)
     word: dict[IntMat, tuple[int, ...]] = field(init=False)
 
-    def __post_init__(self, cap: int = 100_000):
+    def __post_init__(self):
         n = len(self.names)
         cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
         for i in range(n):
@@ -76,8 +79,8 @@ class CoxeterGroup:
                 for i in range(n):
                     sw = _mat_mul(self.gens[i], w)
                     if sw not in self.length:
-                        if len(self.length) >= cap:
-                            raise CoxeterCapExceeded(f"group exceeds cap {cap}")
+                        if len(self.length) >= _CAP:
+                            raise CoxeterCapExceeded(f"group exceeds cap {_CAP}")
                         self.length[sw] = self.length[w] + 1
                         self.word[sw] = (i,) + self.word[w]
                         self.elements.append(sw)

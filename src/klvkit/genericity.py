@@ -11,17 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gaussian import GaussRat, GVec, gvec, mat_apply, vec_add, vec_sub
+from .gaussian import GaussRat, GVec, gvec, vec_add
 from .rootdata import (
     InfChar,
     LeviSelection,
     RootDatum,
     levi_roots,
     nilradical_roots,
-    weyl_enumerate,
-    weyl_stabilizer,
-    weyl_subgroup,
+    reflection_matrix,
 )
+# Not called here: bench/tracer.py wraps these names in this module to
+# count Weyl elements enumerated.
+from .rootdata import weyl_enumerate, weyl_stabilizer, weyl_subgroup  # noqa: F401
 
 __all__ = [
     "HyperplaneFamily", "check_hypA", "check_hypB", "check_hypC",
@@ -31,25 +32,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HyperplaneFamily:
-    kind: str  # "IntegerCoset" | "Zero" | "AffineSubspace"
-    functional: tuple[int, ...] | None
+    kind: str  # "IntegerCoset" | "Zero" | "Hyperplane"
+    functional: tuple[int, ...]
     offset: GaussRat | None = None
     members: tuple[GaussRat, ...] = ()
-    matrix: tuple[tuple[int, ...], ...] | None = None
-    rhs: GVec | None = None
 
     def to_json(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.functional is not None:
-            doc["functional"] = list(self.functional)
+        doc: dict = {"kind": self.kind, "functional": list(self.functional)}
         if self.offset is not None:
             doc["offset"] = str(self.offset)
         if self.members:
             doc["members"] = [str(m) for m in self.members]
-        if self.matrix is not None:
-            doc["matrix"] = [list(row) for row in self.matrix]
-        if self.rhs is not None:
-            doc["rhs"] = [str(x) for x in self.rhs]
         return doc
 
 
@@ -75,43 +68,46 @@ def check_hypB(d: RootDatum, lv: LeviSelection, xi):
     return True, None
 
 
-def check_hypC(d: RootDatum, lv: LeviSelection, xi_m, nu, cap: int | None = None):
+def _singular_roots(d: RootDatum, coords: GVec) -> list:
+    """Roots pairing to zero with coords, in d.roots order.  By
+    Steinberg's theorem their reflections generate the stabilizer of
+    coords in the Weyl group."""
+    return [a for a in d.roots if d.pairing(a, coords).is_zero()]
+
+
+def check_hypC(d: RootDatum, lv: LeviSelection, xi_m, nu):
     """Two exact conditions on nu given the singular part xi_m:
     no Weyl element moving xi_m can realize w*nu - nu = xi_m - w*xi_m,
+    i.e. every root singular on xi = xi_m + nu is singular on xi_m,
     and no nilradical root pairs to zero with nu."""
     xm, nv = _coords(xi_m), _coords(nu)
-    for w in weyl_enumerate(d, cap):
-        delta = vec_sub(xm, mat_apply(w, xm))
-        if all(x.is_zero() for x in delta):
-            continue
-        if vec_sub(mat_apply(w, nv), nv) == delta:
-            return False, ("weyl", w)
+    for alpha in _singular_roots(d, vec_add(xm, nv)):
+        if not d.pairing(alpha, xm).is_zero():
+            return False, ("weyl", reflection_matrix(d, alpha))
     for alpha in nilradical_roots(d, lv):
         if d.pairing(alpha, nv).is_zero():
             return False, ("root", alpha)
     return True, None
 
 
-def check_hypD(d: RootDatum, lv: LeviSelection, xi, cap: int | None = None):
-    """The full stabilizer of xi must lie inside the Levi Weyl group."""
-    levi_simple_roots = [lv.simple_base[i] for i in lv.levi_simples]
-    levi_group = set(weyl_subgroup(d, levi_simple_roots, cap))
-    coords = _coords(xi)
-    stab = weyl_stabilizer(d, InfChar.from_coords(coords), cap)
-    for w in stab:
-        if w not in levi_group:
-            return False, w
+def check_hypD(d: RootDatum, lv: LeviSelection, xi):
+    """The full stabilizer of xi must lie inside the Levi Weyl group,
+    i.e. every root singular on xi must be a Levi root."""
+    levi = set(levi_roots(d, lv))
+    for alpha in _singular_roots(d, _coords(xi)):
+        if alpha not in levi:
+            return False, ("weyl", reflection_matrix(d, alpha))
     return True, None
 
 
-def verdict(d: RootDatum, lv: LeviSelection, xi_m, nu, cap: int | None = None) -> dict:
+def verdict(d: RootDatum, lv: LeviSelection, xi_m, nu) -> dict:
     """Strongest applicable conclusion with per-hypothesis detail."""
     xm, nv = _coords(xi_m), _coords(nu)
     xi = vec_add(xm, nv)
     a_ok, a_wit = check_hypA(d, lv, xi)
     b_ok, b_wit = check_hypB(d, lv, xi)
-    c_ok, c_wit = check_hypC(d, lv, xm, nv, cap)
-    d_ok, d_wit = check_hypD(d, lv, xi, cap)
+    c_ok, c_wit = check_hypC(d, lv, xm, nv)
+    d_ok, d_wit = check_hypD(d, lv, xi)
     if a_ok and b_ok:
         tag = "Main1"
     elif b_ok and (c_ok or d_ok):
@@ -135,29 +131,28 @@ def verdict(d: RootDatum, lv: LeviSelection, xi_m, nu, cap: int | None = None) -
 
 
 def _witness_json(wit):
-    if isinstance(wit, tuple) and wit and wit[0] in ("weyl", "root"):
-        kind, val = wit
-        if kind == "weyl":
-            return {"weyl": [list(r) for r in val]}
-        return {"root": list(val)}
-    if isinstance(wit, tuple) and wit and isinstance(wit[0], tuple):
-        return {"weyl": [list(r) for r in wit]}
+    if wit[0] == "weyl":
+        return {"weyl": [list(r) for r in wit[1]]}
+    if wit[0] == "root":
+        return {"root": list(wit[1])}
     return {"root": list(wit)}
 
 
 def emit_arrangement(d: RootDatum, lv: LeviSelection, xi_m,
-                     window: tuple[Fraction, Fraction],
-                     cap: int | None = None) -> list[HyperplaneFamily]:
+                     window: tuple[Fraction, Fraction]) -> list[HyperplaneFamily]:
     """All excluded hyperplanes meeting the window, deterministically
     ordered: integer-coset families and zero planes per nilradical root,
-    then affine subspaces per relevant Weyl element."""
+    then the hyperplane <coroot, nu> = -<coroot, xi_m> of each
+    nilradical root not singular on xi_m, where the stabilizer of
+    xi_m + nu moves xi_m.  Levi roots vanish on the a-coordinates, so
+    they add no hyperplane."""
     xm = _coords(xi_m)
     lo, hi = Fraction(window[0]), Fraction(window[1])
     out: list[HyperplaneFamily] = []
-    acoords = lv.a_coordinates
+    moving: list[HyperplaneFamily] = []
     for alpha in nilradical_roots(d, lv):
         cr = d.coroot(alpha)
-        func = tuple(cr[j] for j in acoords)
+        func = tuple(cr[j] for j in lv.a_coordinates)
         c = d.pairing(alpha, xm)
         members = []
         n = (lo + c.real).__ceil__()
@@ -169,15 +164,8 @@ def emit_arrangement(d: RootDatum, lv: LeviSelection, xi_m,
             members=tuple(members),
         ))
         out.append(HyperplaneFamily(kind="Zero", functional=func))
-    for w in weyl_enumerate(d, cap):
-        delta = vec_sub(xm, mat_apply(w, xm))
-        if all(x.is_zero() for x in delta):
-            continue
-        mat = tuple(
-            tuple(w[i][j] - (1 if i == j else 0) for j in acoords)
-            for i in range(d.rank)
-        )
-        out.append(HyperplaneFamily(
-            kind="AffineSubspace", functional=None, matrix=mat, rhs=delta,
-        ))
-    return out
+        if not c.is_zero():
+            moving.append(HyperplaneFamily(
+                kind="Hyperplane", functional=func, members=(-c,),
+            ))
+    return out + moving

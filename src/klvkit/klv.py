@@ -235,8 +235,9 @@ def _sym_mul_poly(a, p: LaurentPoly):
 
 def _solve_linear(equations, nvars):
     """Gaussian elimination over Fraction.  equations: list of
-    (dict var->coeff, rhs).  Returns the unique solution vector."""
-    rows = [(dict(f), r) for f, r in equations]
+    (dict var->coeff, rhs).  Returns the unique solution vector;
+    DualityError, with the unknown count and rank, if there is none."""
+    rows = [({v: c for v, c in f.items() if c}, r) for f, r in equations]
     sol = [None] * nvars
     pivot_rows = []
     for var in range(nvars):
@@ -261,20 +262,15 @@ def _solve_linear(equations, nvars):
                 rr = rr - c * r
             nrows.append((g, rr))
         rows = nrows
-    for g, rr in rows:
-        if not g and rr:
-            raise DualityError("duality system inconsistent or non-unique")
-    # Back substitution; every variable must be pinned by some pivot.
+    size = f"{nvars} unknowns, rank {len(pivot_rows)}"
+    if any(not g and rr for g, rr in rows):
+        raise DualityError(f"duality system inconsistent: {size}")
+    if len(pivot_rows) < nvars:
+        raise DualityError(f"duality system non-unique: {size}")
+    # Back substitution; each pivot row holds only its own and later
+    # variables.
     for var, f, r in reversed(pivot_rows):
-        val = r
-        for v, c in f.items():
-            if v != var:
-                if sol[v] is None:
-                    raise DualityError("duality system inconsistent or non-unique")
-                val -= c * sol[v]
-        sol[var] = val
-    if any(v is None for v in sol):
-        raise DualityError("duality system inconsistent or non-unique")
+        sol[var] = r - sum(c * sol[v] for v, c in f.items() if v != var)
     return sol
 
 
@@ -296,11 +292,12 @@ def _solve_rp2_pair(b, block, down, dual, gamma: str, s: int):
     g2 = p.cross[s]
     (gp,) = p.cayley[s]
     l = p.length
+    where = f"at parameter {gamma!r}, simple {b.simples[s]!r}"
     ssum = _ts_plus_one_over_u(b, s, dual[gp]) - dual[gp] - dual[gp]
 
     supp = (down[gamma] | down[g2]) - {gamma, g2}
     if not ssum.support() <= supp | {gamma, g2}:
-        raise DualityError("duality system inconsistent or non-unique")
+        raise DualityError(f"duality system inconsistent {where}")
 
     # Unknowns: even-exponent coefficients of one scalar per eligible
     # u-eigenvector of T_s supported strictly below the pair.
@@ -367,7 +364,10 @@ def _solve_rp2_pair(b, block, down, dual, gamma: str, s: int):
         form = {var_index[(i, k)]: Fraction(1) for k in exps}
         equations.append((form, Fraction(0)))
 
-    sol = _solve_linear(equations, nvars)
+    try:
+        sol = _solve_linear(equations, nvars)
+    except DualityError as exc:
+        raise DualityError(f"{exc} {where}") from None
 
     x_terms: dict[str, dict[int, Fraction]] = {}
     for lab, sp in x_sym.items():
@@ -509,13 +509,14 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix) -> PMatrix:
                          * sign * r.entry(phi, psi))
             sol = LaurentPoly({k: c for k, c in f.terms.items() if k <= n - 1})
             if sol - sol.bar().shifted(2 * n) != f:
-                raise PSolveError("no solution under degree bound")
+                raise PSolveError(
+                    f"no solution under degree bound at P({phi!r}, {gamma!r})")
             if sol:
                 entries[(phi, gamma)] = sol
         # safety net: the assembled column really is self-dual
         col = ModuleElement({phi: pval(phi, gamma) for phi in r.down[gamma]})
         if apply_D(dual, col) != col.scale(LaurentPoly({-2 * lg: 1})):
-            raise PSolveError("no solution under degree bound")
+            raise PSolveError(f"column {gamma!r} of P is not self-dual")
     return PMatrix(order=r.order, entries=entries)
 
 

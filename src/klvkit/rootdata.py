@@ -1,10 +1,10 @@
 """Root systems with coroots, a Cartan involution theta, integral
-subsystems, Weyl group enumeration, and Levi/nilradical decomposition."""
+subsystems, Levi/nilradical decomposition, and Weyl group enumeration,
+the brute-force reference for the root tests of `genericity`."""
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -16,12 +16,11 @@ __all__ = [
     "classify_root", "integral_subsystem", "weyl_enumerate",
     "weyl_stabilizer", "positive_system", "reflection_matrix",
     "integral_system_theta_stable", "WeylCapExceeded", "SingularError",
-    "default_weyl_cap", "rootdatum_from_json", "rootdatum_to_json",
+    "rootdatum_from_json", "rootdatum_to_json",
     "load_rootdatum",
 ]
 
 DEFAULT_WEYL_CAP = 10080
-WEYL_CAP_ENV = "KLVKIT_WEYL_CAP"
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -39,10 +38,6 @@ class RootClass(Enum):
     REAL = "Real"
     IMAGINARY = "Imaginary"
     COMPLEX = "Complex"
-
-
-def default_weyl_cap() -> int:
-    return int(os.environ.get(WEYL_CAP_ENV, DEFAULT_WEYL_CAP))
 
 
 def _identity(n: int) -> IntMat:
@@ -267,10 +262,9 @@ def integral_subsystem(d: RootDatum, lam: InfChar | GVec) -> tuple[IntVec, ...]:
     return tuple(sorted(a for a in d.roots if d.pairing(a, coords).is_integer()))
 
 
-def _weyl_bfs(d: RootDatum, roots, cap: int | None) -> list[IntMat]:
+def _weyl_bfs(d: RootDatum, roots, cap: int) -> list[IntMat]:
     """Group generated by the reflections in roots, in BFS order from
     the identity; WeylCapExceeded once it would exceed cap elements."""
-    cap = default_weyl_cap() if cap is None else cap
     gens = [reflection_matrix(d, a) for a in roots]
     ident = _identity(d.rank)
     seen = {ident}
@@ -291,18 +285,18 @@ def _weyl_bfs(d: RootDatum, roots, cap: int | None) -> list[IntMat]:
     return order
 
 
-def weyl_enumerate(d: RootDatum, cap: int | None = None) -> list[IntMat]:
+def weyl_enumerate(d: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> list[IntMat]:
     """All Weyl group elements as lattice matrices, by BFS over the
     canonical simple reflections.  Deterministic order."""
     return _weyl_bfs(d, d.canonical_base(), cap)
 
 
-def weyl_subgroup(d: RootDatum, simples, cap: int | None = None) -> list[IntMat]:
+def weyl_subgroup(d: RootDatum, simples, cap: int = DEFAULT_WEYL_CAP) -> list[IntMat]:
     """Subgroup generated by the reflections in the given roots, sorted."""
     return sorted(_weyl_bfs(d, simples, cap))
 
 
-def weyl_stabilizer(d: RootDatum, xi: InfChar, cap: int | None = None) -> list[IntMat]:
+def weyl_stabilizer(d: RootDatum, xi: InfChar, cap: int = DEFAULT_WEYL_CAP) -> list[IntMat]:
     coords = xi.coords
     return [w for w in weyl_enumerate(d, cap) if mat_apply(w, coords) == coords]
 

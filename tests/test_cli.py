@@ -12,6 +12,7 @@ from klvkit.blockdata import (
     builtin_sl2r_block,
     generate_complex_block,
 )
+from klvkit import correspondence, klv
 from klvkit.cli import run
 
 from test_blockdata import _doc_with
@@ -82,8 +83,10 @@ _OTHER_TYPES = [None, True, 1, 1.5, "1", [], {}, [[None]]]
 @st.composite
 def _mutated_block_docs(draw):
     """One mutation of a valid block document: drop a key, change a
-    value's type, point a link at an unknown label, or shorten an array."""
-    doc = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
+    value's type, point a link at an unknown label, or shorten an array.
+    Drawn with the labels of the unmutated document."""
+    base = draw(st.sampled_from(_FUZZ_BASES))
+    doc = json.loads(json.dumps(base))
     rec = draw(st.sampled_from(doc["params"]))
     where = draw(st.sampled_from([doc, rec]))
     kind = draw(st.sampled_from(["drop", "retype", "unknown", "shorten"]))
@@ -103,18 +106,23 @@ def _mutated_block_docs(draw):
         key = draw(st.sampled_from(
             sorted(k for k, v in where.items() if isinstance(v, list) and v)))
         where[key] = where[key][:-1]
-    return doc
+    return [rec["label"] for rec in base["params"]], doc
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=_mutated_block_docs())
-def test_mutated_block_files_never_raise(tmp_path_factory, doc):
+@given(labels_doc=_mutated_block_docs())
+def test_mutated_block_files_never_raise(tmp_path_factory, labels_doc):
+    labels, doc = labels_doc
     p = tmp_path_factory.getbasetemp() / "mutated.json"
     p.write_text(json.dumps(doc))
+    ident = tmp_path_factory.getbasetemp() / "ident.json"
+    ident.write_text(json.dumps(
+        {"pairs": [[x, x] for x in labels], "length_shift": 0}))
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         for command in ("blocks", "validate", "klv"):
             assert run([command, str(p)]) in (0, 1, 2), command
+        assert run(["induce", str(p), str(p), str(ident)]) in (0, 1, 2)
 
 
 def test_hecke_apply(capsys):
@@ -148,6 +156,38 @@ def test_induce_require_verdict(capsys, tmp_path):
     code, rep = _run(capsys, "induce", "builtin:sl2r", "builtin:sl2r",
                      str(mp), "--delta", "P")
     assert code == 0 and len(rep["verdicts"]) == 1
+
+
+def test_induce_reports_block_violations(capsys, tmp_path):
+    # a cross target outside the block once raised KeyError in the map check
+    bad = tmp_path / "bad_sl2r.json"
+    bad.write_text(json.dumps(
+        _doc_with(block_to_json(builtin_sl2r_block()), "D+", cross=["X"])))
+    mp = tmp_path / "ident.json"
+    mp.write_text(json.dumps(
+        {"pairs": [["D+", "D+"], ["D-", "D-"], ["P", "P"]],
+         "length_shift": 0}))
+    code, rep = _run(capsys, "induce", str(bad), "builtin:sl2r", str(mp))
+    assert code == 1
+    assert "verdicts" not in rep
+    assert rep["violations"]["target"] == []
+    assert "AX_UNKNOWN_LABEL" in {v["axiom"] for v in rep["violations"]["source"]}
+
+
+def test_induce_solve_failure_exits_1(capsys, tmp_path, monkeypatch):
+    def fail(b, cls):
+        raise klv.DualityError("duality system non-unique")
+
+    monkeypatch.setattr(correspondence, "compute_duality", fail)
+    mp = tmp_path / "ident.json"
+    mp.write_text(json.dumps(
+        {"pairs": [["D+", "D+"], ["D-", "D-"], ["P", "P"]],
+         "length_shift": 0}))
+    assert run(["induce", "builtin:sl2r", "builtin:sl2r", str(mp)]) == 1
+    assert "non-unique" in capsys.readouterr().err
+    assert run(["induce", "builtin:sl2r", "builtin:sl2r", str(mp),
+                "--delta", "nope"]) == 2
+    assert "unknown label" in capsys.readouterr().err
 
 
 def test_induce_bad_shift_fails_requirement(capsys, tmp_path):
@@ -238,12 +278,28 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, sl2_path):
     capsys.readouterr()
 
 
-def test_weyl_cap_exit_2(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("KLVKIT_WEYL_CAP", "2")
-    p = tmp_path / "a1a1.json"
-    p.write_text(json.dumps(A1xA1))
-    assert run(["generic", str(p), "--xi-m", "0,0", "--nu", "0,1/2"]) == 2
-    capsys.readouterr()
+def test_generic_beyond_weyl_cap(capsys, tmp_path):
+    # A1^14 has 2^14 = 16384 Weyl elements, more than rootdata's
+    # enumeration cap of 10080; the root tests never enumerate them.
+    n = 14
+    unit = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    p = tmp_path / "a1x14.json"
+    p.write_text(json.dumps({
+        "rank": n,
+        "roots": [[2 * x for x in e] for e in unit] + [[-2 * x for x in e] for e in unit],
+        "coroots": unit + [[-x for x in e] for e in unit],
+        "theta": [[-x for x in e] for e in unit],
+        "levi": {"simple_base": [[2 * x for x in e] for e in unit],
+                 "levi_simples": list(range(7)),
+                 "a_coordinates": list(range(7, n))},
+    }))
+    code, rep = _run(capsys, "generic", str(p), "--xi-m", ",".join(["0"] * n),
+                     "--nu", ",".join(["0"] * 7 + ["1/2"] * 7))
+    # xi = xi_m + nu is singular exactly on the Levi roots, and nu pairs
+    # to 1/2 with each nilradical coroot: A fails, B, C and D hold
+    assert code == 0 and rep["verdict"] == "Main2"
+    assert rep["hypA"] == {"holds": False, "witness": {"root": [-2] + [0] * 13}}
+    assert all(rep[h] == {"holds": True} for h in ("hypB", "hypC", "hypD"))
 
 
 def test_reports_are_deterministic(capsys):

@@ -1,7 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 
-from klvkit.gaussian import GaussRat, gvec
+from klvkit.gaussian import GaussRat, gvec, mat_apply, pair, vec_add, vec_sub
 from klvkit.genericity import (
     check_hypA,
     check_hypB,
@@ -10,9 +11,16 @@ from klvkit.genericity import (
     emit_arrangement,
     verdict,
 )
-from klvkit.rootdata import rootdatum_from_json
+from klvkit.rootdata import (
+    InfChar,
+    nilradical_roots,
+    rootdatum_from_json,
+    weyl_enumerate,
+    weyl_stabilizer,
+    weyl_subgroup,
+)
 
-from test_rootdata import A1xA1, A2, SL2_SPLIT, SWAP
+from test_rootdata import A1xA1, A2, B2, SL2_SPLIT, SWAP
 
 
 def test_hypA():
@@ -142,7 +150,96 @@ def test_arrangement_empty_for_full_levi():
 def test_arrangement_affine_subspaces():
     d, lv = rootdatum_from_json(SWAP)
     fams = emit_arrangement(d, lv, gvec([1, 0]), (Fraction(-1), Fraction(1)))
-    affine = [f for f in fams if f.kind == "AffineSubspace"]
-    assert len(affine) == 1
-    assert affine[0].rhs == gvec([1, -1])
-    assert affine[0].to_json()["kind"] == "AffineSubspace"
+    assert [f.kind for f in fams] == ["IntegerCoset", "Zero", "Hyperplane"]
+    # the swap moves xi_m = (1, 0) and fixes xi exactly when
+    # <coroot, xi> = 1 - t = 0, i.e. -t = -1 for nu = (0, t)
+    plane = fams[2]
+    assert plane.functional == (-1,)
+    assert tuple(str(m) for m in plane.members) == ("-1",)
+    assert plane.to_json() == {"kind": "Hyperplane", "functional": [-1],
+                               "members": ["-1"]}
+
+
+_DATA = [SL2_SPLIT, A2, A1xA1, SWAP, B2]
+_VALUES = ["0", "0", "1", "-1", "1/2", "-1/2", "2", "1/3", "1*i", "1/2+1/2*i"]
+
+
+def _random_point(rng, n):
+    return gvec(rng.choice(_VALUES) for _ in range(n))
+
+
+def test_root_tests_match_weyl_enumeration():
+    """Flags of C and D against the brute-force definitions over the
+    whole Weyl group; every witness fixes xi and either moves xi_m (C)
+    or lies outside the Levi Weyl group (D)."""
+    rng = random.Random(11)
+    for doc in _DATA:
+        d, lv = rootdatum_from_json(doc)
+        assert d.validate() == [] and lv.validate(d) == []
+        levi_group = set(weyl_subgroup(
+            d, [lv.simple_base[i] for i in lv.levi_simples]))
+        nil = nilradical_roots(d, lv)
+        for _ in range(60):
+            xi_m, nu = _random_point(rng, d.rank), _random_point(rng, d.rank)
+            xi = vec_add(xi_m, nu)
+            stab = weyl_stabilizer(d, InfChar.from_coords(xi))
+            want_c = (all(mat_apply(w, xi_m) == xi_m for w in stab)
+                      and all(not d.pairing(a, nu).is_zero() for a in nil))
+            want_d = all(w in levi_group for w in stab)
+
+            c_ok, c_wit = check_hypC(d, lv, xi_m, nu)
+            assert c_ok is want_c, (doc, xi_m, nu)
+            if c_wit is not None and c_wit[0] == "weyl":
+                w = c_wit[1]
+                assert mat_apply(w, xi) == xi and mat_apply(w, xi_m) != xi_m
+            elif c_wit is not None:
+                assert c_wit[1] in nil and d.pairing(c_wit[1], nu).is_zero()
+
+            d_ok, d_wit = check_hypD(d, lv, xi)
+            assert d_ok is want_d, (doc, xi)
+            if d_wit is not None:
+                kind, w = d_wit
+                assert kind == "weyl"
+                assert mat_apply(w, xi) == xi and w not in levi_group
+
+
+def _affine_subspaces(d, xi_m):
+    """The excluded set of hypothesis C, first half, as one affine
+    subspace (w - 1) nu = xi_m - w xi_m per Weyl element w moving xi_m."""
+    out = []
+    for w in weyl_enumerate(d):
+        delta = vec_sub(xi_m, mat_apply(w, xi_m))
+        if any(not x.is_zero() for x in delta):
+            out.append((w, delta))
+    return out
+
+
+def test_hyperplanes_cover_the_affine_subspaces():
+    """On a grid of nu over the a-coordinates, nu lies on a Hyperplane
+    family exactly when it lies on one of the affine subspaces."""
+    rng = random.Random(5)
+    grid_values = [GaussRat(Fraction(k, 2)) for k in range(-6, 7)]
+    grid_values.append(GaussRat.parse("1/2*i"))
+    hits = 0
+    for doc in _DATA:
+        d, lv = rootdatum_from_json(doc)
+        acoords = lv.a_coordinates
+        for _ in range(12):
+            xi_m = _random_point(rng, d.rank)
+            planes = [f for f in emit_arrangement(d, lv, xi_m, (-1, 1))
+                      if f.kind == "Hyperplane"]
+            subspaces = _affine_subspaces(d, xi_m)
+            for vals in itertools.product(grid_values, repeat=len(acoords)):
+                nu = [GaussRat()] * d.rank
+                for j, v in zip(acoords, vals):
+                    nu[j] = v
+                nu = tuple(nu)
+                on_plane = any(
+                    pair(f.functional, vals) == m
+                    for f in planes for m in f.members)
+                on_subspace = any(
+                    vec_sub(mat_apply(w, nu), nu) == delta
+                    for w, delta in subspaces)
+                assert on_plane is on_subspace, (doc, xi_m, nu)
+                hits += on_plane
+    assert hits > 20

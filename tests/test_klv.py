@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from klvkit.blockdata import (
     product_block,
 )
 from klvkit.klv import (
+    DualityError,
     MultiplicityError,
     PMatrix,
     RMatrix,
@@ -20,6 +22,7 @@ from klvkit.klv import (
     duality_map,
     multiplicities,
     partition_blocks,
+    _solve_linear,
     verify_duality,
 )
 from klvkit.laurent import ONE, U, LaurentPoly
@@ -184,3 +187,13 @@ def test_product_block_pipeline():
     j = mm.order.index("(P,P1)")
     i = mm.order.index("(D+,D)")
     assert mm.m[i][j] == 1
+
+
+def test_solve_linear_failure_states_size_and_rank():
+    assert _solve_linear([({0: Fraction(1)}, Fraction(3))], 1) == [3]
+    with pytest.raises(DualityError, match="non-unique: 2 unknowns, rank 1"):
+        _solve_linear([({0: Fraction(1), 1: Fraction(1)}, Fraction(1))], 2)
+    with pytest.raises(DualityError, match="inconsistent: 2 unknowns, rank 2"):
+        _solve_linear([({0: Fraction(1)}, Fraction(1)),
+                       ({1: Fraction(1)}, Fraction(1)),
+                       ({0: Fraction(1), 1: Fraction(1)}, Fraction(3))], 2)

@@ -57,6 +57,17 @@ SWAP = {  # rank-2 realization of a single root whose reflection swaps coords
              "a_coordinates": [1]},
 }
 
+B2 = {  # basis e1, e1+e2 of the B2 lattice: the Levi coroot kills coord 1
+    "rank": 2,
+    "roots": [[2, -1], [-1, 1], [1, 0], [0, 1],
+              [-2, 1], [1, -1], [-1, 0], [0, -1]],
+    "coroots": [[1, 0], [0, 2], [2, 2], [1, 2],
+                [-1, 0], [0, -2], [-2, -2], [-1, -2]],
+    "theta": [[-1, 0], [0, -1]],
+    "levi": {"simple_base": [[2, -1], [-1, 1]], "levi_simples": [0],
+             "a_coordinates": [1]},
+}
+
 
 @pytest.fixture(params=[SL2_SPLIT, A2, A1xA1, SWAP])
 def datum(request):
@@ -116,13 +127,6 @@ def test_weyl_enumerate_orders():
     assert len(weyl_enumerate(d)) == 4
     with pytest.raises(WeylCapExceeded):
         weyl_enumerate(d, cap=3)
-
-
-def test_weyl_cap_env(monkeypatch):
-    d, _ = rootdatum_from_json(A2)
-    monkeypatch.setenv("KLVKIT_WEYL_CAP", "2")
-    with pytest.raises(WeylCapExceeded):
-        weyl_enumerate(d)
 
 
 def test_weyl_stabilizer_sizes():
