@@ -9,7 +9,6 @@ cayley).  All axioms are machine-checked by `validate_block`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,7 +18,7 @@ __all__ = [
     "SimpleStatus", "Parameter", "BlockData", "Violation",
     "validate_block", "validate_block_doc", "generate_complex_block",
     "builtin_sl2r_block", "builtin_nci2_block", "product_block",
-    "is_minimal", "block_from_json", "block_to_json", "load_block",
+    "is_minimal", "block_from_json", "block_to_json",
 ]
 
 
@@ -437,8 +436,3 @@ def validate_block_doc(doc: dict) -> list[Violation]:
     except BlockFormatError as exc:
         return [Violation("AX_STRUCTURE", None, None, str(exc))]
     return validate_block(b)
-
-
-def load_block(path: str) -> BlockData:
-    with open(path, encoding="utf-8") as fh:
-        return block_from_json(json.load(fh))

@@ -72,39 +72,29 @@ class CoxeterGroup:
         self.elements = [ident]
         self.length = {ident: 0}
         self.word = {ident: ()}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in range(n):
-                    sw = _mat_mul(self.gens[i], w)
-                    if sw not in self.length:
-                        if len(self.length) >= _CAP:
+        # Breadth-first by length.  Every left descent i of x one level up
+        # has s_i x on the current level, whose words are final, so the
+        # lex-min reduced word of x is the least (i,) + word(s_i x).
+        level = [ident]
+        while level:
+            above: dict[IntMat, tuple[int, ...]] = {}
+            for w in level:
+                for i, g in enumerate(self.gens):
+                    sw = _mat_mul(g, w)
+                    if sw in self.length:
+                        continue
+                    cand = (i,) + self.word[w]
+                    if sw not in above:
+                        if len(self.length) + len(above) >= _CAP:
                             raise CoxeterCapExceeded(f"group exceeds cap {_CAP}")
-                        self.length[sw] = self.length[w] + 1
-                        self.word[sw] = (i,) + self.word[w]
-                        self.elements.append(sw)
-                        nxt.append(sw)
-                    elif self.length[sw] == self.length[w] + 1:
-                        cand = (i,) + self.word[w]
-                        if cand < self.word[sw]:
-                            self.word[sw] = cand
-            frontier = nxt
-        # Second pass so every word really is the lex-min reduced word.
-        changed = True
-        while changed:
-            changed = False
-            for w in self.elements:
-                for i in range(len(self.names)):
-                    sw = _mat_mul(self.gens[i], w)
-                    if self.length[sw] == self.length[w] + 1:
-                        cand = (i,) + self.word[w]
-                        if cand < self.word[sw]:
-                            self.word[sw] = cand
-                            changed = True
-
-    def mul(self, a: IntMat, b: IntMat) -> IntMat:
-        return _mat_mul(a, b)
+                        above[sw] = cand
+                    elif cand < above[sw]:
+                        above[sw] = cand
+            for x, wd in above.items():
+                self.length[x] = len(wd)
+                self.word[x] = wd
+            self.elements.extend(above)
+            level = list(above)
 
     def label(self, w: IntMat) -> str:
         wd = self.word[w]

@@ -145,7 +145,9 @@ def emit_arrangement(d: RootDatum, lv: LeviSelection, xi_m,
     then the hyperplane <coroot, nu> = -<coroot, xi_m> of each
     nilradical root not singular on xi_m, where the stabilizer of
     xi_m + nu moves xi_m.  Levi roots vanish on the a-coordinates, so
-    they add no hyperplane."""
+    they add no hyperplane.  Roots with the same coroot on the
+    a-coordinates give the same family; it is listed once, where it
+    first occurs."""
     xm = _coords(xi_m)
     lo, hi = Fraction(window[0]), Fraction(window[1])
     out: list[HyperplaneFamily] = []
@@ -168,4 +170,4 @@ def emit_arrangement(d: RootDatum, lv: LeviSelection, xi_m,
             moving.append(HyperplaneFamily(
                 kind="Hyperplane", functional=func, members=(-c,),
             ))
-    return out + moving
+    return list(dict.fromkeys(out + moving))

@@ -3,11 +3,11 @@ self-dual basis with P-polynomials, and the multiplicity matrices.
 
 The duality map D is bar-semilinear, determined by its values on basis
 parameters.  It is computed by induction on length: complex descents and
-type-I parity descents give direct recursions; the type-II parity case
-leaves a two-dimensional ambiguity which is resolved by a small exact
-linear solve (the difference D(gamma - cross(gamma)) must be a
-u-eigenvector of T_s, pinned by the u=1 specialization and D^2 = Id),
-with uniqueness asserted.
+type-I parity descents give direct recursions.  A type-II parity descent
+leaves the difference x = D(gamma - cross(gamma)) open; its unknown
+coefficients, one Laurent scalar per u-eigenvector of T_s below the
+pair, solve one integer linear system pinned by D^2 = Id and by the
+u = 1 specialization, and the uniqueness of its solution is asserted.
 """
 
 from __future__ import annotations
@@ -196,43 +196,6 @@ def _s_packet_vectors(b: BlockData, s: int, block: list[str]):
     return vectors
 
 
-# Symbolic Laurent coefficients for the type-II endgame: a polynomial is
-# a map exp -> linear form, a linear form a map var -> Fraction with the
-# constant under key -1.
-_CONST = -1
-
-
-def _sym_from_poly(p: LaurentPoly):
-    return {k: {_CONST: Fraction(c)} for k, c in p.terms.items()}
-
-
-def _sym_add(a, bb):
-    out = {k: dict(f) for k, f in a.items()}
-    for k, f in bb.items():
-        tgt = out.setdefault(k, {})
-        for v, c in f.items():
-            tgt[v] = tgt.get(v, Fraction(0)) + c
-    return out
-
-
-def _sym_scale(a, c: Fraction):
-    return {k: {v: x * c for v, x in f.items()} for k, f in a.items()}
-
-
-def _sym_bar(a):
-    return {-k: dict(f) for k, f in a.items()}
-
-
-def _sym_mul_poly(a, p: LaurentPoly):
-    out: dict[int, dict[int, Fraction]] = {}
-    for k1, f in a.items():
-        for k2, c2 in p.terms.items():
-            tgt = out.setdefault(k1 + k2, {})
-            for v, c in f.items():
-                tgt[v] = tgt.get(v, Fraction(0)) + c * c2
-    return out
-
-
 def _solve_linear(equations, nvars):
     """Gaussian elimination over Fraction.  equations: list of
     (dict var->coeff, rhs).  Returns the unique solution vector;
@@ -274,20 +237,40 @@ def _solve_linear(equations, nvars):
     return sol
 
 
-def _halve(m: ModuleElement) -> ModuleElement:
+def _halve(m: ModuleElement, where: str) -> ModuleElement:
     out = {}
     for label, poly in m.coeffs.items():
         t = {}
         for k, c in poly.terms.items():
             if c % 2:
-                raise DualityError("duality system inconsistent or non-unique")
+                raise DualityError(
+                    f"duality system inconsistent or non-unique {where}")
             t[k] = c // 2
         out[label] = LaurentPoly(t)
     return ModuleElement(out)
 
 
+def _as_int(fr: Fraction, where: str) -> int:
+    if fr.denominator != 1:
+        raise DualityError(f"duality system inconsistent or non-unique {where}")
+    return fr.numerator
+
+
+def _terms(m: ModuleElement) -> dict[tuple[str, int], int]:
+    """The integer coefficient of each v^k * label in m."""
+    return {(label, k): c for label, poly in m.coeffs.items()
+            for k, c in poly.terms.items()}
+
+
 def _solve_rp2_pair(b, block, down, dual, gamma: str, s: int):
-    """Determine D(gamma) and D(cross gamma) for a type-II parity descent."""
+    """Determine D(gamma) and D(cross gamma) for a type-II parity descent.
+
+    D(gamma) = (S + x)/2 and D(cross gamma) = (S - x)/2, with S known
+    from the Cayley transform and x = D(gamma - cross gamma) =
+    v^(-2l)(gamma - cross gamma) + sum of c_(i,k) v^k E_i over the
+    u-eigenvectors E_i of T_s strictly below the pair.  The integer
+    unknowns c_(i,k) solve one affine system: D^2 = Id on both members,
+    and each scalar sum_k c_(i,k) v^k vanishes at v = 1."""
     p = b.param(gamma)
     g2 = p.cross[s]
     (gp,) = p.cayley[s]
@@ -299,99 +282,51 @@ def _solve_rp2_pair(b, block, down, dual, gamma: str, s: int):
     if not ssum.support() <= supp | {gamma, g2}:
         raise DualityError(f"duality system inconsistent {where}")
 
-    # Unknowns: even-exponent coefficients of one scalar per eligible
-    # u-eigenvector of T_s supported strictly below the pair.
-    vectors = [
-        vec for vec in _s_packet_vectors(b, s, block)
-        if {lab for lab, _ in vec} <= supp
-    ]
-    var_index: dict[tuple[int, int], int] = {}
-    vec_exps = []
-    for i, vec in enumerate(vectors):
-        top = max(b.params[lab].length for lab, _ in vec)
-        exps = list(range(-2 * l, -2 * top + 1, 2))
-        vec_exps.append(exps)
-        for k in exps:
-            var_index[(i, k)] = len(var_index)
-    nvars = len(var_index)
-
-    # x = D(gamma - cross gamma), symbolically, as label -> sym poly.
-    weight_of: dict[str, tuple[int, int]] = {}
-    for i, vec in enumerate(vectors):
-        for lab, w in vec:
-            weight_of[lab] = (i, w)
-    x_sym: dict[str, dict] = {
-        gamma: {-2 * l: {_CONST: Fraction(1)}},
-        g2: {-2 * l: {_CONST: Fraction(-1)}},
-    }
-    for lab, (i, w) in weight_of.items():
-        x_sym[lab] = {k: {var_index[(i, k)]: Fraction(w)} for k in vec_exps[i]}
-
-    def coeff_sym(label: str, sign: int):
-        """Coefficient of label in (S + sign*x)/2."""
-        base = _sym_from_poly(ssum.coeff(label))
-        if label in x_sym:
-            base = _sym_add(base, _sym_scale(x_sym[label], Fraction(sign)))
-        return _sym_scale(base, Fraction(1, 2))
-
-    # The top coefficients of D(target) are pinned: u^(-l) on target,
-    # 0 on the cross partner.  Hence
-    #   D(D(target)) = u^l * (S + sign*x)/2 + sum over lower phi of
-    #                  bar(coeff of phi) * D(phi)
-    # and this must equal the basis vector of target.
-    equations = []
-    labels = sorted(supp | {gamma, g2})
-    u_to_l = LaurentPoly({2 * l: 1})
-    for target, sign in ((gamma, 1), (g2, -1)):
-        acc: dict[str, dict] = {
-            phi2: _sym_mul_poly(coeff_sym(phi2, sign), u_to_l)
-            for phi2 in labels
-        }
-        for phi in sorted(supp):
-            bar_a = _sym_bar(coeff_sym(phi, sign))
-            for phi2, poly in dual[phi].coeffs.items():
-                cur = acc.setdefault(phi2, {})
-                acc[phi2] = _sym_add(cur, _sym_mul_poly(bar_a, poly))
-        for phi2, sp in acc.items():
-            for k, f in sp.items():
-                rhs = Fraction(1) if (phi2 == target and k == 0) else Fraction(0)
-                form = {v: c for v, c in f.items() if v != _CONST and c}
-                rhs = rhs - f.get(_CONST, Fraction(0))
-                if form or rhs:
-                    equations.append((form, rhs))
+    # Unknowns: the even-exponent coefficients c_(i,k) of one scalar per
+    # eligible u-eigenvector E_i, as the module elements v^k E_i.  The
     # u = 1 specialization: each scalar vanishes at v = 1.
-    for i, exps in enumerate(vec_exps):
-        form = {var_index[(i, k)]: Fraction(1) for k in exps}
-        equations.append((form, Fraction(0)))
+    unknowns: list[ModuleElement] = []
+    equations = []
+    for vec in _s_packet_vectors(b, s, block):
+        if not {lab for lab, _ in vec} <= supp:
+            continue
+        top = max(b.params[lab].length for lab, _ in vec)
+        first = len(unknowns)
+        for k in range(-2 * l, -2 * top + 1, 2):
+            unknowns.append(ModuleElement(
+                {lab: LaurentPoly({k: w}) for lab, w in vec}))
+        equations.append(({j: 1 for j in range(first, len(unknowns))}, 0))
+    top_x = ModuleElement({gamma: LaurentPoly({-2 * l: 1}),
+                           g2: LaurentPoly({-2 * l: -1})})
+
+    # The top coefficients of D(target) = y/2 are pinned: u^(-l) on
+    # target, 0 on the cross partner.  Hence 2 D(D(target)) is
+    #   u^l y + sum over lower phi of bar(y_phi) D(phi),
+    # additive in y, and it must equal 2 target.
+    u_to_l = LaurentPoly({2 * l: 1})
+
+    def twice_dd(y: ModuleElement) -> ModuleElement:
+        return y.scale(u_to_l) + apply_D(
+            dual, ModuleElement({phi: y.coeff(phi) for phi in supp}))
+
+    columns = [_terms(twice_dd(e)) for e in unknowns]
+    for target, sign, y in ((gamma, 1, ssum + top_x), (g2, -1, ssum - top_x)):
+        const = _terms(twice_dd(y) - basis(target) - basis(target))
+        for key in sorted(set(const).union(*columns)):
+            form = {j: sign * col[key] for j, col in enumerate(columns)
+                    if key in col}
+            equations.append((form, -const.get(key, 0)))
 
     try:
-        sol = _solve_linear(equations, nvars)
+        sol = _solve_linear(equations, len(unknowns))
     except DualityError as exc:
         raise DualityError(f"{exc} {where}") from None
 
-    x_terms: dict[str, dict[int, Fraction]] = {}
-    for lab, sp in x_sym.items():
-        t = {}
-        for k, f in sp.items():
-            val = f.get(_CONST, Fraction(0)) + sum(
-                c * sol[v] for v, c in f.items() if v != _CONST
-            )
-            if val:
-                t[k] = val
-        if t:
-            x_terms[lab] = t
-    x = ModuleElement({
-        lab: LaurentPoly({k: _as_int(v) for k, v in t.items()})
-        for lab, t in x_terms.items()
-    })
-    dual[gamma] = _halve(ssum + x)
-    dual[g2] = _halve(ssum - x)
-
-
-def _as_int(fr: Fraction) -> int:
-    if fr.denominator != 1:
-        raise DualityError("duality system inconsistent or non-unique")
-    return fr.numerator
+    x = top_x
+    for c, e in zip(sol, unknowns):
+        x = x + e.scale(LaurentPoly({0: _as_int(c, where)}))
+    dual[gamma] = _halve(ssum + x, where)
+    dual[g2] = _halve(ssum - x, where)
 
 
 def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
@@ -428,7 +363,9 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
         lg = b.params[gamma].length
         for phi, poly in dual[gamma].coeffs.items():
             if phi not in down[gamma]:
-                raise DualityError("duality system inconsistent or non-unique")
+                raise DualityError(
+                    "duality system inconsistent or non-unique: "
+                    f"D({gamma!r}) has a term at {phi!r} outside its down-set")
             sign = -1 if (lg - b.params[phi].length) % 2 else 1
             entries[(phi, gamma)] = poly.shifted(2 * lg) * sign
     return RMatrix(order=order, entries=entries, down=down)
@@ -532,11 +469,10 @@ def multiplicities(b: BlockData, p: PMatrix) -> MultMatrices:
                 sign = -1 if (lens[j] - lens[i]) % 2 else 1
                 big[i][j] = sign * val
     for i in range(n):
-        if big[i][i] != 1:
-            raise MultiplicityError("M not unitriangular")
-        for j in range(i):
-            if big[i][j] != 0:
-                raise MultiplicityError("M not unitriangular")
+        for j in range(i + 1):
+            if big[i][j] != (1 if i == j else 0):
+                raise MultiplicityError(
+                    f"M not unitriangular at {(order[i], order[j])!r}")
     # exact inverse of an upper unitriangular integer matrix
     inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for j in range(n):

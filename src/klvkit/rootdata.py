@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
+from .coxeter import _mat_mul
 from .gaussian import GaussRat, GVec, gvec, mat_apply, pair, vec_sub
 
 __all__ = [
@@ -42,14 +43,6 @@ class RootClass(Enum):
 
 def _identity(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def _mat_vec(m: IntMat, v: IntVec) -> IntVec:

@@ -243,3 +243,27 @@ def test_hyperplanes_cover_the_affine_subspaces():
                 assert on_plane is on_subspace, (doc, xi_m, nu)
                 hits += on_plane
     assert hits > 20
+
+
+def test_arrangement_lists_each_family_once():
+    """No report has two equal families, and every nilradical root's
+    integer-coset and zero family is still there."""
+    rng = random.Random(7)
+    for doc in _DATA:
+        d, lv = rootdatum_from_json(doc)
+        for _ in range(12):
+            xi_m = _random_point(rng, d.rank)
+            fams = emit_arrangement(d, lv, xi_m, (-2, 2))
+            assert len(set(fams)) == len(fams), (doc, xi_m)
+            for alpha in nilradical_roots(d, lv):
+                func = tuple(d.coroot(alpha)[j] for j in lv.a_coordinates)
+                c = d.pairing(alpha, xi_m)
+                assert any(f.kind == "IntegerCoset" and f.functional == func
+                           and f.offset == c for f in fams)
+                assert any(f.kind == "Zero" and f.functional == func
+                           for f in fams)
+    # B2's three nilradical roots share one coroot on the a-coordinates
+    d, lv = rootdatum_from_json(B2)
+    fams = emit_arrangement(d, lv, gvec([0, 0]), (-1, 1))
+    assert len(nilradical_roots(d, lv)) == 3
+    assert [f.kind for f in fams] == ["IntegerCoset", "Zero"]

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from klvkit.blockdata import (
     generate_complex_block,
     product_block,
 )
+from klvkit import klv
+from klvkit.hecke import ModuleElement
 from klvkit.klv import (
     DualityError,
     MultiplicityError,
@@ -22,10 +25,12 @@ from klvkit.klv import (
     duality_map,
     multiplicities,
     partition_blocks,
+    _as_int,
+    _halve,
     _solve_linear,
     verify_duality,
 )
-from klvkit.laurent import ONE, U, LaurentPoly
+from klvkit.laurent import ONE, U, ZERO, LaurentPoly
 from oracle_kl import ClassicalKL
 
 A2_BRAID = ((1, 3), (3, 1))
@@ -172,8 +177,9 @@ def test_minimal_parameter_has_unit_column():
 def test_multiplicities_rejects_bad_triangularity():
     b = builtin_sl2r_block()
     bad = PMatrix(order=("D+", "D-", "P"), entries={("P", "D+"): ONE})
-    with pytest.raises(MultiplicityError, match="not unitriangular"):
+    with pytest.raises(MultiplicityError, match="not unitriangular") as exc:
         multiplicities(b, bad)
+    assert str(exc.value) == "M not unitriangular at ('P', 'D+')"
 
 
 def test_product_block_pipeline():
@@ -197,3 +203,103 @@ def test_solve_linear_failure_states_size_and_rank():
         _solve_linear([({0: Fraction(1)}, Fraction(1)),
                        ({1: Fraction(1)}, Fraction(1)),
                        ({0: Fraction(1), 1: Fraction(1)}, Fraction(3))], 2)
+
+
+def test_integrality_failures_name_parameter_and_simple():
+    where = "at parameter '(P1,P1)', simple 's'"
+    odd = ModuleElement({"P1": LaurentPoly({-2: 2, 0: 1})})
+    with pytest.raises(DualityError, match=r"inconsistent or non-unique at "
+                       r"parameter '\(P1,P1\)', simple 's'"):
+        _halve(odd, where)
+    assert _halve(odd + odd, where) == odd
+    with pytest.raises(DualityError, match="non-unique at parameter"):
+        _as_int(Fraction(1, 2), where)
+    assert _as_int(Fraction(-4, 2), where) == -2
+
+
+def test_down_set_failure_names_both_labels(monkeypatch):
+    """A down-set that misses a term of D(gamma) is reported with phi
+    and gamma."""
+    b = builtin_sl2r_block()
+    real = compute_order(b, ["D+", "D-", "P"])
+    monkeypatch.setattr(klv, "compute_order",
+                        lambda *_: {**real, "P": frozenset({"P", "D-"})})
+    with pytest.raises(DualityError, match=r"inconsistent or non-unique: "
+                       r"D\('P'\) has a term at 'D\+' outside its down-set"):
+        compute_duality(b, ["D+", "D-", "P"])
+
+
+# ---------------------------------------------------------------------------
+# Factorisation oracle: on product_block(A, B), R, P and M are the
+# Kronecker products of the factors' matrices.
+
+def _rank_one(base, simple):
+    return block_from_json({**block_to_json(base), "simples": [simple]})
+
+
+_FACTORS = {
+    "sl2r": lambda c: _rank_one(builtin_sl2r_block(), c + "1"),
+    "nci2": lambda c: _rank_one(builtin_nci2_block(), c + "1"),
+    "A1": lambda c: generate_complex_block((c + "1",), ((1,),)),
+    "A2": lambda c: generate_complex_block((c + "1", c + "2"), A2_BRAID),
+}
+
+
+def _tables(b):
+    """R and P entries (diagonal of P included) and the M entries of
+    every class of b, keyed by label pairs; absent pairs are zero."""
+    R, P, M = {}, {}, {}
+    for blk in partition_blocks(b):
+        blk, r, p, mm = _pipeline(b, blk)
+        R.update(r.entries)
+        P.update({(x, y): p.entry(x, y) for x in blk for y in blk})
+        M.update({(x, y): mm.M[i][j] for i, x in enumerate(mm.order)
+                  for j, y in enumerate(mm.order)})
+    return R, P, M
+
+
+def _check_factorisation(ka, kb, monkeypatch):
+    a, c = _FACTORS[ka]("a"), _FACTORS[kb]("b")
+    prod = product_block(a, c)
+    type2_solves = []
+    solve = klv._solve_rp2_pair
+    monkeypatch.setattr(klv, "_solve_rp2_pair",
+                        lambda *args: type2_solves.append(1) or solve(*args))
+    ta, tb, tp = _tables(a), _tables(c), _tables(prod)
+    assert ("nci2" in (ka, kb)) == bool(type2_solves)
+    pairs = {f"({x},{y})": (x, y) for x in a.params for y in c.params}
+    assert set(prod.params) == set(pairs)
+    for lab, (x, y) in pairs.items():
+        assert prod.params[lab].length == a.params[x].length + c.params[y].length
+    zeros = (ZERO, ZERO, 0)
+    for (l1, (x1, y1)), (l2, (x2, y2)) in itertools.product(pairs.items(), repeat=2):
+        for fa, fb, fp, zero in zip(ta, tb, tp, zeros):
+            want = fa.get((x1, x2), zero) * fb.get((y1, y2), zero)
+            assert fp.get((l1, l2), zero) == want, (l1, l2)
+
+
+_KINDS = list(_FACTORS)
+
+
+@pytest.mark.parametrize("ka,kb", [
+    (ka, kb) for ka, kb in itertools.product(_KINDS, repeat=2)
+    if (ka, kb).count("nci2") <= 1
+])
+def test_product_blocks_factorise(ka, kb, monkeypatch):
+    _check_factorisation(ka, kb, monkeypatch)
+
+
+@pytest.mark.xfail(strict=True, raises=DualityError,
+                   reason="type-II duality with two type-II simples is open")
+def test_two_type2_factors_factorise(monkeypatch):
+    _check_factorisation("nci2", "nci2", monkeypatch)
+
+
+def test_two_type2_factors_name_the_system():
+    """The type-II system of nci2 x nci2 has 4 unknowns at rank 2: the
+    solve names its size, the parameter and the simple."""
+    prod = product_block(_FACTORS["nci2"]("a"), _FACTORS["nci2"]("b"))
+    with pytest.raises(DualityError, match=(
+            r"^duality system non-unique: 4 unknowns, rank 2 at parameter "
+            r"'\(P1,P1\)', simple 'a1'$")):
+        compute_duality(prod, partition_blocks(prod)[0])
