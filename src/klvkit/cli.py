@@ -53,7 +53,7 @@ def _load_block(path: str) -> blockdata.BlockData:
 def _load_rootdatum(path: str):
     try:
         d, lv = rootdata.load_rootdatum(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed root-datum file: {exc}") from exc
     if lv is None:
         raise InputError("root-datum file has no levi section")
@@ -159,7 +159,7 @@ def _cmd_induce(args) -> int:
     G = _load_block(args.target)
     try:
         c = correspondence.load_correspondence(args.map)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed correspondence file: {exc}") from exc
     inputs = [args.source, args.target, args.map]
     violations = {"source": blockdata.validate_block(L),

@@ -2,20 +2,21 @@
 self-dual basis with P-polynomials, and the multiplicity matrices.
 
 The duality map D is bar-semilinear, determined by its values on basis
-parameters.  It is computed by induction on length: complex descents and
-type-I parity descents give direct recursions.  A type-II parity descent
-leaves the difference x = D(gamma - cross(gamma)) open; its unknown
-coefficients, one Laurent scalar per u-eigenvector of T_s below the
-pair, solve one integer linear system pinned by D^2 = Id and by the
-u = 1 specialization, and the uniqueness of its solution is asserted.
+parameters.  It is computed one length at a time: complex descents and
+type-I parity descents give direct recursions, and the parameters whose
+descents are all type-II real parity solve one integer linear system
+per length, pinned by intertwining with T_s + 1, D^2 = Id and the u = 1
+specialization.  Its solution is asserted unique and integral, so blocks
+with several type-II factors are solved as well.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blockdata import DESCENT_STATUSES, BlockData, SimpleStatus
+from .blockdata import BlockData, SimpleStatus
 from .hecke import ModuleElement, apply_T, basis
 from .laurent import ONE, U_INV, ZERO, LaurentPoly
 
@@ -163,39 +164,6 @@ def _ts_plus_one_over_u(b: BlockData, s: int, m: ModuleElement) -> ModuleElement
     return (apply_T(b, s, m) + m).scale(U_INV)
 
 
-def _s_packet_vectors(b: BlockData, s: int, block: list[str]):
-    """The u-eigenvectors of T_s with constant coefficients, one or two
-    per s-packet.  Returns a list of lists [(label, weight), ...]."""
-    seen: set[str] = set()
-    vectors = []
-    for label in sorted(block, key=_sort_key(b)):
-        if label in seen:
-            continue
-        p = b.param(label)
-        st = p.status[s]
-        if st is SimpleStatus.COMPACT_IMAGINARY:
-            seen.add(label)
-            vectors.append([(label, 1)])
-        elif st is SimpleStatus.REAL_NONPARITY:
-            seen.add(label)
-        elif st in (SimpleStatus.COMPLEX_ASCENT, SimpleStatus.COMPLEX_DESCENT):
-            other = p.cross[s]
-            seen.update({label, other})
-            vectors.append([(label, 1), (other, 1)])
-        elif st in (SimpleStatus.RP1, SimpleStatus.NCI1):
-            top = label if st is SimpleStatus.RP1 else next(iter(p.cayley[s]))
-            lo1, lo2 = sorted(b.param(top).cayley[s])
-            seen.update({top, lo1, lo2})
-            vectors.append([(top, 1), (lo1, 1), (lo2, 1)])
-        else:  # RP2 / NCI2 triple
-            bot = label if st is SimpleStatus.NCI2 else next(iter(p.cayley[s]))
-            up1, up2 = sorted(b.param(bot).cayley[s])
-            seen.update({bot, up1, up2})
-            vectors.append([(up1, 1), (up2, -1)])
-            vectors.append([(up1, 1), (up2, 1), (bot, 2)])
-    return vectors
-
-
 def _solve_linear(equations, nvars):
     """Gaussian elimination over Fraction.  equations: list of
     (dict var->coeff, rhs).  Returns the unique solution vector;
@@ -237,126 +205,112 @@ def _solve_linear(equations, nvars):
     return sol
 
 
-def _halve(m: ModuleElement, where: str) -> ModuleElement:
-    out = {}
-    for label, poly in m.coeffs.items():
-        t = {}
-        for k, c in poly.terms.items():
-            if c % 2:
-                raise DualityError(
-                    f"duality system inconsistent or non-unique {where}")
-            t[k] = c // 2
-        out[label] = LaurentPoly(t)
-    return ModuleElement(out)
-
-
-def _as_int(fr: Fraction, where: str) -> int:
-    if fr.denominator != 1:
-        raise DualityError(f"duality system inconsistent or non-unique {where}")
-    return fr.numerator
-
-
 def _terms(m: ModuleElement) -> dict[tuple[str, int], int]:
     """The integer coefficient of each v^k * label in m."""
     return {(label, k): c for label, poly in m.coeffs.items()
             for k, c in poly.terms.items()}
 
 
-def _solve_rp2_pair(b, block, down, dual, gamma: str, s: int):
-    """Determine D(gamma) and D(cross gamma) for a type-II parity descent.
+def _solve_level(b, down, dual, hard: list[str]):
+    """Determine D on the hard parameters of one length: those whose
+    descents are all type-II real.  D is known below this length and on
+    its other parameters.
 
-    D(gamma) = (S + x)/2 and D(cross gamma) = (S - x)/2, with S known
-    from the Cayley transform and x = D(gamma - cross gamma) =
-    v^(-2l)(gamma - cross gamma) + sum of c_(i,k) v^k E_i over the
-    u-eigenvectors E_i of T_s strictly below the pair.  The integer
-    unknowns c_(i,k) solve one affine system: D^2 = Id on both members,
-    and each scalar sum_k c_(i,k) v^k vanishes at v = 1."""
-    p = b.param(gamma)
-    g2 = p.cross[s]
-    (gp,) = p.cayley[s]
-    l = p.length
-    where = f"at parameter {gamma!r}, simple {b.simples[s]!r}"
-    ssum = _ts_plus_one_over_u(b, s, dual[gp]) - dual[gp] - dual[gp]
-
-    supp = (down[gamma] | down[g2]) - {gamma, g2}
-    if not ssum.support() <= supp | {gamma, g2}:
-        raise DualityError(f"duality system inconsistent {where}")
-
-    # Unknowns: the even-exponent coefficients c_(i,k) of one scalar per
-    # eligible u-eigenvector E_i, as the module elements v^k E_i.  The
-    # u = 1 specialization: each scalar vanishes at v = 1.
-    unknowns: list[ModuleElement] = []
+    The unknowns are the integer coefficients of v^k phi in D(gamma), for
+    each hard gamma, each phi below it and each even k from -2l(gamma) to
+    -2l(phi); the v^(-2l) gamma term is fixed.  The rows are affine in
+    them: D((T_s + 1)gamma) = u^(-1)(T_s + 1)D(gamma) at every descent s,
+    D(D(gamma)) = gamma, and each D(gamma)_phi vanishes at u = 1.  The
+    solution must be unique and integral."""
+    l = b.params[hard[0]].length
+    where = f"at length {l}, parameters {', '.join(map(repr, hard))}"
+    top = {g: ModuleElement({g: LaurentPoly({-2 * l: 1})}) for g in hard}
+    unknowns: list[tuple[str, str, int]] = []
+    owned: dict[str, list[int]] = {g: [] for g in hard}
     equations = []
-    for vec in _s_packet_vectors(b, s, block):
-        if not {lab for lab, _ in vec} <= supp:
-            continue
-        top = max(b.params[lab].length for lab, _ in vec)
-        first = len(unknowns)
-        for k in range(-2 * l, -2 * top + 1, 2):
-            unknowns.append(ModuleElement(
-                {lab: LaurentPoly({k: w}) for lab, w in vec}))
-        equations.append(({j: 1 for j in range(first, len(unknowns))}, 0))
-    top_x = ModuleElement({gamma: LaurentPoly({-2 * l: 1}),
-                           g2: LaurentPoly({-2 * l: -1})})
+    for g in hard:
+        for phi in sorted(down[g] - {g}, key=_sort_key(b)):
+            first = len(unknowns)
+            for k in range(-2 * l, -2 * b.params[phi].length + 1, 2):
+                owned[g].append(len(unknowns))
+                unknowns.append((g, phi, k))
+            equations.append(({j: 1 for j in range(first, len(unknowns))}, 0))
 
-    # The top coefficients of D(target) = y/2 are pinned: u^(-l) on
-    # target, 0 on the cross partner.  Hence 2 D(D(target)) is
-    #   u^l y + sum over lower phi of bar(y_phi) D(phi),
-    # additive in y, and it must equal 2 target.
+    def unit(j: int) -> ModuleElement:
+        _, phi, k = unknowns[j]
+        return ModuleElement({phi: LaurentPoly({k: 1})})
+
+    def add_rows(const: ModuleElement, columns: dict[int, ModuleElement]):
+        """The rows const + sum_j x_j columns[j] = 0, one per v^k label."""
+        cols = {j: _terms(e) for j, e in columns.items()}
+        rhs = _terms(const)
+        for key in sorted(set(rhs).union(*cols.values())):
+            equations.append(({j: col[key] for j, col in cols.items()
+                               if key in col}, -rhs.get(key, 0)))
+
     u_to_l = LaurentPoly({2 * l: 1})
-
-    def twice_dd(y: ModuleElement) -> ModuleElement:
-        return y.scale(u_to_l) + apply_D(
-            dual, ModuleElement({phi: y.coeff(phi) for phi in supp}))
-
-    columns = [_terms(twice_dd(e)) for e in unknowns]
-    for target, sign, y in ((gamma, 1, ssum + top_x), (g2, -1, ssum - top_x)):
-        const = _terms(twice_dd(y) - basis(target) - basis(target))
-        for key in sorted(set(const).union(*columns)):
-            form = {j: sign * col[key] for j, col in enumerate(columns)
-                    if key in col}
-            equations.append((form, -const.get(key, 0)))
+    for g in hard:
+        # D((T_s + 1)g) - u^(-1)(T_s + 1)D(g) = 0 at each descent s.
+        for s, st in enumerate(b.param(g).status):
+            if st is not SimpleStatus.RP2:
+                continue
+            const = -_ts_plus_one_over_u(b, s, top[g])
+            columns = {j: -_ts_plus_one_over_u(b, s, unit(j)) for j in owned[g]}
+            for lab, poly in (apply_T(b, s, g) + basis(g)).coeffs.items():
+                c = poly.bar()
+                if lab not in owned:
+                    const = const + dual[lab].scale(c)
+                    continue
+                const = const + top[lab].scale(c)
+                for j in owned[lab]:
+                    columns[j] = columns.get(j, ModuleElement()) + unit(j).scale(c)
+            add_rows(const, columns)
+        # D(D(g)) - g = 0; u^l D(top) = g, so only the unknowns remain.
+        add_rows(ModuleElement(), {
+            j: unit(j).scale(u_to_l)
+            + dual[unknowns[j][1]].scale(LaurentPoly({-unknowns[j][2]: 1}))
+            for j in owned[g]})
 
     try:
         sol = _solve_linear(equations, len(unknowns))
     except DualityError as exc:
         raise DualityError(f"{exc} {where}") from None
-
-    x = top_x
-    for c, e in zip(sol, unknowns):
-        x = x + e.scale(LaurentPoly({0: _as_int(c, where)}))
-    dual[gamma] = _halve(ssum + x, where)
-    dual[g2] = _halve(ssum - x, where)
+    if any(x.denominator != 1 for x in sol):
+        raise DualityError(
+            f"duality system non-integral: {len(unknowns)} unknowns, "
+            f"rank {len(unknowns)} {where}")
+    dual.update(top)
+    for (g, phi, k), x in zip(unknowns, sol):
+        dual[g] = dual[g] + ModuleElement({phi: LaurentPoly({k: int(x)})})
 
 
 def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
-    """R-polynomials of one block, by induction on length."""
+    """R-polynomials of one block, by induction on length.  At each
+    length the direct recursions come first; one system then solves the
+    parameters whose descents are all type-II real."""
     down = compute_order(b, block)
     order = tuple(sorted(block, key=_sort_key(b)))
     dual: dict[str, ModuleElement] = {}
-    for gamma in order:
-        if gamma in dual:
-            continue
-        p = b.param(gamma)
-        l = p.length
-        descents = {s: p.status[s] for s in range(len(b.simples))
-                    if p.status[s] in DESCENT_STATUSES}
-        cd = next((s for s, st in descents.items()
-                   if st is SimpleStatus.COMPLEX_DESCENT), None)
-        rp1 = next((s for s, st in descents.items()
-                    if st is SimpleStatus.RP1), None)
-        if not descents:
-            dual[gamma] = basis(gamma).scale(LaurentPoly({-2 * l: 1}))
-        elif cd is not None:
-            g2 = p.cross[cd]
-            dual[gamma] = _ts_plus_one_over_u(b, cd, dual[g2]) - dual[g2]
-        elif rp1 is not None:
-            lo1, lo2 = sorted(p.cayley[rp1])
-            dual[gamma] = (_ts_plus_one_over_u(b, rp1, dual[lo1])
-                           - dual[lo1] - dual[lo2])
-        else:
-            s = min(descents)
-            _solve_rp2_pair(b, block, down, dual, gamma, s)
+    for _, level in itertools.groupby(order, key=lambda g: b.params[g].length):
+        hard = []
+        for gamma in level:
+            p = b.param(gamma)
+            lowest = {st: s for s, st in reversed(list(enumerate(p.status)))}
+            cd = lowest.get(SimpleStatus.COMPLEX_DESCENT)
+            rp1 = lowest.get(SimpleStatus.RP1)
+            if cd is not None:
+                g2 = p.cross[cd]
+                dual[gamma] = _ts_plus_one_over_u(b, cd, dual[g2]) - dual[g2]
+            elif rp1 is not None:
+                lo1, lo2 = sorted(p.cayley[rp1])
+                dual[gamma] = (_ts_plus_one_over_u(b, rp1, dual[lo1])
+                               - dual[lo1] - dual[lo2])
+            elif SimpleStatus.RP2 in lowest:
+                hard.append(gamma)
+            else:
+                dual[gamma] = basis(gamma).scale(LaurentPoly({-2 * p.length: 1}))
+        if hard:
+            _solve_level(b, down, dual, hard)
 
     entries: dict[tuple[str, str], LaurentPoly] = {}
     for gamma in order:

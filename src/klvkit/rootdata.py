@@ -318,22 +318,55 @@ def integral_system_theta_stable(d: RootDatum, lam: InfChar | GVec) -> bool:
 # ---------------------------------------------------------------------------
 # JSON file format
 
+def _ints(values, field: str, length: int | None = None) -> IntVec:
+    """A JSON list of integers, of the given length if one is given;
+    ValueError names the field."""
+    if not isinstance(values, list) or any(type(x) is not int for x in values) \
+            or length not in (None, len(values)):
+        what = "a list of" if length is None else f"lists of {length}"
+        raise ValueError(f"{field} must be {what} integers")
+    return tuple(values)
+
+
+def _vectors(rows, field: str, rank: int) -> tuple[IntVec, ...]:
+    if not isinstance(rows, list):
+        raise ValueError(f"{field} must be a list of vectors")
+    return tuple(_ints(r, field, rank) for r in rows)
+
+
+def _indices(values, field: str, bound: int) -> IntVec:
+    out = _ints(values, field)
+    if any(not 0 <= i < bound for i in out):
+        raise ValueError(f"{field} has an index outside 0..{bound - 1}")
+    return out
+
+
 def rootdatum_from_json(doc: dict) -> tuple[RootDatum, LeviSelection | None]:
-    rank = int(doc["rank"])
-    roots = tuple(tuple(int(x) for x in r) for r in doc["roots"])
-    coroot_list = [tuple(int(x) for x in r) for r in doc["coroots"]]
+    """Parse a root-datum document.  Shapes, integer entries and index
+    ranges are checked (ValueError naming the field); the root-system
+    axioms are left to `RootDatum.validate` and `LeviSelection.validate`."""
+    rank = doc["rank"]
+    if type(rank) is not int:
+        raise ValueError("rank must be an integer")
+    roots = _vectors(doc["roots"], "roots", rank)
+    coroot_list = _vectors(doc["coroots"], "coroots", rank)
     if len(coroot_list) != len(roots):
         raise ValueError("coroots must be aligned with roots")
     coroots = dict(zip(roots, coroot_list))
-    theta = tuple(tuple(int(x) for x in row) for row in doc["theta"])
+    theta = _vectors(doc["theta"], "theta", rank)
+    if len(theta) != rank:
+        raise ValueError(f"theta must have {rank} rows")
     d = RootDatum(rank=rank, roots=roots, coroots=coroots, theta=theta)
     lv = None
     if "levi" in doc and doc["levi"] is not None:
         l = doc["levi"]
+        if not isinstance(l, dict):
+            raise ValueError("levi must be an object")
+        base = _vectors(l["simple_base"], "simple_base", rank)
         lv = LeviSelection(
-            simple_base=tuple(tuple(int(x) for x in r) for r in l["simple_base"]),
-            levi_simples=tuple(int(i) for i in l["levi_simples"]),
-            a_coordinates=tuple(int(i) for i in l["a_coordinates"]),
+            simple_base=base,
+            levi_simples=_indices(l["levi_simples"], "levi_simples", len(base)),
+            a_coordinates=_indices(l["a_coordinates"], "a_coordinates", rank),
         )
     return d, lv
 

@@ -48,9 +48,9 @@ COXETER_SYSTEMS = {
 }
 
 
-def _relabeled_nci2():
+def _relabeled_nci2(simple="t"):
     return block_from_json(
-        {**block_to_json(builtin_nci2_block()), "simples": ["t"]})
+        {**block_to_json(builtin_nci2_block()), "simples": [simple]})
 
 
 def _test_blocks():
@@ -58,6 +58,7 @@ def _test_blocks():
         "sl2r": builtin_sl2r_block(),
         "nci2": builtin_nci2_block(),
         "product": product_block(builtin_sl2r_block(), _relabeled_nci2()),
+        "nci2xnci2": product_block(_relabeled_nci2("t1"), _relabeled_nci2("t2")),
     }
     for name, (names, braid) in COXETER_SYSTEMS.items():
         out[f"complex-{name}"] = generate_complex_block(names, braid)

@@ -16,7 +16,7 @@ from klvkit import correspondence, klv
 from klvkit.cli import run
 
 from test_blockdata import _doc_with
-from test_rootdata import A1xA1, SL2_SPLIT
+from test_rootdata import A1xA1, A2, B2, SL2_SPLIT, SWAP
 
 
 def _run(capsys, *argv):
@@ -276,6 +276,89 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, sl2_path):
     assert run(["generic", sl2_path, "--xi-m", "0,0", "--nu", "0"]) == 2
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
+    # Root-datum files of the wrong shape once ended in a TypeError or a
+    # ValueError from zip(), or (arrangement) in a report; a root 2.5 was
+    # read as 2.
+    for i, (edit, field) in enumerate([({"roots": 5}, "roots"),
+                                       ({"levi": 5}, "levi"),
+                                       ({"roots": [[2, 0], [-2, 0]]}, "roots"),
+                                       ({"roots": [[2.5], [-2]]}, "roots")]):
+        path = _written(tmp_path, f"datum{i}.json", {**SL2_SPLIT, **edit})
+        for argv in (["generic", path, "--xi-m", "0", "--nu", "1/2"],
+                     ["arrangement", path, "--xi-m", "0"],
+                     ["translate-check", path, "--xi", "1/2", "--mu", "1"]):
+            assert run(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: malformed root-datum file: "), argv
+            assert field in err, argv
+    # Maps whose pairs are not a list, or that are not an object.
+    for i, doc in enumerate([{"pairs": 5, "length_shift": 0},
+                             [["D+", "D+"], ["D-", "D-"], ["P", "P"]]]):
+        path = _written(tmp_path, f"map{i}.json", doc)
+        assert run(["induce", "builtin:sl2r", "builtin:sl2r", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: malformed correspondence file: ")
+
+
+def _written(tmp_path, name, doc):
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+_DATUM_BASES = [SL2_SPLIT, A2, A1xA1, SWAP, B2]
+_MAP_BASE = {"pairs": [["D+", "D+"], ["D-", "D-"], ["P", "P"]], "length_shift": 0}
+
+
+def _mutate(draw, doc):
+    """Drop a key, change a value's type or shorten a list, at the top of
+    doc or one level down."""
+    where = doc
+    inner = [v for v in doc.values() if isinstance(v, (dict, list)) and v]
+    if inner and draw(st.booleans()):
+        where = draw(st.sampled_from(inner))
+    keys = sorted(where) if isinstance(where, dict) else list(range(len(where)))
+    key = draw(st.sampled_from(keys))
+    kind = draw(st.sampled_from(["drop", "retype", "shorten"]))
+    if kind == "drop":
+        del where[key]
+    elif kind == "retype":
+        where[key] = draw(st.sampled_from(
+            [v for v in _OTHER_TYPES + [5, [5]] if type(v) is not type(where[key])]))
+    elif isinstance(where[key], list) and where[key]:
+        where[key] = where[key][:-1]
+    else:
+        where[key] = []
+
+
+@st.composite
+def _mutated_rootdata_and_maps(draw):
+    base = draw(st.sampled_from(_DATUM_BASES))
+    datum, mp = json.loads(json.dumps(base)), json.loads(json.dumps(_MAP_BASE))
+    if draw(st.booleans()):
+        _mutate(draw, datum)
+    else:
+        _mutate(draw, mp)
+    return base["rank"], datum, mp
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_mutated_rootdata_and_maps())
+def test_mutated_rootdata_and_maps_never_raise(tmp_path_factory, case):
+    rank, datum, mp = case
+    path = tmp_path_factory.getbasetemp() / "datum.json"
+    path.write_text(json.dumps(datum))
+    map_path = tmp_path_factory.getbasetemp() / "map.json"
+    map_path.write_text(json.dumps(mp))
+    zeros, halves = ",".join(["0"] * rank), ",".join(["1/2"] * rank)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        for argv in (["generic", str(path), "--xi-m", zeros, "--nu", halves],
+                     ["arrangement", str(path), "--xi-m", zeros],
+                     ["translate-check", str(path), "--xi", halves,
+                      "--mu", ",".join(["1"] * rank)],
+                     ["induce", "builtin:sl2r", "builtin:sl2r", str(map_path)]):
+            assert run(argv) in (0, 1, 2), argv
 
 
 def test_generic_beyond_weyl_cap(capsys, tmp_path):

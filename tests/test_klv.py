@@ -1,8 +1,12 @@
+import functools
 import itertools
 import json
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klvkit.blockdata import (
     block_from_json,
@@ -13,7 +17,6 @@ from klvkit.blockdata import (
     product_block,
 )
 from klvkit import klv
-from klvkit.hecke import ModuleElement
 from klvkit.klv import (
     DualityError,
     MultiplicityError,
@@ -25,8 +28,6 @@ from klvkit.klv import (
     duality_map,
     multiplicities,
     partition_blocks,
-    _as_int,
-    _halve,
     _solve_linear,
     verify_duality,
 )
@@ -34,6 +35,7 @@ from klvkit.laurent import ONE, U, ZERO, LaurentPoly
 from oracle_kl import ClassicalKL
 
 A2_BRAID = ((1, 3), (3, 1))
+B2_BRAID = ((1, 4), (4, 1))
 
 
 def _pipeline(b, blk=None):
@@ -127,7 +129,7 @@ def test_p_golden_sl2r():
 
 def test_degree_bounds_and_signs():
     for b in (builtin_sl2r_block(), builtin_nci2_block(),
-              generate_complex_block(("s1", "s2"), ((1, 4), (4, 1)))):
+              generate_complex_block(("s1", "s2"), B2_BRAID)):
         for blk in partition_blocks(b):
             blk, r, p, mm = _pipeline(b, blk)
             for (phi, gamma), e in r.entries.items():
@@ -205,16 +207,23 @@ def test_solve_linear_failure_states_size_and_rank():
                        ({0: Fraction(1), 1: Fraction(1)}, Fraction(3))], 2)
 
 
-def test_integrality_failures_name_parameter_and_simple():
-    where = "at parameter '(P1,P1)', simple 's'"
-    odd = ModuleElement({"P1": LaurentPoly({-2: 2, 0: 1})})
-    with pytest.raises(DualityError, match=r"inconsistent or non-unique at "
-                       r"parameter '\(P1,P1\)', simple 's'"):
-        _halve(odd, where)
-    assert _halve(odd + odd, where) == odd
-    with pytest.raises(DualityError, match="non-unique at parameter"):
-        _as_int(Fraction(1, 2), where)
-    assert _as_int(Fraction(-4, 2), where) == -2
+def test_level_failures_name_parameters_size_and_rank(monkeypatch):
+    """A level solve that is non-unique or non-integral names the
+    parameters of its length, the unknown count and the rank."""
+    b = builtin_nci2_block()
+    where = r"at length 1, parameters 'P1', 'P2'$"
+    monkeypatch.setattr(klv, "_solve_linear", lambda eqs, n: [Fraction(1, 2)] * n)
+    with pytest.raises(DualityError, match=(
+            r"^duality system non-integral: 4 unknowns, rank 4 " + where)):
+        compute_duality(b, ["D", "P1", "P2"])
+
+    def short(eqs, n):
+        raise DualityError(f"duality system non-unique: {n} unknowns, rank 3")
+
+    monkeypatch.setattr(klv, "_solve_linear", short)
+    with pytest.raises(DualityError, match=(
+            r"^duality system non-unique: 4 unknowns, rank 3 " + where)):
+        compute_duality(b, ["D", "P1", "P2"])
 
 
 def test_down_set_failure_names_both_labels(monkeypatch):
@@ -242,6 +251,7 @@ _FACTORS = {
     "nci2": lambda c: _rank_one(builtin_nci2_block(), c + "1"),
     "A1": lambda c: generate_complex_block((c + "1",), ((1,),)),
     "A2": lambda c: generate_complex_block((c + "1", c + "2"), A2_BRAID),
+    "B2": lambda c: generate_complex_block((c + "1", c + "2"), B2_BRAID),
 }
 
 
@@ -258,48 +268,75 @@ def _tables(b):
     return R, P, M
 
 
-def _check_factorisation(ka, kb, monkeypatch):
-    a, c = _FACTORS[ka]("a"), _FACTORS[kb]("b")
-    prod = product_block(a, c)
-    type2_solves = []
-    solve = klv._solve_rp2_pair
-    monkeypatch.setattr(klv, "_solve_rp2_pair",
-                        lambda *args: type2_solves.append(1) or solve(*args))
-    ta, tb, tp = _tables(a), _tables(c), _tables(prod)
-    assert ("nci2" in (ka, kb)) == bool(type2_solves)
-    pairs = {f"({x},{y})": (x, y) for x in a.params for y in c.params}
-    assert set(prod.params) == set(pairs)
-    for lab, (x, y) in pairs.items():
-        assert prod.params[lab].length == a.params[x].length + c.params[y].length
+def _check_factorisation(kinds):
+    """product_block over the factors of `kinds`, left to right, against
+    the Kronecker products of the factors' tables."""
+    blocks = [_FACTORS[k](c) for k, c in zip(kinds, "abcd")]
+    prod = functools.reduce(product_block, blocks)
+    labels = {x: (x,) for x in blocks[0].params}
+    for blk in blocks[1:]:
+        labels = {f"({lab},{y})": t + (y,) for lab, t in labels.items()
+                  for y in blk.params}
+    assert set(prod.params) == set(labels)
+    for lab, t in labels.items():
+        assert prod.params[lab].length == sum(
+            blk.params[x].length for blk, x in zip(blocks, t))
+    factors, tp = [_tables(blk) for blk in blocks], _tables(prod)
     zeros = (ZERO, ZERO, 0)
-    for (l1, (x1, y1)), (l2, (x2, y2)) in itertools.product(pairs.items(), repeat=2):
-        for fa, fb, fp, zero in zip(ta, tb, tp, zeros):
-            want = fa.get((x1, x2), zero) * fb.get((y1, y2), zero)
-            assert fp.get((l1, l2), zero) == want, (l1, l2)
+    for (l1, t1), (l2, t2) in itertools.product(labels.items(), repeat=2):
+        for i, zero in enumerate(zeros):
+            want = functools.reduce(operator.mul, (
+                f[i].get((x1, x2), zero) for f, x1, x2 in zip(factors, t1, t2)))
+            assert tp[i].get((l1, l2), zero) == want, (kinds, l1, l2)
 
 
 _KINDS = list(_FACTORS)
 
 
-@pytest.mark.parametrize("ka,kb", [
-    (ka, kb) for ka, kb in itertools.product(_KINDS, repeat=2)
-    if (ka, kb).count("nci2") <= 1
-])
+@pytest.mark.parametrize("ka,kb", list(itertools.product(_KINDS, repeat=2)))
 def test_product_blocks_factorise(ka, kb, monkeypatch):
-    _check_factorisation(ka, kb, monkeypatch)
+    type2_solves = []
+    solve = klv._solve_level
+    monkeypatch.setattr(klv, "_solve_level",
+                        lambda *args: type2_solves.append(1) or solve(*args))
+    _check_factorisation((ka, kb))
+    assert ("nci2" in (ka, kb)) == bool(type2_solves)
 
 
-@pytest.mark.xfail(strict=True, raises=DualityError,
-                   reason="type-II duality with two type-II simples is open")
-def test_two_type2_factors_factorise(monkeypatch):
-    _check_factorisation("nci2", "nci2", monkeypatch)
+# nci2 x nci2 with one more factor in one of three places: 13 products.
+_TWO_TYPE2 = sorted({("nci2", "nci2")[:i] + (k,) + ("nci2", "nci2")[i:]
+                     for k in _KINDS for i in range(3)})
 
 
-def test_two_type2_factors_name_the_system():
-    """The type-II system of nci2 x nci2 has 4 unknowns at rank 2: the
-    solve names its size, the parameter and the simple."""
+# At most one draw per product: about 5 s on a 2-vCPU VM, nci2^3 2.3 s of it.
+@settings(max_examples=len(_TWO_TYPE2), deadline=None)
+@given(st.sampled_from(_TWO_TYPE2))
+def test_products_with_two_type2_factors_factorise(kinds):
+    """Three factors, at least two of them nci2 (18 to 72 parameters)."""
+    _check_factorisation(kinds)
+
+
+def test_two_type2_factors_golden():
+    """nci2 x nci2: the parameters whose two descents are both type-II
+    real are solved together at length 2."""
     prod = product_block(_FACTORS["nci2"]("a"), _FACTORS["nci2"]("b"))
-    with pytest.raises(DualityError, match=(
-            r"^duality system non-unique: 4 unknowns, rank 2 at parameter "
-            r"'\(P1,P1\)', simple 'a1'$")):
-        compute_duality(prod, partition_blocks(prod)[0])
+    blk, r, p, mm = _pipeline(prod)
+    one = U - ONE
+    for top in ("(P1,P1)", "(P1,P2)", "(P2,P1)", "(P2,P2)"):
+        assert r.entry("(D,D)", top) == one * one
+        assert r.entry(f"(D,{top[4:6]})", top) == one
+        assert r.entry(f"({top[1:3]},D)", top) == one
+        assert p.entry("(D,D)", top) == ONE
+    assert r.entry("(P1,P1)", "(P1,P2)").is_zero()
+    assert r.entry("(P1,D)", "(P2,P1)").is_zero()
+    assert mm.order == ("(D,D)", "(D,P1)", "(D,P2)", "(P1,D)", "(P2,D)",
+                        "(P1,P1)", "(P1,P2)", "(P2,P1)", "(P2,P2)")
+    assert mm.m == ((1, 1, 1, 1, 1, 1, 1, 1, 1),
+                    (0, 1, 0, 0, 0, 1, 0, 1, 0),
+                    (0, 0, 1, 0, 0, 0, 1, 0, 1),
+                    (0, 0, 0, 1, 0, 1, 1, 0, 0),
+                    (0, 0, 0, 0, 1, 0, 0, 1, 1),
+                    (0, 0, 0, 0, 0, 1, 0, 0, 0),
+                    (0, 0, 0, 0, 0, 0, 1, 0, 0),
+                    (0, 0, 0, 0, 0, 0, 0, 1, 0),
+                    (0, 0, 0, 0, 0, 0, 0, 0, 1))
