@@ -383,7 +383,12 @@ class BlockFormatError(ValueError):
 def block_from_json(doc: dict) -> BlockData:
     try:
         simples = tuple(str(s) for s in doc["simples"])
-        braid = tuple(tuple(int(x) for x in row) for row in doc["braid"])
+        braid = tuple(tuple(row) for row in doc["braid"])
+        for i, row in enumerate(braid):
+            for j, x in enumerate(row):
+                if type(x) is not int:
+                    raise BlockFormatError(
+                        f"braid entry at row {i}, column {j} is not an integer")
         tag = str(doc.get("infchar_tag", ""))
         params = {}
         for rec in doc["params"]:

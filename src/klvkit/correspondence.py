@@ -101,30 +101,30 @@ def check_image_union_of_blocks(G: BlockData, c: Correspondence):
 
 
 def mult_by_block(b: BlockData) -> dict:
-    """Label -> MultMatrices of its class, one KLV solve per class."""
+    """Label -> (MultMatrices of its class, label -> index in its order),
+    one KLV solve per class."""
     out = {}
     for cls in partition_blocks(b):
         r = compute_duality(b, cls)
         p = compute_P(b, cls, r)
         mm = multiplicities(b, p)
+        index = {lab: i for i, lab in enumerate(mm.order)}
         for lab in cls:
-            out[lab] = mm
+            out[lab] = (mm, index)
     return out
 
 
-def _entry(mm, row: str, col: str) -> int:
-    try:
-        i = mm.order.index(row)
-        j = mm.order.index(col)
-    except ValueError:
+def _entry(solved, row: str, col: str) -> int:
+    mm, index = solved
+    i, j = index.get(row), index.get(col)
+    if i is None or j is None:
         return 0  # different blocks: multiplicity vanishes
     return mm.M[i][j]
 
 
 def compare_multiplicities(ml: dict, mg: dict, c: Correspondence) -> bool:
-    """The source and target multiplicities (label -> MultMatrices, as
-    from `mult_by_block`) must agree through the map on every pair of
-    source labels."""
+    """The source and target multiplicities (as from `mult_by_block`)
+    must agree through the map on every pair of source labels."""
     labels = sorted(c.pairs)
     for a in labels:
         for b_ in labels:
@@ -133,8 +133,9 @@ def compare_multiplicities(ml: dict, mg: dict, c: Correspondence) -> bool:
     return True
 
 
-def _M_column(mm, col: str) -> dict:
-    j = mm.order.index(col)
+def _M_column(solved, col: str) -> dict:
+    mm, index = solved
+    j = index[col]
     return {mm.order[i]: mm.M[i][j] for i in range(len(mm.order)) if mm.M[i][j]}
 
 

@@ -104,14 +104,33 @@ def _apply_T_basis(b: BlockData, s: int, label: str) -> ModuleElement:
     return ModuleElement(out)
 
 
+def linear_combination(pairs) -> ModuleElement:
+    """The sum of e * p over the (ModuleElement e, LaurentPoly p) pairs,
+    accumulated in one label -> {exponent: coefficient} table."""
+    acc: dict[str, dict[int, int]] = {}
+    for e, p in pairs:
+        pt = p._t.items()
+        for label, q in e._c.items():
+            row = acc.get(label)
+            if row is None:
+                row = acc[label] = {}
+            get = row.get
+            qt = q._t.items()
+            for k2, c2 in pt:
+                for k1, c1 in qt:
+                    k = k1 + k2
+                    row[k] = get(k, 0) + c1 * c2
+    return ModuleElement({
+        label: LaurentPoly._trusted({k: c for k, c in row.items() if c})
+        for label, row in acc.items()})
+
+
 def apply_T(b: BlockData, s: int, m: ModuleElement | str) -> ModuleElement:
     """T_s applied to a module element (or a basis label)."""
     if isinstance(m, str):
         return _apply_T_basis(b, s, m)
-    out = ModuleElement()
-    for label, poly in m.coeffs.items():
-        out = out + _apply_T_basis(b, s, label).scale(poly)
-    return out
+    return linear_combination(
+        (_apply_T_basis(b, s, label), poly) for label, poly in m._c.items())
 
 
 def check_quadratic(b: BlockData):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blockdata import BlockData, SimpleStatus
-from .hecke import ModuleElement, apply_T, basis
+from .hecke import ModuleElement, apply_T, basis, linear_combination
 from .laurent import ONE, U_INV, ZERO, LaurentPoly
 
 __all__ = [
@@ -154,10 +154,8 @@ class MultMatrices:
 
 def apply_D(dual: dict[str, ModuleElement], m: ModuleElement) -> ModuleElement:
     """Bar-semilinear extension of the duality map to module elements."""
-    out = ModuleElement()
-    for label, poly in m.coeffs.items():
-        out = out + dual[label].scale(poly.bar())
-    return out
+    return linear_combination(
+        (dual[label], poly.bar()) for label, poly in m.coeffs.items())
 
 
 def _ts_plus_one_over_u(b: BlockData, s: int, m: ModuleElement) -> ModuleElement:
@@ -372,40 +370,54 @@ def verify_duality(b: BlockData, block: list[str], r: RMatrix) -> bool:
 
 def compute_P(b: BlockData, block: list[str], r: RMatrix) -> PMatrix:
     """Solve the self-duality identity for the P-polynomials, column by
-    column, under the strict degree bound."""
+    column, under the strict degree bound.
+
+    In column gamma, f(phi) = sum over psi of
+    (-1)^(l psi - l phi) bar(P(psi, gamma)) v^(2(l gamma - l psi)) R(phi, psi)
+    must equal P(phi, gamma) - bar(P(phi, gamma)) v^(2(l gamma - l phi)).
+    Each solved P(psi, gamma) is cached in that signed, barred, shifted
+    form, and f is summed on integer tables over the nonzero R(phi, psi)."""
     dual = duality_map(b, r)
+    lens = {x: b.params[x].length for x in r.order}
+    # phi -> [(psi, terms of R(phi, psi))] over psi != phi above phi.
+    r_rows: dict[str, list] = {x: [] for x in r.order}
+    for (phi, psi), poly in r.entries.items():
+        if phi != psi and psi in r.down and phi in r.down[psi]:
+            r_rows[phi].append((psi, poly.terms))
     entries: dict[tuple[str, str], LaurentPoly] = {}
 
-    def pval(phi, gamma):
-        if phi == gamma:
-            return ONE
-        return entries.get((phi, gamma), ZERO)
-
     for gamma in r.order:
-        lg = b.params[gamma].length
+        lg = lens[gamma]
         below = sorted(
             (x for x in r.down[gamma] if x != gamma),
-            key=lambda x: (-b.params[x].length, x),
+            key=lambda x: (-lens[x], x),
         )
+        # psi -> (-1)^(l psi) bar(P(psi, gamma)) v^(2(l gamma - l psi))
+        cached = {gamma: {0: -1 if lg % 2 else 1}}
         for phi in below:
-            lp = b.params[phi].length
+            lp = lens[phi]
             n = lg - lp
-            f = ZERO
-            for psi in r.down[gamma]:
-                if psi == phi or phi not in r.down[psi]:
+            acc: dict[int, int] = {}
+            for psi, rt in r_rows[phi]:
+                pt = cached.get(psi)
+                if pt is None:
                     continue
-                lpsi = b.params[psi].length
-                sign = -1 if (lpsi - lp) % 2 else 1
-                f = f + (pval(psi, gamma).bar().shifted(2 * (lg - lpsi))
-                         * sign * r.entry(phi, psi))
+                for k1, c1 in pt.items():
+                    for k2, c2 in rt.items():
+                        k = k1 + k2
+                        acc[k] = acc.get(k, 0) + c1 * c2
+            sign = -1 if lp % 2 else 1
+            f = LaurentPoly({k: sign * c for k, c in acc.items()})
             sol = LaurentPoly({k: c for k, c in f.terms.items() if k <= n - 1})
             if sol - sol.bar().shifted(2 * n) != f:
                 raise PSolveError(
                     f"no solution under degree bound at P({phi!r}, {gamma!r})")
             if sol:
                 entries[(phi, gamma)] = sol
+                cached[phi] = {2 * n - k: sign * c for k, c in sol.terms.items()}
         # safety net: the assembled column really is self-dual
-        col = ModuleElement({phi: pval(phi, gamma) for phi in r.down[gamma]})
+        col = ModuleElement({gamma: ONE, **{
+            phi: entries.get((phi, gamma), ZERO) for phi in below}})
         if apply_D(dual, col) != col.scale(LaurentPoly({-2 * lg: 1})):
             raise PSolveError(f"column {gamma!r} of P is not self-dual")
     return PMatrix(order=r.order, entries=entries)
@@ -414,27 +426,34 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix) -> PMatrix:
 def multiplicities(b: BlockData, p: PMatrix) -> MultMatrices:
     order = p.order
     n = len(order)
-    lens = [b.params[x].length for x in order]
-    big = [[0] * n for _ in range(n)]
-    for i, phi in enumerate(order):
-        for j, gamma in enumerate(order):
-            val = p.entry(phi, gamma).eval_at_one()
-            if val:
-                sign = -1 if (lens[j] - lens[i]) % 2 else 1
-                big[i][j] = sign * val
+    index = {x: i for i, x in enumerate(order)}
+    big = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for (phi, gamma), poly in p.entries.items():
+        i, j = index.get(phi), index.get(gamma)
+        if i is None or j is None or i == j:
+            continue
+        val = poly.eval_at_one()
+        if (b.params[gamma].length - b.params[phi].length) % 2:
+            val = -val
+        big[i][j] = val
     for i in range(n):
         for j in range(i + 1):
             if big[i][j] != (1 if i == j else 0):
                 raise MultiplicityError(
                     f"M not unitriangular at {(order[i], order[j])!r}")
-    # exact inverse of an upper unitriangular integer matrix
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            acc = -sum(big[i][k] * inv[k][j] for k in range(i + 1, j + 1))
-            inv[i][j] = acc
+    # m = M^(-1) by back-substitution over the nonzero entries of each
+    # row of M: row i of m is e_i - sum over k > i of M[i][k] row k of m.
+    inv: list[dict[int, int]] = [{} for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        acc = {i: 1}
+        for k in range(i + 1, n):
+            c = big[i][k]
+            if c:
+                for j, x in inv[k].items():
+                    acc[j] = acc.get(j, 0) - c * x
+        inv[i] = {j: x for j, x in acc.items() if x}
     return MultMatrices(
         order=order,
         M=tuple(tuple(row) for row in big),
-        m=tuple(tuple(row) for row in inv),
+        m=tuple(tuple(row.get(j, 0) for j in range(n)) for row in inv),
     )

@@ -3,6 +3,12 @@
 Polynomials are kept in the variable v = u^(1/2): the key k in the term
 table stands for v^k = u^(k/2), so only an integer is stored per
 exponent.  Coefficients are Python ints and never overflow.
+
+The term table never stores a zero coefficient: the public constructor
+drops them, and every ring operation (`+`, `-`, `*`, `shifted`, `bar`)
+drops the zeros it creates before wrapping its table with
+`LaurentPoly._trusted`, which neither copies nor checks.  Equality
+compares the tables, so it relies on this invariant.
 """
 
 from __future__ import annotations
@@ -31,7 +37,14 @@ class LaurentPoly:
                     raise TypeError("exponents and coefficients must be ints")
                 if c != 0:
                     t[k] = c
-        object.__setattr__(self, "_t", t)
+        self._t = t
+
+    @classmethod
+    def _trusted(cls, t: dict[int, int]) -> "LaurentPoly":
+        """Wrap t, a table of int keys and nonzero int values, as is."""
+        p = object.__new__(cls)
+        p._t = t
+        return p
 
     @classmethod
     def monomial(cls, coeff: int, half_exp: int = 0) -> "LaurentPoly":
@@ -66,13 +79,17 @@ class LaurentPoly:
             other = LaurentPoly({0: other})
         t = dict(self._t)
         for k, c in other._t.items():
-            t[k] = t.get(k, 0) + c
-        return LaurentPoly(t)
+            c += t.get(k, 0)
+            if c:
+                t[k] = c
+            else:
+                del t[k]
+        return LaurentPoly._trusted(t)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self._t.items()})
+        return LaurentPoly._trusted({k: -c for k, c in self._t.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other if isinstance(other, LaurentPoly) else -LaurentPoly({0: other}))
@@ -82,7 +99,9 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly({k: c * other for k, c in self._t.items()})
+            if not other:
+                return ZERO
+            return LaurentPoly._trusted({k: c * other for k, c in self._t.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         t: dict[int, int] = {}
@@ -90,17 +109,17 @@ class LaurentPoly:
             for k2, c2 in other._t.items():
                 k = k1 + k2
                 t[k] = t.get(k, 0) + c1 * c2
-        return LaurentPoly(t)
+        return LaurentPoly._trusted({k: c for k, c in t.items() if c})
 
     __rmul__ = __mul__
 
     def shifted(self, half_exp: int) -> "LaurentPoly":
         """Multiply by v^half_exp."""
-        return LaurentPoly({k + half_exp: c for k, c in self._t.items()})
+        return LaurentPoly._trusted({k + half_exp: c for k, c in self._t.items()})
 
     def bar(self) -> "LaurentPoly":
         """The involution u^(1/2) -> u^(-1/2) (negate every exponent)."""
-        return LaurentPoly({-k: c for k, c in self._t.items()})
+        return LaurentPoly._trusted({-k: c for k, c in self._t.items()})
 
     def eval_at_one(self) -> int:
         """Value at u = 1 (sum of all coefficients)."""

@@ -140,6 +140,26 @@ def test_length_must_be_json_integer(sl2r_doc, length):
     assert [v.axiom for v in validate_block_doc(doc)] == ["AX_STRUCTURE"]
 
 
+def _nci2_squared_doc():
+    other = block_from_json(
+        {**block_to_json(builtin_nci2_block()), "simples": ["t"]})
+    return block_to_json(product_block(builtin_nci2_block(), other))
+
+
+@pytest.mark.parametrize("entry", [1.7, "3", True])
+@pytest.mark.parametrize("row, col", [(0, 0), (1, 0)])
+def test_braid_entries_must_be_json_integers(entry, row, col):
+    """A braid entry 1.7 was read as 1 and "3" as 3."""
+    doc = _nci2_squared_doc()
+    doc["braid"][row][col] = entry
+    with pytest.raises(BlockFormatError, match=(
+            f"braid entry at row {row}, column {col} is not an integer")):
+        block_from_json(doc)
+    violations = validate_block_doc(doc)
+    assert [v.axiom for v in violations] == ["AX_STRUCTURE"]
+    assert f"row {row}, column {col}" in violations[0].message
+
+
 def test_length_edit_names_arrow_axiom(sl2r_doc):
     doc = _doc_with(sl2r_doc, "P", length=2)
     violations = validate_block_doc(doc)

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klvkit.blockdata import (
+    block_from_json,
     block_to_json,
     builtin_nci2_block,
     builtin_sl2r_block,
     generate_complex_block,
+    product_block,
 )
 from klvkit import correspondence, klv
 from klvkit.cli import run
@@ -291,6 +293,20 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, sl2_path):
             err = capsys.readouterr().err
             assert err.startswith("error: malformed root-datum file: "), argv
             assert field in err, argv
+    # Braid entries that are not JSON integers (1.7 was read as 1).
+    other = {**block_to_json(builtin_nci2_block()), "simples": ["t"]}
+    for i, entry in enumerate([1.7, "3", True]):
+        doc = block_to_json(product_block(builtin_nci2_block(),
+                                          block_from_json(other)))
+        doc["braid"][0][1] = entry
+        path = _written(tmp_path, f"braid{i}.json", doc)
+        for argv in (["blocks", path], ["klv", path]):
+            assert run(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                "error: malformed block file: braid entry at row 0, "
+                "column 1 is not an integer\n"), argv
+        assert run(["validate", path]) == 1
+        capsys.readouterr()
     # Maps whose pairs are not a list, or that are not an object.
     for i, doc in enumerate([{"pairs": 5, "length_shift": 0},
                              [["D+", "D+"], ["D-", "D-"], ["P", "P"]]]):

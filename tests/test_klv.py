@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from klvkit.klv import (
     DualityError,
     MultiplicityError,
     PMatrix,
+    PSolveError,
     RMatrix,
     compute_P,
     compute_duality,
@@ -31,8 +33,10 @@ from klvkit.klv import (
     _solve_linear,
     verify_duality,
 )
+from klvkit.hecke import ModuleElement, apply_T
 from klvkit.laurent import ONE, U, ZERO, LaurentPoly
 from oracle_kl import ClassicalKL
+import reference_klv
 
 A2_BRAID = ((1, 3), (3, 1))
 B2_BRAID = ((1, 4), (4, 1))
@@ -106,6 +110,21 @@ def test_duality_golden_type2():
     assert verify_duality(b, blk, r)
     assert p.entry("D", "P1") == ONE
     assert mm.m == ((1, 1, 1), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("key, poly", [
+    (("D+", "D+"), LaurentPoly({0: 2})),  # diagonal: f never reads it
+    (("D+", "D-"), U - ONE),  # outside the down-set of D-: f skips it
+])
+def test_p_safety_net_rejects_column_that_is_not_self_dual(key, poly):
+    """Entries of R that the column solve does not read still enter D;
+    the self-duality check of each column catches them."""
+    b = builtin_sl2r_block()
+    blk, r, _, _ = _pipeline(b)
+    bad = RMatrix(r.order, {**r.entries, key: poly}, r.down)
+    with pytest.raises(PSolveError, match=re.escape(
+            f"column {key[1]!r} of P is not self-dual")):
+        compute_P(b, blk, bad)
 
 
 def test_verify_rejects_perturbation():
@@ -301,6 +320,11 @@ def test_product_blocks_factorise(ka, kb, monkeypatch):
                         lambda *args: type2_solves.append(1) or solve(*args))
     _check_factorisation((ka, kb))
     assert ("nci2" in (ka, kb)) == bool(type2_solves)
+    prod = product_block(_FACTORS[ka]("a"), _FACTORS[kb]("b"))
+    for blk in partition_blocks(prod):
+        blk, r, p, mm = _pipeline(prod, blk)
+        assert p == reference_klv.compute_P(prod, r)
+        assert mm == reference_klv.multiplicities(prod, p)
 
 
 # nci2 x nci2 with one more factor in one of three places: 13 products.
@@ -340,3 +364,44 @@ def test_two_type2_factors_golden():
                     (0, 0, 0, 0, 0, 0, 1, 0, 0),
                     (0, 0, 0, 0, 0, 0, 0, 1, 0),
                     (0, 0, 0, 0, 0, 0, 0, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# The accumulating apply_T and apply_D against the fold-based references.
+
+_MODULE_BLOCKS = {
+    "A3": lambda: generate_complex_block(
+        ("s1", "s2", "s3"), ((1, 3, 2), (3, 1, 3), (2, 3, 1))),
+    "B2xsl2r": lambda: product_block(_FACTORS["B2"]("a"), _FACTORS["sl2r"]("b")),
+    "nci2xnci2": lambda: product_block(_FACTORS["nci2"]("a"), _FACTORS["nci2"]("b")),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _block_and_dual(name):
+    b = _MODULE_BLOCKS[name]()
+    dual = {}
+    for blk in partition_blocks(b):
+        dual.update(duality_map(b, compute_duality(b, blk)))
+    return b, dual
+
+
+_small_polys = st.builds(
+    LaurentPoly,
+    st.dictionaries(st.integers(-6, 6), st.integers(-4, 4), max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_MODULE_BLOCKS)), st.data())
+def test_module_actions_match_fold_reference(name, data):
+    b, dual = _block_and_dual(name)
+    labels = sorted(b.params)
+    m = ModuleElement(data.draw(st.dictionaries(
+        st.sampled_from(labels), _small_polys, max_size=12)))
+    s = data.draw(st.integers(0, len(b.simples) - 1))
+    assert apply_T(b, s, m) == reference_klv.apply_T(b, s, m)
+    assert klv.apply_D(dual, m) == reference_klv.apply_D(dual, m)
+    # D is an involution and intertwines T_s + 1 with u^(-1)(T_s + 1)
+    assert klv.apply_D(dual, klv.apply_D(dual, m)) == m
+    lhs = klv.apply_D(dual, apply_T(b, s, m) + m)
+    assert lhs == klv._ts_plus_one_over_u(b, s, klv.apply_D(dual, m))

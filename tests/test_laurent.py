@@ -103,3 +103,28 @@ def test_int_mixing():
     assert 2 * U == LaurentPoly({2: 2})
     assert 1 - U == ONE - U
     assert U != "u"
+
+
+def _stores_no_zero(p):
+    return 0 not in p.terms.values()
+
+
+@given(polys, polys, st.integers(-3, 3), st.integers(-5, 5))
+def test_results_store_no_zero_coefficient(a, b, n, k):
+    """Equality and hashing compare the term tables, so a stored zero
+    would make equal polynomials differ."""
+    for p in (a + b, a - b, -a, a * b, a * n, n * a, a + n, n - a,
+              a.shifted(k), a.bar()):
+        assert _stores_no_zero(p)
+    cancel = a + (-a)
+    assert cancel.terms == {} and cancel == ZERO and hash(cancel) == hash(ZERO)
+    assert (a - a).terms == {} and (a * 0).terms == {}
+
+
+def test_cancelling_products_store_no_zero():
+    p = (V + ONE) * (V - ONE)
+    assert p.terms == {2: 1, 0: -1}
+    assert p == U - ONE and hash(p) == hash(U - ONE)
+    q = LaurentPoly({1: 1, -1: 1}) * LaurentPoly({1: 1, -1: -1})
+    assert q.terms == {2: 1, -2: -1}
+    assert ((U + ONE) + (-U)).terms == {0: 1}
