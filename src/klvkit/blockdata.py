@@ -18,7 +18,7 @@ __all__ = [
     "SimpleStatus", "Parameter", "BlockData", "Violation",
     "validate_block", "validate_block_doc", "generate_complex_block",
     "builtin_sl2r_block", "builtin_nci2_block", "product_block",
-    "is_minimal", "block_from_json", "block_to_json",
+    "is_minimal", "block_from_json", "block_to_json", "BlockFormatError",
 ]
 
 

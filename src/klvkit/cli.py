@@ -1,7 +1,8 @@
 """Command-line front end: file loading, report assembly, exit codes.
 
 Exit codes: 0 success / empty violations, 1 violations or a verdict
-falling short of --require-verdict, 2 malformed input or usage error.
+falling short of --require-verdict, 2 malformed input (a root datum
+that breaks an axiom included) or usage error.
 All reports are deterministic JSON (sorted keys, LF line endings).
 """
 
@@ -17,6 +18,8 @@ from fractions import Fraction
 from . import blockdata, correspondence, genericity, hecke, klv, rootdata, singular
 from .gaussian import gvec
 from .rootdata import InfChar
+
+__all__ = ["InputError", "run", "main"]
 
 _BUILTIN_BLOCKS = {
     "builtin:sl2r": blockdata.builtin_sl2r_block,
@@ -57,6 +60,9 @@ def _load_rootdatum(path: str):
         raise InputError(f"malformed root-datum file: {exc}") from exc
     if lv is None:
         raise InputError("root-datum file has no levi section")
+    violations = d.validate() or lv.validate(d)
+    if violations:
+        raise InputError(f"invalid root datum: {violations[0]}")
     return d, lv
 
 

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import GaussRat, GVec, gvec, vec_add
-from .rootdata import (
-    InfChar,
-    LeviSelection,
-    RootDatum,
-    levi_roots,
-    nilradical_roots,
-    reflection_matrix,
-)
+from .rootdata import InfChar, LeviSelection, RootDatum, reflection_matrix
 # Not called here: bench/tracer.py wraps these names in this module to
 # count Weyl elements enumerated.
 from .rootdata import weyl_enumerate, weyl_stabilizer, weyl_subgroup  # noqa: F401
@@ -53,7 +46,7 @@ def _coords(xi) -> GVec:
 def check_hypA(d: RootDatum, lv: LeviSelection, xi):
     """No Levi root may pair to zero with xi."""
     coords = _coords(xi)
-    for alpha in levi_roots(d, lv):
+    for alpha in lv.levi:
         if d.pairing(alpha, coords).is_zero():
             return False, alpha
     return True, None
@@ -62,7 +55,7 @@ def check_hypA(d: RootDatum, lv: LeviSelection, xi):
 def check_hypB(d: RootDatum, lv: LeviSelection, xi):
     """No nilradical root may pair to an integer with xi."""
     coords = _coords(xi)
-    for alpha in nilradical_roots(d, lv):
+    for alpha in lv.nilradical:
         if d.pairing(alpha, coords).is_integer():
             return False, alpha
     return True, None
@@ -84,7 +77,7 @@ def check_hypC(d: RootDatum, lv: LeviSelection, xi_m, nu):
     for alpha in _singular_roots(d, vec_add(xm, nv)):
         if not d.pairing(alpha, xm).is_zero():
             return False, ("weyl", reflection_matrix(d, alpha))
-    for alpha in nilradical_roots(d, lv):
+    for alpha in lv.nilradical:
         if d.pairing(alpha, nv).is_zero():
             return False, ("root", alpha)
     return True, None
@@ -93,9 +86,8 @@ def check_hypC(d: RootDatum, lv: LeviSelection, xi_m, nu):
 def check_hypD(d: RootDatum, lv: LeviSelection, xi):
     """The full stabilizer of xi must lie inside the Levi Weyl group,
     i.e. every root singular on xi must be a Levi root."""
-    levi = set(levi_roots(d, lv))
     for alpha in _singular_roots(d, _coords(xi)):
-        if alpha not in levi:
+        if alpha not in lv.levi:
             return False, ("weyl", reflection_matrix(d, alpha))
     return True, None
 
@@ -152,7 +144,7 @@ def emit_arrangement(d: RootDatum, lv: LeviSelection, xi_m,
     lo, hi = Fraction(window[0]), Fraction(window[1])
     out: list[HyperplaneFamily] = []
     moving: list[HyperplaneFamily] = []
-    for alpha in nilradical_roots(d, lv):
+    for alpha in lv.nilradical:
         cr = d.coroot(alpha)
         func = tuple(cr[j] for j in lv.a_coordinates)
         c = d.pairing(alpha, xm)

@@ -6,7 +6,10 @@ from __future__ import annotations
 from .blockdata import BlockData, SimpleStatus
 from .laurent import ONE, U, ZERO, LaurentPoly
 
-__all__ = ["ModuleElement", "basis", "apply_T", "check_quadratic", "check_braid"]
+__all__ = [
+    "ModuleElement", "basis", "apply_T", "linear_combination",
+    "check_quadratic", "check_braid",
+]
 
 _U_MINUS_1 = U - ONE
 _U_MINUS_2 = U - LaurentPoly({0: 2})

@@ -24,7 +24,7 @@ __all__ = [
     "RMatrix", "PMatrix", "MultMatrices",
     "DualityError", "PSolveError", "MultiplicityError",
     "partition_blocks", "compute_order", "compute_duality",
-    "verify_duality", "compute_P", "multiplicities", "apply_D",
+    "verify_duality", "compute_P", "multiplicities", "apply_D", "duality_map",
 ]
 
 

@@ -1,24 +1,27 @@
-"""Root systems with coroots, a Cartan involution theta, integral
-subsystems, Levi/nilradical decomposition, and Weyl group enumeration,
-the brute-force reference for the root tests of `genericity`."""
+"""Root data with coroots and a Cartan involution theta, the
+Levi/nilradical split of a Levi selection, and Weyl group enumeration,
+the brute-force reference for the root tests of `genericity`.
+
+The split is computed once, when `rootdatum_from_json` reads a file: it
+decomposes each root over the selection's `simple_base` and stores the
+coefficients, the Levi roots and the nilradical roots on the
+`LeviSelection`, which every later check reads.  The command line runs
+`RootDatum.validate` and `LeviSelection.validate` on every root datum
+it loads."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import _mat_mul
-from .gaussian import GaussRat, GVec, gvec, mat_apply, pair, vec_sub
+from .gaussian import GaussRat, GVec, gvec, mat_apply, pair
 
 __all__ = [
-    "RootDatum", "LeviSelection", "InfChar", "RootClass",
-    "classify_root", "integral_subsystem", "weyl_enumerate",
-    "weyl_stabilizer", "positive_system", "reflection_matrix",
-    "integral_system_theta_stable", "WeylCapExceeded", "SingularError",
-    "rootdatum_from_json", "rootdatum_to_json",
-    "load_rootdatum",
+    "RootDatum", "LeviSelection", "InfChar", "weyl_enumerate",
+    "weyl_subgroup", "weyl_stabilizer", "reflection_matrix",
+    "WeylCapExceeded", "rootdatum_from_json", "load_rootdatum",
 ]
 
 DEFAULT_WEYL_CAP = 10080
@@ -29,16 +32,6 @@ IntMat = tuple[IntVec, ...]
 
 class WeylCapExceeded(RuntimeError):
     pass
-
-
-class SingularError(ValueError):
-    pass
-
-
-class RootClass(Enum):
-    REAL = "Real"
-    IMAGINARY = "Imaginary"
-    COMPLEX = "Complex"
 
 
 def _identity(n: int) -> IntMat:
@@ -90,9 +83,11 @@ class RootDatum:
             if self.theta_apply(a) not in rs:
                 out.append(f"theta does not permute roots at {a}")
         for a in self.roots:
-            m = reflection_matrix(self, a)
+            cr = self.coroot(a)
             for b in self.roots:
-                if _mat_vec(m, b) not in rs:
+                # s_a(b) = b - <coroot(a), b> a
+                p = sum(c * x for c, x in zip(cr, b))
+                if tuple(x - p * y for x, y in zip(b, a)) not in rs:
                     out.append(f"reflection in {a} does not permute roots")
                     break
         return out
@@ -135,24 +130,49 @@ def reflection_matrix(d: RootDatum, alpha: IntVec) -> IntMat:
 
 @dataclass(frozen=True)
 class LeviSelection:
+    """A Levi subgroup, named by some simples of `simple_base`, and the
+    coordinates that nu lives on.  `rootdatum_from_json` splits the
+    roots of its datum once: `coefficients` holds each root's integer
+    coefficients over the base, aligned with the datum's roots (None
+    where there are none); `levi` holds the roots supported on the
+    Levi simples, of both signs, and `nilradical` the positive roots
+    outside the Levi, both sorted."""
     simple_base: tuple[IntVec, ...]
     levi_simples: tuple[int, ...]
     a_coordinates: tuple[int, ...]
+    coefficients: tuple[IntVec | None, ...]
+    levi: tuple[IntVec, ...]
+    nilradical: tuple[IntVec, ...]
 
     def validate(self, d: RootDatum) -> list[str]:
+        """Checks against the datum the selection was loaded with."""
         out = []
-        base = self.simple_base
-        for a in d.roots:
-            coeffs = _decompose(a, base, d.rank)
+        for a, coeffs in zip(d.roots, self.coefficients, strict=True):
             if coeffs is None:
                 out.append(f"root {a} not an integer combination of the base")
             elif not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
                 out.append(f"root {a} has mixed signs over the base")
-        for a in levi_roots(d, self):
+        for a in self.levi:
             cr = d.coroot(a)
             if any(cr[j] != 0 for j in self.a_coordinates):
                 out.append(f"Levi root {a} does not pair to zero with a-coordinates")
         return out
+
+
+def _split(d: RootDatum, simple_base, levi_simples, a_coordinates) -> LeviSelection:
+    """Decompose each root of d over the base, once, and sort it into
+    the Levi or the nilradical."""
+    coefficients = tuple(_decompose(a, simple_base, d.rank) for a in d.roots)
+    levi, nilradical = [], []
+    for a, coeffs in zip(d.roots, coefficients):
+        if coeffs is None:
+            continue
+        if all(c == 0 for k, c in enumerate(coeffs) if k not in levi_simples):
+            levi.append(a)
+        elif all(c >= 0 for c in coeffs):
+            nilradical.append(a)
+    return LeviSelection(simple_base, levi_simples, a_coordinates, coefficients,
+                         tuple(sorted(levi)), tuple(sorted(nilradical)))
 
 
 def _decompose(alpha: IntVec, base: tuple[IntVec, ...], rank: int):
@@ -191,31 +211,6 @@ def _decompose(alpha: IntVec, base: tuple[IntVec, ...], rank: int):
     return out if check == alpha else None
 
 
-def levi_roots(d: RootDatum, lv: LeviSelection) -> tuple[IntVec, ...]:
-    """Roots supported on the Levi simples (both signs)."""
-    out = []
-    for a in d.roots:
-        coeffs = _decompose(a, lv.simple_base, d.rank)
-        if coeffs is not None and all(
-            c == 0 for k, c in enumerate(coeffs) if k not in lv.levi_simples
-        ):
-            out.append(a)
-    return tuple(sorted(out))
-
-
-def nilradical_roots(d: RootDatum, lv: LeviSelection) -> tuple[IntVec, ...]:
-    """Positive roots (over the base) outside the Levi."""
-    levi = set(levi_roots(d, lv))
-    out = []
-    for a in d.roots:
-        if a in levi:
-            continue
-        coeffs = _decompose(a, lv.simple_base, d.rank)
-        if coeffs is not None and all(c >= 0 for c in coeffs):
-            out.append(a)
-    return tuple(sorted(out))
-
-
 @dataclass(frozen=True)
 class InfChar:
     coords: GVec
@@ -229,30 +224,6 @@ class InfChar:
         m = tuple(x if i not in a else GaussRat() for i, x in enumerate(coords))
         nu = tuple(x if i in a else GaussRat() for i, x in enumerate(coords))
         return cls(coords, m, nu)
-
-    @classmethod
-    def from_parts(cls, m_part, nu_part) -> "InfChar":
-        m, nu = gvec(m_part), gvec(nu_part)
-        if any((not x.is_zero()) and (not y.is_zero()) for x, y in zip(m, nu, strict=True)):
-            raise ValueError("m_part and nu_part must have disjoint supports")
-        return cls(tuple(x + y for x, y in zip(m, nu)), m, nu)
-
-
-def classify_root(d: RootDatum, alpha: IntVec) -> RootClass:
-    if alpha not in d.coroots:
-        raise ValueError(f"not a root: {alpha}")
-    ta = d.theta_apply(alpha)
-    if ta == alpha:
-        return RootClass.IMAGINARY
-    if ta == tuple(-x for x in alpha):
-        return RootClass.REAL
-    return RootClass.COMPLEX
-
-
-def integral_subsystem(d: RootDatum, lam: InfChar | GVec) -> tuple[IntVec, ...]:
-    """Roots whose coroot pairs to a (real) integer with lam."""
-    coords = lam.coords if isinstance(lam, InfChar) else gvec(lam)
-    return tuple(sorted(a for a in d.roots if d.pairing(a, coords).is_integer()))
 
 
 def _weyl_bfs(d: RootDatum, roots, cap: int) -> list[IntMat]:
@@ -294,27 +265,6 @@ def weyl_stabilizer(d: RootDatum, xi: InfChar, cap: int = DEFAULT_WEYL_CAP) -> l
     return [w for w in weyl_enumerate(d, cap) if mat_apply(w, coords) == coords]
 
 
-def positive_system(d: RootDatum, lam: InfChar | GVec) -> tuple[IntVec, ...]:
-    """Simple roots of the positive integral system R+(lam), sorted
-    lexicographically.  Raises SingularError on a zero integral pairing."""
-    coords = lam.coords if isinstance(lam, InfChar) else gvec(lam)
-    integral = integral_subsystem(d, coords)
-    pos = []
-    for a in integral:
-        p = d.pairing(a, coords)
-        if p.is_zero():
-            raise SingularError("singular on integral system")
-        if p.real > 0:
-            pos.append(a)
-    return tuple(sorted(a for a in pos if not _is_sum_of_two(a, pos)))
-
-
-def integral_system_theta_stable(d: RootDatum, lam: InfChar | GVec) -> bool:
-    """Validator: does theta map R(lam) onto itself?"""
-    integral = set(integral_subsystem(d, lam))
-    return all(d.theta_apply(a) in integral for a in integral)
-
-
 # ---------------------------------------------------------------------------
 # JSON file format
 
@@ -342,9 +292,10 @@ def _indices(values, field: str, bound: int) -> IntVec:
 
 
 def rootdatum_from_json(doc: dict) -> tuple[RootDatum, LeviSelection | None]:
-    """Parse a root-datum document.  Shapes, integer entries and index
-    ranges are checked (ValueError naming the field); the root-system
-    axioms are left to `RootDatum.validate` and `LeviSelection.validate`."""
+    """Parse a root-datum document and split its roots over the Levi
+    selection's base.  Shapes, integer entries and index ranges are
+    checked (ValueError naming the field); the root-system axioms are
+    left to `RootDatum.validate` and `LeviSelection.validate`."""
     rank = doc["rank"]
     if type(rank) is not int:
         raise ValueError("rank must be an integer")
@@ -363,28 +314,10 @@ def rootdatum_from_json(doc: dict) -> tuple[RootDatum, LeviSelection | None]:
         if not isinstance(l, dict):
             raise ValueError("levi must be an object")
         base = _vectors(l["simple_base"], "simple_base", rank)
-        lv = LeviSelection(
-            simple_base=base,
-            levi_simples=_indices(l["levi_simples"], "levi_simples", len(base)),
-            a_coordinates=_indices(l["a_coordinates"], "a_coordinates", rank),
-        )
+        lv = _split(d, base,
+                    _indices(l["levi_simples"], "levi_simples", len(base)),
+                    _indices(l["a_coordinates"], "a_coordinates", rank))
     return d, lv
-
-
-def rootdatum_to_json(d: RootDatum, lv: LeviSelection | None = None) -> dict:
-    doc = {
-        "rank": d.rank,
-        "roots": [list(r) for r in d.roots],
-        "coroots": [list(d.coroots[r]) for r in d.roots],
-        "theta": [list(row) for row in d.theta],
-    }
-    if lv is not None:
-        doc["levi"] = {
-            "simple_base": [list(r) for r in lv.simple_base],
-            "levi_simples": list(lv.levi_simples),
-            "a_coordinates": list(lv.a_coordinates),
-        }
-    return doc
 
 
 def load_rootdatum(path: str) -> tuple[RootDatum, LeviSelection | None]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .blockdata import Parameter, SimpleStatus
 from .gaussian import GaussRat, vec_add
-from .rootdata import InfChar, LeviSelection, RootDatum, levi_roots
+from .rootdata import InfChar, LeviSelection, RootDatum
 
 __all__ = [
     "SingularParam", "TranslationDatum",
@@ -69,7 +69,7 @@ def validate_translation_datum(d: RootDatum, lv: LeviSelection,
     positive-integer pairing of xi."""
     out = []
     xip = t.xi_prime().coords
-    for alpha in levi_roots(d, lv):
+    for alpha in lv.levi:
         if d.pairing(alpha, xip).is_zero():
             out.append(f"shifted character still singular at Levi root {list(alpha)}")
     for alpha in d.roots:

@@ -14,11 +14,11 @@ from klvkit.blockdata import (
     generate_complex_block,
     product_block,
 )
-from klvkit import correspondence, klv
+from klvkit import correspondence, klv, rootdata
 from klvkit.cli import run
 
 from test_blockdata import _doc_with
-from test_rootdata import A1xA1, A2, B2, SL2_SPLIT, SWAP
+from test_rootdata import A1xA1, A2, B2, B3, SL2_SPLIT, SWAP
 
 
 def _run(capsys, *argv):
@@ -293,6 +293,23 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, sl2_path):
             err = capsys.readouterr().err
             assert err.startswith("error: malformed root-datum file: "), argv
             assert field in err, argv
+    # Root data of the right shape that break an axiom once got a verdict.
+    mixed = {"simple_base": [[1, 0], [0, 1]], "levi_simples": [0],
+             "a_coordinates": [1]}
+    for i, (base, edit, rank, message) in enumerate([
+            (SL2_SPLIT, {"coroots": [[2], [-1]]}, 1,
+             "<coroot,root> != 2 at (2,)"),
+            (B2, {"levi": mixed}, 2,
+             "root (2, -1) has mixed signs over the base")]):
+        path = _written(tmp_path, f"axiom{i}.json", {**base, **edit})
+        halves, ones = ",".join(["1/2"] * rank), ",".join(["1"] * rank)
+        for argv in (["generic", path, "--xi-m", halves, "--nu", halves],
+                     ["arrangement", path, "--xi-m", halves],
+                     ["translate-check", path, "--xi", halves, "--mu", ones]):
+            assert run(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err == f"error: invalid root datum: {message}\n", argv
     # Braid entries that are not JSON integers (1.7 was read as 1).
     other = {**block_to_json(builtin_nci2_block()), "simples": ["t"]}
     for i, entry in enumerate([1.7, "3", True]):
@@ -375,6 +392,23 @@ def test_mutated_rootdata_and_maps_never_raise(tmp_path_factory, case):
                       "--mu", ",".join(["1"] * rank)],
                      ["induce", "builtin:sl2r", "builtin:sl2r", str(map_path)]):
             assert run(argv) in (0, 1, 2), argv
+
+
+@pytest.mark.parametrize("doc", _DATUM_BASES + [B3])
+def test_generic_decomposes_each_root_once(capsys, tmp_path, monkeypatch, doc):
+    """Loading, validating and the four hypotheses share one split."""
+    decompose, calls = rootdata._decompose, []
+
+    def counting(*args):
+        calls.append(args[0])
+        return decompose(*args)
+
+    monkeypatch.setattr(rootdata, "_decompose", counting)
+    path = _written(tmp_path, "datum.json", doc)
+    zeros = ",".join(["0"] * doc["rank"])
+    code, rep = _run(capsys, "generic", path, "--xi-m", zeros, "--nu", zeros)
+    assert code == 0 and rep["verdict"]
+    assert len(calls) == len(doc["roots"])
 
 
 def test_generic_beyond_weyl_cap(capsys, tmp_path):

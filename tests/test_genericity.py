@@ -2,6 +2,9 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from klvkit.gaussian import GaussRat, gvec, mat_apply, pair, vec_add, vec_sub
 from klvkit.genericity import (
     check_hypA,
@@ -13,14 +16,13 @@ from klvkit.genericity import (
 )
 from klvkit.rootdata import (
     InfChar,
-    nilradical_roots,
     rootdatum_from_json,
     weyl_enumerate,
     weyl_stabilizer,
     weyl_subgroup,
 )
 
-from test_rootdata import A1xA1, A2, B2, SL2_SPLIT, SWAP
+from test_rootdata import A1xA1, A2, B2, B3, SL2_SPLIT, SWAP
 
 
 def test_hypA():
@@ -178,7 +180,7 @@ def test_root_tests_match_weyl_enumeration():
         assert d.validate() == [] and lv.validate(d) == []
         levi_group = set(weyl_subgroup(
             d, [lv.simple_base[i] for i in lv.levi_simples]))
-        nil = nilradical_roots(d, lv)
+        nil = lv.nilradical
         for _ in range(60):
             xi_m, nu = _random_point(rng, d.rank), _random_point(rng, d.rank)
             xi = vec_add(xi_m, nu)
@@ -255,7 +257,7 @@ def test_arrangement_lists_each_family_once():
             xi_m = _random_point(rng, d.rank)
             fams = emit_arrangement(d, lv, xi_m, (-2, 2))
             assert len(set(fams)) == len(fams), (doc, xi_m)
-            for alpha in nilradical_roots(d, lv):
+            for alpha in lv.nilradical:
                 func = tuple(d.coroot(alpha)[j] for j in lv.a_coordinates)
                 c = d.pairing(alpha, xi_m)
                 assert any(f.kind == "IntegerCoset" and f.functional == func
@@ -265,5 +267,99 @@ def test_arrangement_lists_each_family_once():
     # B2's three nilradical roots share one coroot on the a-coordinates
     d, lv = rootdatum_from_json(B2)
     fams = emit_arrangement(d, lv, gvec([0, 0]), (-1, 1))
-    assert len(nilradical_roots(d, lv)) == 3
+    assert len(lv.nilradical) == 3
     assert [f.kind for f in fams] == ["IntegerCoset", "Zero"]
+
+
+# ---------------------------------------------------------------------------
+# The arrangement against the paper's theorem: i_P^G(pi_M x chi_nu) is
+# irreducible for every nu off a locally finite union of hyperplanes.
+
+_THEOREM_DATA = [rootdatum_from_json(doc) for doc in (SL2_SPLIT, A1xA1, SWAP, B2, B3)]
+_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+_GAUSS = st.builds(GaussRat, _RATIONALS,
+                   st.one_of(st.just(Fraction(0)), _RATIONALS))
+
+
+@st.composite
+def _points(draw):
+    """A datum, xi_m on every coordinate and nu on the a-coordinates."""
+    d, lv = draw(st.sampled_from(_THEOREM_DATA))
+    xi_m = tuple(draw(_GAUSS) for _ in range(d.rank))
+    nu = [GaussRat()] * d.rank
+    for j in lv.a_coordinates:
+        nu[j] = draw(_GAUSS)
+    return d, lv, xi_m, tuple(nu)
+
+
+def _value(lv, fam, nu):
+    """functional . nu, the quantity the family's planes fix."""
+    return pair(fam.functional, tuple(nu[j] for j in lv.a_coordinates))
+
+
+def _on(fam, value) -> bool:
+    return value.is_zero() if fam.kind == "Zero" else value in fam.members
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=_points(),
+       window=st.sampled_from([(-3, 3), (-2, 1), (Fraction(-1, 2), 4)]))
+def test_off_the_arrangement_a_theorem_applies(point, window):
+    """Every nu whose functional values all lie in the window, and that
+    lies on no emitted plane, gets Main1 or Main2."""
+    d, lv, xi_m, nu = point
+    fams = emit_arrangement(d, lv, xi_m, window)
+    values = [_value(lv, f, nu) for f in fams]
+    assume(all(window[0] <= v.real <= window[1] for v in values))
+    assume(not any(_on(f, v) for f, v in zip(fams, values)))
+    assert verdict(d, lv, xi_m, nu)["verdict"] in ("Main1", "Main2")
+
+
+@st.composite
+def _on_a_plane(draw, kind):
+    """A point whose nu lies on one plane of a family of the given kind,
+    found by solving functional . nu = member for one a-coordinate."""
+    d, lv, xi_m, nu = draw(_points())
+    fams = [f for f in emit_arrangement(d, lv, xi_m, (-2, 2)) if f.kind == kind]
+    assume(fams)
+    fam = draw(st.sampled_from(fams))
+    target = draw(st.sampled_from(fam.members)) if fam.members else GaussRat()
+    k = draw(st.sampled_from([k for k, c in enumerate(fam.functional) if c]))
+    j, c = lv.a_coordinates[k], fam.functional[k]
+    rest = _value(lv, fam, nu) - c * nu[j]
+    nu = list(nu)
+    nu[j] = (target - rest) * GaussRat(Fraction(1, c))
+    assert _value(lv, fam, nu) == target
+    return d, lv, xi_m, tuple(nu), fams
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_on_a_plane("IntegerCoset"))
+def test_on_an_integer_coset_plane_hypB_fails(case):
+    d, lv, xi_m, nu, _ = case
+    ok, wit = check_hypB(d, lv, vec_add(xi_m, nu))
+    assert not ok and wit in lv.nilradical
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_on_a_plane("Zero"))
+def test_on_a_zero_plane_hypC_fails_at_a_root(case):
+    """Off the Hyperplane families no root witnesses the first half of
+    C, so the second half fails, at a nilradical root."""
+    d, lv, xi_m, nu, _ = case
+    planes = [f for f in emit_arrangement(d, lv, xi_m, (-2, 2))
+              if f.kind == "Hyperplane"]
+    assume(not any(_on(f, _value(lv, f, nu)) for f in planes))
+    ok, wit = check_hypC(d, lv, xi_m, nu)
+    assert not ok and wit[0] == "root"
+    assert wit[1] in lv.nilradical and d.pairing(wit[1], nu).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_on_a_plane("Hyperplane"))
+def test_on_a_hyperplane_hypC_fails_at_a_weyl_element(case):
+    d, lv, xi_m, nu, _ = case
+    ok, wit = check_hypC(d, lv, xi_m, nu)
+    assert not ok and wit[0] == "weyl"
+    xi = vec_add(xi_m, nu)
+    assert mat_apply(wit[1], xi) == xi and mat_apply(wit[1], xi_m) != xi_m

@@ -1,22 +1,11 @@
-import json
-
 import pytest
 
 from klvkit.gaussian import GaussRat, gvec
 from klvkit.rootdata import (
     InfChar,
-    RootClass,
-    SingularError,
     WeylCapExceeded,
-    classify_root,
-    integral_subsystem,
-    integral_system_theta_stable,
-    levi_roots,
-    nilradical_roots,
-    positive_system,
     reflection_matrix,
     rootdatum_from_json,
-    rootdatum_to_json,
     weyl_enumerate,
     weyl_stabilizer,
     weyl_subgroup,
@@ -69,7 +58,25 @@ B2 = {  # basis e1, e1+e2 of the B2 lattice: the Levi coroot kills coord 1
 }
 
 
-@pytest.fixture(params=[SL2_SPLIT, A2, A1xA1, SWAP])
+B3 = {  # type B3 with the Levi of the short root e3: nu lives on e1, e2
+    "rank": 3,
+    "roots": [[1, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0],
+              [1, 0, 1], [1, 0, -1], [-1, 0, 1], [-1, 0, -1],
+              [0, 1, 1], [0, 1, -1], [0, -1, 1], [0, -1, -1],
+              [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+              [0, 0, 1], [0, 0, -1]],
+    "coroots": [[1, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0],
+                [1, 0, 1], [1, 0, -1], [-1, 0, 1], [-1, 0, -1],
+                [0, 1, 1], [0, 1, -1], [0, -1, 1], [0, -1, -1],
+                [2, 0, 0], [-2, 0, 0], [0, 2, 0], [0, -2, 0],
+                [0, 0, 2], [0, 0, -2]],
+    "theta": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+    "levi": {"simple_base": [[1, -1, 0], [0, 1, -1], [0, 0, 1]],
+             "levi_simples": [2], "a_coordinates": [0, 1]},
+}
+
+
+@pytest.fixture(params=[SL2_SPLIT, A2, A1xA1, SWAP, B2, B3])
 def datum(request):
     return rootdatum_from_json(request.param)
 
@@ -78,26 +85,6 @@ def test_validate_all_fixtures(datum):
     d, lv = datum
     assert d.validate() == []
     assert lv.validate(d) == []
-
-
-def test_json_round_trip():
-    d, lv = rootdatum_from_json(A2)
-    doc = rootdatum_to_json(d, lv)
-    d2, lv2 = rootdatum_from_json(json.loads(json.dumps(doc)))
-    assert d2 == d and lv2 == lv
-
-
-def test_classify_root():
-    d, _ = rootdatum_from_json(SL2_SPLIT)
-    assert classify_root(d, (2,)) is RootClass.REAL
-    d, _ = rootdatum_from_json(A2)
-    assert classify_root(d, (1, 0)) is RootClass.IMAGINARY
-    swap = dict(A1xA1)
-    swap = {**A1xA1, "theta": [[0, 1], [1, 0]]}
-    d, _ = rootdatum_from_json(swap)
-    assert classify_root(d, (2, 0)) is RootClass.COMPLEX
-    with pytest.raises(ValueError):
-        classify_root(d, (1, 1))
 
 
 def test_reflection_matrix_involution():
@@ -145,50 +132,42 @@ def test_weyl_subgroup():
     assert len(weyl_subgroup(d, [(1, 0), (0, 1)])) == 6
 
 
-def test_integral_subsystem_and_positive_system():
-    d, _ = rootdatum_from_json(A2)
-    lam = gvec(["1/3", "2/3"])  # pairings: 0, 1, 1 on the positive roots
-    assert integral_subsystem(d, lam) == tuple(sorted(d.roots))
-    with pytest.raises(SingularError):
-        positive_system(d, lam)
-    reg = gvec([1, 1])  # pairings 1, 1, 2
-    assert positive_system(d, reg) == ((0, 1), (1, 0))
-    half = gvec(["1/2", "0"])  # pairings 1, -1/2, 1/2: only +-alpha1 integral
-    assert integral_subsystem(d, half) == ((-1, 0), (1, 0))
-    assert positive_system(d, half) == ((1, 0),)
-
-
-def test_positive_system_half_integral():
-    d, _ = rootdatum_from_json(A2)
-    lam = gvec(["1/2", "3/4"])  # pairings 1/4, 1, 5/4 -> integral = +-alpha2
-    assert integral_subsystem(d, lam) == ((0, -1), (0, 1))
-    assert positive_system(d, lam) == ((0, 1),)
-
-
-def test_theta_stability():
-    d, _ = rootdatum_from_json(SL2_SPLIT)
-    assert integral_system_theta_stable(d, gvec(["1/2"]))
-    d, _ = rootdatum_from_json(A2)
-    assert integral_system_theta_stable(d, gvec([1, 1]))
-
-
 def test_levi_and_nilradical():
     d, lv = rootdatum_from_json(A2)
-    assert levi_roots(d, lv) == ((-1, 0), (1, 0))
-    assert nilradical_roots(d, lv) == ((0, 1), (1, 1))
+    assert lv.levi == ((-1, 0), (1, 0))
+    assert lv.nilradical == ((0, 1), (1, 1))
+    assert dict(zip(d.roots, lv.coefficients))[(1, 1)] == (1, 1)
     d, lv = rootdatum_from_json(SL2_SPLIT)
-    assert levi_roots(d, lv) == ()
-    assert nilradical_roots(d, lv) == ((2,),)
+    assert lv.levi == ()
+    assert lv.nilradical == ((2,),)
+    d, lv = rootdatum_from_json(B3)
+    assert lv.levi == ((0, 0, -1), (0, 0, 1))
+    assert len(lv.nilradical) == 8
+
+
+def test_levi_selection_violations():
+    # over the standard basis, (2, -1) has mixed signs, and the Levi root
+    # (1, 0) has coroot (2, 2), which does not vanish on coordinate 1
+    doc = {**B2, "levi": {"simple_base": [[1, 0], [0, 1]], "levi_simples": [0],
+                          "a_coordinates": [1]}}
+    d, lv = rootdatum_from_json(doc)
+    out = lv.validate(d)
+    assert out[0] == "root (2, -1) has mixed signs over the base"
+    assert "Levi root (1, 0) does not pair to zero with a-coordinates" in out
+    # (2,) is not an integer combination of (4,), so it is in neither part
+    doc = {**SL2_SPLIT, "levi": {"simple_base": [[4]], "levi_simples": [],
+                                 "a_coordinates": [0]}}
+    d, lv = rootdatum_from_json(doc)
+    assert lv.coefficients == (None, None)
+    assert lv.levi == lv.nilradical == ()
+    assert lv.validate(d)[0] == "root (2,) not an integer combination of the base"
 
 
 def test_infchar_split():
     xi = InfChar.from_coords(gvec(["1", "1/2"]), a_coordinates=(1,))
     assert xi.m_part == gvec([1, 0])
     assert xi.nu_part == gvec([0, "1/2"])
-    same = InfChar.from_parts(gvec([1, 0]), gvec([0, "1/2"]))
-    assert same.coords == xi.coords
-    with pytest.raises(ValueError):
-        InfChar.from_parts(gvec([1, 0]), gvec([1, 0]))
+    assert xi.coords == gvec(["1", "1/2"])
 
 
 def test_pairing_typing():
