@@ -9,7 +9,7 @@ cayley).  All axioms are machine-checked by `validate_block`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .coxeter import CoxeterGroup
@@ -59,6 +59,10 @@ class BlockData:
     braid: tuple[tuple[int, ...], ...]
     infchar_tag: str
     params: dict[str, Parameter]
+    # Tables derived from the fields above, built on first use and kept
+    # with the block (the T_s action of `hecke`); not part of its value.
+    derived: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def param(self, label: str) -> Parameter:
         try:

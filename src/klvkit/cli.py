@@ -140,17 +140,15 @@ def _cmd_klv(args) -> int:
     quad_ok, counter = hecke.check_quadratic(b)
     ok &= quad_ok
     for cls in klv.partition_blocks(b):
-        r = klv.compute_duality(b, cls)
-        if args.check and not klv.verify_duality(b, cls, r):
+        res = klv.solve_block(b, cls, check=args.check)
+        if args.check and not res.verified:
             ok = False
-        p = klv.compute_P(b, cls, r)
-        mm = klv.multiplicities(b, p)
         payload["blocks"].append(cls)
-        payload["order"].extend(mm.order)
-        payload["R"].update({f"{x}|{y}": str(v) for (x, y), v in r.entries.items()})
-        payload["P"].update({f"{x}|{y}": str(v) for (x, y), v in p.entries.items()})
-        payload["M"].append([list(row) for row in mm.M])
-        payload["m"].append([list(row) for row in mm.m])
+        payload["order"].extend(res.order)
+        payload["R"].update({f"{x}|{y}": str(v) for (x, y), v in res.r.entries.items()})
+        payload["P"].update({f"{x}|{y}": str(v) for (x, y), v in res.p.entries.items()})
+        payload["M"].append([list(row) for row in res.M])
+        payload["m"].append([list(row) for row in res.m])
     if args.check:
         for s in range(len(b.simples)):
             for t in range(s + 1, len(b.simples)):

@@ -14,7 +14,9 @@ import json
 from dataclasses import dataclass
 
 from .blockdata import BlockData
-from .klv import compute_P, compute_duality, multiplicities, partition_blocks
+from .klv import partition_blocks, solve_block
+# Not called here: bench/tracer.py wraps these names in this module.
+from .klv import compute_P, compute_duality, multiplicities  # noqa: F401
 
 __all__ = [
     "Correspondence", "check_correspondence", "check_image_union_of_blocks",
@@ -101,16 +103,14 @@ def check_image_union_of_blocks(G: BlockData, c: Correspondence):
 
 
 def mult_by_block(b: BlockData) -> dict:
-    """Label -> (MultMatrices of its class, label -> index in its order),
+    """Label -> (BlockKLV of its class, label -> index in its order),
     one KLV solve per class."""
     out = {}
     for cls in partition_blocks(b):
-        r = compute_duality(b, cls)
-        p = compute_P(b, cls, r)
-        mm = multiplicities(b, p)
-        index = {lab: i for i, lab in enumerate(mm.order)}
+        res = solve_block(b, cls)
+        index = {lab: i for i, lab in enumerate(res.order)}
         for lab in cls:
-            out[lab] = (mm, index)
+            out[lab] = (res, index)
     return out
 
 

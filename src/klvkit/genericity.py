@@ -68,13 +68,16 @@ def _singular_roots(d: RootDatum, coords: GVec) -> list:
     return [a for a in d.roots if d.pairing(a, coords).is_zero()]
 
 
-def check_hypC(d: RootDatum, lv: LeviSelection, xi_m, nu):
+def check_hypC(d: RootDatum, lv: LeviSelection, xi_m, nu, singular=None):
     """Two exact conditions on nu given the singular part xi_m:
     no Weyl element moving xi_m can realize w*nu - nu = xi_m - w*xi_m,
     i.e. every root singular on xi = xi_m + nu is singular on xi_m,
-    and no nilradical root pairs to zero with nu."""
+    and no nilradical root pairs to zero with nu.  `singular`, if given,
+    is `_singular_roots` of xi."""
     xm, nv = _coords(xi_m), _coords(nu)
-    for alpha in _singular_roots(d, vec_add(xm, nv)):
+    if singular is None:
+        singular = _singular_roots(d, vec_add(xm, nv))
+    for alpha in singular:
         if not d.pairing(alpha, xm).is_zero():
             return False, ("weyl", reflection_matrix(d, alpha))
     for alpha in lv.nilradical:
@@ -83,10 +86,13 @@ def check_hypC(d: RootDatum, lv: LeviSelection, xi_m, nu):
     return True, None
 
 
-def check_hypD(d: RootDatum, lv: LeviSelection, xi):
+def check_hypD(d: RootDatum, lv: LeviSelection, xi, singular=None):
     """The full stabilizer of xi must lie inside the Levi Weyl group,
-    i.e. every root singular on xi must be a Levi root."""
-    for alpha in _singular_roots(d, _coords(xi)):
+    i.e. every root singular on xi must be a Levi root.  `singular`, if
+    given, is `_singular_roots` of xi."""
+    if singular is None:
+        singular = _singular_roots(d, _coords(xi))
+    for alpha in singular:
         if alpha not in lv.levi:
             return False, ("weyl", reflection_matrix(d, alpha))
     return True, None
@@ -96,10 +102,11 @@ def verdict(d: RootDatum, lv: LeviSelection, xi_m, nu) -> dict:
     """Strongest applicable conclusion with per-hypothesis detail."""
     xm, nv = _coords(xi_m), _coords(nu)
     xi = vec_add(xm, nv)
+    singular = _singular_roots(d, xi)
     a_ok, a_wit = check_hypA(d, lv, xi)
     b_ok, b_wit = check_hypB(d, lv, xi)
-    c_ok, c_wit = check_hypC(d, lv, xm, nv)
-    d_ok, d_wit = check_hypD(d, lv, xi)
+    c_ok, c_wit = check_hypC(d, lv, xm, nv, singular)
+    d_ok, d_wit = check_hypD(d, lv, xi, singular)
     if a_ok and b_ok:
         tag = "Main1"
     elif b_ok and (c_ok or d_ok):

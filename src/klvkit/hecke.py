@@ -1,5 +1,8 @@
 """Action of the Hecke algebra generators T_s on the free module with
-basis a block, plus the quadratic- and braid-relation validators."""
+basis a block, plus the quadratic- and braid-relation validators.
+
+T_s of each basis label is built on first use and kept in the block's
+`derived` table, so every caller shares one element per (s, label)."""
 
 from __future__ import annotations
 
@@ -78,6 +81,19 @@ def basis(label: str) -> ModuleElement:
 
 
 def _apply_T_basis(b: BlockData, s: int, label: str) -> ModuleElement:
+    """T_s of one basis label.  Each block keeps a table of these, filled
+    on first use, so every caller shares one element per (s, label) and
+    must not change it."""
+    table = b.derived.get("T")
+    if table is None:
+        table = b.derived["T"] = {}
+    e = table.get((s, label))
+    if e is None:
+        e = table[(s, label)] = _T_basis(b, s, label)
+    return e
+
+
+def _T_basis(b: BlockData, s: int, label: str) -> ModuleElement:
     p = b.param(label)
     if not 0 <= s < len(b.simples):
         raise ValueError(f"unknown simple index: {s}")
@@ -142,9 +158,8 @@ def check_quadratic(b: BlockData):
     Returns (True, None) or (False, (simple, label))."""
     for s in range(len(b.simples)):
         for label in b.sorted_labels():
-            e = basis(label)
-            te = apply_T(b, s, e)
-            lhs = apply_T(b, s, te) - te.scale(_U_MINUS_1) - e.scale(U)
+            te = apply_T(b, s, label)
+            lhs = apply_T(b, s, te) - te.scale(_U_MINUS_1) - basis(label).scale(U)
             if not lhs.is_zero():
                 return False, (s, label)
     return True, None

@@ -8,6 +8,15 @@ descents are all type-II real parity solve one integer linear system
 per length, pinned by intertwining with T_s + 1, D^2 = Id and the u = 1
 specialization.  Its solution is asserted unique and integral, so blocks
 with several type-II factors are solved as well.
+
+`verify_duality` and `compute_P` run on D packed by Kronecker
+substitution (`_PackedDuality`): each entry of D is one Python int, the
+sum of c * 2^(w i) over its terms c v^k, with the digit index i taken
+from an offset fixed by the lengths, so that a sum over psi of products
+of entries is a sum of integer products.  Each check bounds the
+coefficients of its sums before it compares or decodes them, and widens
+the digit width w until the bound fits in w - 1 bits.  `solve_block`
+runs the chain for one class, packing D once, and returns a `BlockKLV`.
 """
 
 from __future__ import annotations
@@ -17,14 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blockdata import BlockData, SimpleStatus
-from .hecke import ModuleElement, apply_T, basis, linear_combination
+from .hecke import ModuleElement, apply_T, basis
 from .laurent import ONE, U_INV, ZERO, LaurentPoly
 
 __all__ = [
-    "RMatrix", "PMatrix", "MultMatrices",
+    "RMatrix", "PMatrix", "MultMatrices", "BlockKLV",
     "DualityError", "PSolveError", "MultiplicityError",
     "partition_blocks", "compute_order", "compute_duality",
-    "verify_duality", "compute_P", "multiplicities", "apply_D", "duality_map",
+    "verify_duality", "compute_P", "multiplicities", "solve_block",
 ]
 
 
@@ -150,12 +159,6 @@ class MultMatrices:
     order: tuple[str, ...]
     M: tuple[tuple[int, ...], ...]
     m: tuple[tuple[int, ...], ...]
-
-
-def apply_D(dual: dict[str, ModuleElement], m: ModuleElement) -> ModuleElement:
-    """Bar-semilinear extension of the duality map to module elements."""
-    return linear_combination(
-        (dual[label], poly.bar()) for label, poly in m.coeffs.items())
 
 
 def _ts_plus_one_over_u(b: BlockData, s: int, m: ModuleElement) -> ModuleElement:
@@ -323,137 +326,357 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
     return RMatrix(order=order, entries=entries, down=down)
 
 
-def duality_map(b: BlockData, r: RMatrix) -> dict[str, ModuleElement]:
-    """Reconstruct D on basis elements from the R-matrix."""
-    coeffs: dict[str, dict] = {gamma: {} for gamma in r.order}
-    for (phi, gamma), poly in r.entries.items():
-        if gamma not in coeffs:
-            continue
-        lg = b.params[gamma].length
-        sign = -1 if (lg - b.params[phi].length) % 2 else 1
-        coeffs[gamma][phi] = (poly * sign).shifted(-2 * lg)
-    return {gamma: ModuleElement(c) for gamma, c in coeffs.items()}
+# ---------------------------------------------------------------------------
+# D packed as integers (Kronecker substitution)
+
+def _width(bound: int) -> int:
+    """The least digit width w with bound < 2^(w-1).  Integers c with
+    |c| <= bound are then balanced base-2^w digits: a packing of such
+    coefficients decodes uniquely, and it is zero only if they all are."""
+    return bound.bit_length() + 1
 
 
-def verify_duality(b: BlockData, block: list[str], r: RMatrix) -> bool:
-    """Independent certification of the computed duality map."""
-    dual = duality_map(b, r)
+def _pack(terms: dict[int, int], lo: int, step: int, w: int) -> int:
+    """The sum of c * 2^(w (k - lo) / step) over the terms c v^k."""
+    x = 0
+    for k, c in terms.items():
+        x += c << w * ((k - lo) // step)
+    return x
+
+
+def _unpack(x: int, lo: int, step: int, w: int) -> dict[int, int]:
+    """The terms that `_pack` packed into x, every |c| < 2^(w-1)."""
+    out = {}
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    k = lo
+    while x:
+        c = x & mask
+        if c >= half:
+            c -= mask + 1
+        if c:
+            out[k] = c
+        x = (x - c) >> w
+        k += step
+    return out
+
+
+def _l1(terms: dict[int, int]) -> int:
+    return sum(map(abs, terms.values()))
+
+
+class _PackedDuality:
+    """D of one class, each entry packed once as a Python int.
+
+    Entry D(psi)_phi = sign R(phi, psi) v^(-2 l psi), sign =
+    (-1)^(l psi - l phi), is packed with lo = -2 l psi - E and, barred,
+    with lo = 2 l phi - E.  The margin E is 0 unless some R entry has a
+    term outside 0 <= k <= 2(l psi - l phi).  Then every product added
+    into one coefficient shares its offset, so a sum over psi of
+    polynomial products is a sum of integer products.  The step is 2
+    (digits count powers of u) when every exponent of R is even, else 1.
+
+    No coefficient of such a sum exceeds the sum over psi of
+    L1(a) L1(b), which is at most max L1(a) times the L1 norm of a row
+    of D.  Each check bounds its sums so before it compares or decodes
+    a packing, and widens the digit width until the bound fits in
+    w - 1 bits."""
+
+    def __init__(self, b: BlockData, r: RMatrix):
+        self.b, self.order, self.down = b, r.order, r.down
+        lens = self.lens = {x: b.params[x].length for x in r.order}
+        # psi -> [(phi, sign, terms of R(phi, psi), l psi - l phi)] over
+        # the nonzero entries of column psi: first those the P-solve
+        # reads (phi in the down-set of psi, phi != psi), then the rest
+        read: dict[str, list] = {x: [] for x in r.order}
+        rest: dict[str, list] = {x: [] for x in r.order}
+        row_l1: dict[str, int] = {}
+        low = high = self.max_entry = 0
+        odd = False
+        for (phi, psi), poly in r.entries.items():
+            if psi not in read or not poly:
+                continue
+            n = lens[psi] - (lens[phi] if phi in lens else b.params[phi].length)
+            t = poly.terms
+            solved = phi != psi and phi in r.down[psi]
+            (read if solved else rest)[psi].append((phi, -1 if n % 2 else 1, t, n))
+            l1 = _l1(t)
+            row_l1[phi] = row_l1.get(phi, 0) + l1
+            self.max_entry = max(self.max_entry, l1)
+            low, high = min(low, min(t)), max(high, max(t) - 2 * n)
+            odd = odd or any(k % 2 for k in t)
+        self.cols = {x: read[x] + rest[x] for x in r.order}
+        self.reads = {x: len(read[x]) for x in r.order}
+        self.step = 1 if odd else 2
+        self.margin = max(-low, high)
+        self.max_row = max(row_l1.values(), default=0)
+        self.width = _width(self.max_entry * self.max_row + 1)
+        self._plain_rows: tuple[int, dict] | None = None
+
+    def _fit(self, bound: int) -> int:
+        """Widen the digit width, if need be, so that bound < 2^(w-1)."""
+        if bound >> (self.width - 1):
+            self.width = _width(bound)
+        return self.width
+
+    def _plain(self) -> dict[str, list[tuple[str, int]]]:
+        """psi -> [(phi, packed D(psi)_phi)] at the current width, in the
+        order of `cols`."""
+        w = self.width
+        if self._plain_rows is None or self._plain_rows[0] != w:
+            E, step = self.margin, self.step
+            self._plain_rows = (w, {
+                psi: [(phi, sign * _pack(t, -E, step, w)) for phi, sign, t, _ in col]
+                for psi, col in self.cols.items()})
+        return self._plain_rows[1]
+
+    def _barred(self) -> dict[str, list[tuple[str, int]]]:
+        """gamma -> [(psi, packed bar(D(gamma)_psi))]."""
+        w, E, step = self.width, self.margin, self.step
+        return {g: [(psi, sign * _pack({2 * n - k: c for k, c in t.items()},
+                                       -E, step, w))
+                    for psi, sign, t, n in col]
+                for g, col in self.cols.items()}
+
+    def involutive(self) -> bool:
+        """D(D(gamma)) = gamma for every gamma of the class.  The
+        coefficient at phi of D(D(gamma)) is the sum over psi of
+        bar(D(gamma)_psi) D(psi)_phi; its packing has lo = -2E."""
+        self._fit(self.max_entry * self.max_row + 1)
+        plain, barred = self._plain(), self._barred()
+        one = 1 << self.width * (2 * self.margin // self.step)
+        for gamma in self.order:
+            acc: dict[str, int] = {}
+            get = acc.get
+            for psi, a in barred[gamma]:
+                for phi, x in plain[psi]:
+                    acc[phi] = get(phi, 0) + a * x
+            if acc.pop(gamma, 0) != one or any(acc.values()):
+                return False
+        return True
+
+    def intertwines(self) -> bool:
+        """u D((T_s + 1) gamma) = (T_s + 1) D(gamma) for every simple s
+        and every gamma of the class, which is the intertwining of D with
+        T_s + 1 and u^(-1)(T_s + 1) multiplied by u."""
+        b, lens, step = self.b, self.lens, self.step
+        # tp1[s][x]: label -> terms of the coefficient of (T_s + 1)x there
+        tp1 = []
+        for s in range(len(b.simples)):
+            tp1.append({x: {lab: p.terms
+                            for lab, p in (apply_T(b, s, x) + basis(x)).coeffs.items()}
+                        for x in self.order})
+        row_l1 = max((sum(map(_l1, t.values())) for rows in tp1
+                      for t in rows.values()), default=0)
+        col_l1 = 0
+        for rows in tp1:
+            into: dict[str, int] = {}
+            for t in rows.values():
+                for lab, terms in t.items():
+                    into[lab] = into.get(lab, 0) + _l1(terms)
+            col_l1 = max(col_l1, max(into.values(), default=0))
+        w = self._fit(self.max_entry * (row_l1 + col_l1))
+        plain = self._plain()
+        for rows in tp1:
+            # the coefficients of (T_s + 1)psi have exponents 0 to 2
+            packed_t = {x: [(lab, _pack(t, 0, step, w)) for lab, t in row.items()]
+                        for x, row in rows.items()}
+            for gamma in self.order:
+                lg, row = lens[gamma], rows[gamma]
+                top = max([lg] + [lens[lab] for lab in row])
+                # u D((T_s + 1) gamma): lo = -2 top - E
+                lhs: dict[str, int] = {}
+                for lam, t in row.items():
+                    a = _pack({2 * (1 + top - lens[lam]) - k: c for k, c in t.items()},
+                              0, step, w)
+                    for phi, x in plain[lam]:
+                        lhs[phi] = lhs.get(phi, 0) + a * x
+                # (T_s + 1) D(gamma): lo = -2 l gamma - E
+                rhs: dict[str, int] = {}
+                for psi, x in plain[gamma]:
+                    for phi, t in packed_t[psi]:
+                        rhs[phi] = rhs.get(phi, 0) + x * t
+                shift = w * (2 * (top - lg) // step)
+                if any(lhs.get(phi, 0) != rhs.get(phi, 0) << shift
+                       for phi in lhs.keys() | rhs.keys()):
+                    return False
+        return True
+
+    def solve_P(self) -> PMatrix:
+        """P, one column at a time; a column that finds the digits too
+        narrow is solved again at twice the width."""
+        entries: dict[tuple[str, str], LaurentPoly] = {}
+        for gamma in self.order:
+            col = self._column(gamma)
+            while col is None:
+                self.width *= 2
+                col = self._column(gamma)
+            entries.update(((phi, gamma), LaurentPoly._trusted(sol))
+                           for phi, sol in col.items())
+        return PMatrix(order=self.order, entries=entries)
+
+    def _column(self, gamma: str) -> dict[str, dict[int, int]] | None:
+        """Column gamma of P as phi -> terms, or None if the digit width
+        is too narrow for it.
+
+        Each solved P(psi, gamma) is pushed once: bar(P(psi, gamma))
+        v^(2(l gamma - l psi)), packed with lo = 0, times every packed
+        D(psi)_phi.  The products add up to v^(2 l gamma) times the
+        coefficient at phi of D applied to the column (lo = -E); those
+        that the solve reads give f(phi), the others are kept apart for
+        the self-duality check at the end."""
+        w, E, step, lens = self.width, self.margin, self.step, self.lens
+        half = 1 << (w - 1)
+        plain = self._plain()
+        lg = lens[gamma]
+        below = sorted((x for x in self.down[gamma] if x != gamma),
+                       key=lambda x: (-lens[x], x))
+        acc: dict[str, int] = {}
+        rest: dict[str, int] = {}
+        get, get_rest = acc.get, rest.get
+
+        def push(a: int, psi: str) -> None:
+            row, k = plain[psi], self.reads[psi]
+            for phi, x in row[:k]:
+                acc[phi] = get(phi, 0) + a * x
+            for phi, x in row[k:]:
+                rest[phi] = get_rest(phi, 0) + a * x
+
+        push(1, gamma)
+        # the largest L1 norm of a pushed factor; the packed column,
+        # v^(-2 l gamma) P(., gamma) with lo = -E, for the final check
+        top = 1
+        want = {gamma: 1 << w * (E // step)}
+        col: dict[str, dict[int, int]] = {}
+        for phi in below:
+            x = acc.get(phi)
+            if not x:
+                continue
+            if top * self.max_row >= half:
+                return None
+            f = _unpack(x, -E, step, w)
+            n = lg - lens[phi]
+            sol = {k: c for k, c in f.items() if k < n}
+            if {k: c for k, c in f.items() if k >= n} != {
+                    2 * n - k: -c for k, c in sol.items()}:
+                raise PSolveError(
+                    f"no solution under degree bound at P({phi!r}, {gamma!r})")
+            if sol:
+                col[phi] = sol
+                top = max(top, _l1(sol))
+                push(_pack({2 * n - k: c for k, c in sol.items()}, 0, step, w), phi)
+                want[phi] = _pack(sol, -E, step, w)
+        # safety net: the assembled column really is self-dual
+        if top * (self.max_row + 1) >= half:
+            return None
+        for phi in acc.keys() | rest.keys() | want.keys():
+            if get(phi, 0) + get_rest(phi, 0) != want.get(phi, 0):
+                raise PSolveError(f"column {gamma!r} of P is not self-dual")
+        return col
+
+
+def verify_duality(b: BlockData, block: list[str], r: RMatrix,
+                   packed: _PackedDuality | None = None) -> bool:
+    """Independent certification of the duality map that R defines:
+    diagonal one, every entry in its column's down-set, degree bounds,
+    the u = 1 specialization, the involution D^2 = Id and intertwining
+    with every T_s + 1, the last two on packed D."""
     for gamma in r.order:
-        lg = b.params[gamma].length
-        # diagonal normalization and degree bounds
         if r.entry(gamma, gamma) != ONE:
             return False
-        for phi in r.down[gamma]:
-            e = r.entry(phi, gamma)
-            if e and not e.is_u_polynomial():
-                return False
-            if e and e.degree_in_u() > lg - b.params[phi].length:
-                return False
-        # involution and u = 1 specialization
-        if apply_D(dual, dual[gamma]) != basis(gamma):
+    for (phi, gamma), e in r.entries.items():
+        if not e or gamma not in r.down:
+            continue
+        if phi not in r.down[gamma] or not e.is_u_polynomial():
             return False
-        for phi, poly in dual[gamma].coeffs.items():
-            if poly.eval_at_one() != (1 if phi == gamma else 0):
-                return False
-    # intertwining with every T_s + 1
-    for s in range(len(b.simples)):
-        for gamma in r.order:
-            lhs = apply_D(dual, apply_T(b, s, basis(gamma)) + basis(gamma))
-            rhs = _ts_plus_one_over_u(b, s, dual[gamma])
-            if lhs != rhs:
-                return False
-    return True
+        if e.degree_in_u() > b.params[gamma].length - b.params[phi].length:
+            return False
+        if e.eval_at_one() != (1 if phi == gamma else 0):
+            return False
+    packed = packed or _PackedDuality(b, r)
+    return packed.involutive() and packed.intertwines()
 
 
 # ---------------------------------------------------------------------------
 # Self-dual basis and multiplicities
 
-def compute_P(b: BlockData, block: list[str], r: RMatrix) -> PMatrix:
+def compute_P(b: BlockData, block: list[str], r: RMatrix,
+              packed: _PackedDuality | None = None) -> PMatrix:
     """Solve the self-duality identity for the P-polynomials, column by
     column, under the strict degree bound.
 
     In column gamma, f(phi) = sum over psi of
     (-1)^(l psi - l phi) bar(P(psi, gamma)) v^(2(l gamma - l psi)) R(phi, psi)
-    must equal P(phi, gamma) - bar(P(phi, gamma)) v^(2(l gamma - l phi)).
-    Each solved P(psi, gamma) is cached in that signed, barred, shifted
-    form, and f is summed on integer tables over the nonzero R(phi, psi)."""
-    dual = duality_map(b, r)
-    lens = {x: b.params[x].length for x in r.order}
-    # phi -> [(psi, terms of R(phi, psi))] over psi != phi above phi.
-    r_rows: dict[str, list] = {x: [] for x in r.order}
-    for (phi, psi), poly in r.entries.items():
-        if phi != psi and psi in r.down and phi in r.down[psi]:
-            r_rows[phi].append((psi, poly.terms))
-    entries: dict[tuple[str, str], LaurentPoly] = {}
-
-    for gamma in r.order:
-        lg = lens[gamma]
-        below = sorted(
-            (x for x in r.down[gamma] if x != gamma),
-            key=lambda x: (-lens[x], x),
-        )
-        # psi -> (-1)^(l psi) bar(P(psi, gamma)) v^(2(l gamma - l psi))
-        cached = {gamma: {0: -1 if lg % 2 else 1}}
-        for phi in below:
-            lp = lens[phi]
-            n = lg - lp
-            acc: dict[int, int] = {}
-            for psi, rt in r_rows[phi]:
-                pt = cached.get(psi)
-                if pt is None:
-                    continue
-                for k1, c1 in pt.items():
-                    for k2, c2 in rt.items():
-                        k = k1 + k2
-                        acc[k] = acc.get(k, 0) + c1 * c2
-            sign = -1 if lp % 2 else 1
-            f = LaurentPoly({k: sign * c for k, c in acc.items()})
-            sol = LaurentPoly({k: c for k, c in f.terms.items() if k <= n - 1})
-            if sol - sol.bar().shifted(2 * n) != f:
-                raise PSolveError(
-                    f"no solution under degree bound at P({phi!r}, {gamma!r})")
-            if sol:
-                entries[(phi, gamma)] = sol
-                cached[phi] = {2 * n - k: sign * c for k, c in sol.terms.items()}
-        # safety net: the assembled column really is self-dual
-        col = ModuleElement({gamma: ONE, **{
-            phi: entries.get((phi, gamma), ZERO) for phi in below}})
-        if apply_D(dual, col) != col.scale(LaurentPoly({-2 * lg: 1})):
-            raise PSolveError(f"column {gamma!r} of P is not self-dual")
-    return PMatrix(order=r.order, entries=entries)
+    must equal P(phi, gamma) - bar(P(phi, gamma)) v^(2(l gamma - l phi)),
+    and D applied to the column must give v^(-2 l gamma) times it.  Both
+    sums run on packed D (see `_PackedDuality._column`)."""
+    return (packed or _PackedDuality(b, r)).solve_P()
 
 
 def multiplicities(b: BlockData, p: PMatrix) -> MultMatrices:
+    """M, the P entries at u = 1 signed by the length difference, and
+    its inverse m.  M must be upper unitriangular in the order of p."""
     order = p.order
     n = len(order)
     index = {x: i for i, x in enumerate(order)}
-    big = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    lower = []
     for (phi, gamma), poly in p.entries.items():
         i, j = index.get(phi), index.get(gamma)
         if i is None or j is None or i == j:
             continue
         val = poly.eval_at_one()
-        if (b.params[gamma].length - b.params[phi].length) % 2:
-            val = -val
-        big[i][j] = val
-    for i in range(n):
-        for j in range(i + 1):
-            if big[i][j] != (1 if i == j else 0):
-                raise MultiplicityError(
-                    f"M not unitriangular at {(order[i], order[j])!r}")
+        if val:
+            if (b.params[gamma].length - b.params[phi].length) % 2:
+                val = -val
+            rows[i][j] = val
+            if i > j:
+                lower.append((i, j))
+    if lower:
+        i, j = min(lower)
+        raise MultiplicityError(
+            f"M not unitriangular at {(order[i], order[j])!r}")
     # m = M^(-1) by back-substitution over the nonzero entries of each
     # row of M: row i of m is e_i - sum over k > i of M[i][k] row k of m.
     inv: list[dict[int, int]] = [{} for _ in range(n)]
     for i in range(n - 1, -1, -1):
         acc = {i: 1}
-        for k in range(i + 1, n):
-            c = big[i][k]
-            if c:
-                for j, x in inv[k].items():
-                    acc[j] = acc.get(j, 0) - c * x
+        for k, c in rows[i].items():
+            for j, x in inv[k].items():
+                acc[j] = acc.get(j, 0) - c * x
         inv[i] = {j: x for j, x in acc.items() if x}
+    for i, row in enumerate(rows):
+        row[i] = 1
     return MultMatrices(
         order=order,
-        M=tuple(tuple(row) for row in big),
+        M=tuple(tuple(row.get(j, 0) for j in range(n)) for row in rows),
         m=tuple(tuple(row.get(j, 0) for j in range(n)) for row in inv),
     )
+
+
+# ---------------------------------------------------------------------------
+# One solve per class
+
+@dataclass(frozen=True)
+class BlockKLV:
+    """Everything the KLV pipeline derives for one class: its order and
+    down-sets, R, P, and the multiplicity matrices M and m.  `verified`
+    is `verify_duality`'s answer when the solve was checked, else None."""
+    order: tuple[str, ...]
+    down: dict[str, frozenset[str]]
+    r: RMatrix
+    p: PMatrix
+    M: tuple[tuple[int, ...], ...]
+    m: tuple[tuple[int, ...], ...]
+    verified: bool | None
+
+
+def solve_block(b: BlockData, block: list[str], check: bool = False) -> BlockKLV:
+    """R, P, M and m of one class; with check, also certify R.  D is
+    packed once and shared by the certificate and the P-solve."""
+    r = compute_duality(b, block)
+    packed = _PackedDuality(b, r)
+    verified = verify_duality(b, block, r, packed) if check else None
+    p = compute_P(b, block, r, packed)
+    mm = multiplicities(b, p)
+    return BlockKLV(order=r.order, down=r.down, r=r, p=p, M=mm.M, m=mm.m,
+                    verified=verified)

@@ -162,7 +162,8 @@ class LeviSelection:
 def _split(d: RootDatum, simple_base, levi_simples, a_coordinates) -> LeviSelection:
     """Decompose each root of d over the base, once, and sort it into
     the Levi or the nilradical."""
-    coefficients = tuple(_decompose(a, simple_base, d.rank) for a in d.roots)
+    elim = _eliminator(simple_base, d.rank)
+    coefficients = tuple(_decompose(a, simple_base, elim) for a in d.roots)
     levi, nilradical = [], []
     for a, coeffs in zip(d.roots, coefficients):
         if coeffs is None:
@@ -175,17 +176,17 @@ def _split(d: RootDatum, simple_base, levi_simples, a_coordinates) -> LeviSelect
                          tuple(sorted(levi)), tuple(sorted(nilradical)))
 
 
-def _decompose(alpha: IntVec, base: tuple[IntVec, ...], rank: int):
-    """Integer coefficients of alpha over the base vectors, or None."""
-    if not base:
-        return None if any(alpha) else ()
-    # Gaussian elimination over Q on the rank x len(base) system.
-    rows = [[Fraction(base[k][i]) for k in range(len(base))] + [Fraction(alpha[i])]
-            for i in range(rank)]
-    ncols = len(base)
+def _eliminator(base: tuple[IntVec, ...], rank: int):
+    """Gauss-Jordan elimination over Q of the rank x len(base) matrix
+    whose columns are the base vectors, done once.  Returns the pivot
+    columns and the row operations as a rank x rank matrix E: E times
+    the matrix is in reduced row echelon form."""
+    nb = len(base)
+    rows = [[Fraction(base[k][i]) for k in range(nb)]
+            + [Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(nb):
         piv = next((i for i in range(r, rank) if rows[i][c] != 0), None)
         if piv is None:
             continue
@@ -198,16 +199,27 @@ def _decompose(alpha: IntVec, base: tuple[IntVec, ...], rank: int):
                 rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
         pivots.append(c)
         r += 1
-    coeffs = [Fraction(0)] * ncols
+    return pivots, [row[nb:] for row in rows]
+
+
+def _decompose(alpha: IntVec, base: tuple[IntVec, ...], elim):
+    """Integer coefficients of alpha over the base vectors, or None.
+    elim is `_eliminator(base, rank)`; E alpha holds the coefficients at
+    the pivot rows and must vanish below them."""
+    if not base:
+        return None if any(alpha) else ()
+    pivots, ops = elim
+    y = [sum(e * a for e, a in zip(row, alpha) if a) for row in ops]
+    if any(y[len(pivots):]):
+        return None
+    coeffs = [Fraction(0)] * len(base)
     for i, c in enumerate(pivots):
-        coeffs[c] = rows[i][-1]
-    for i in range(r, rank):
-        if rows[i][-1] != 0:
-            return None
+        coeffs[c] = y[i]
     if any(x.denominator != 1 for x in coeffs):
         return None
     out = tuple(int(x) for x in coeffs)
-    check = tuple(sum(out[k] * base[k][i] for k in range(ncols)) for i in range(rank))
+    check = tuple(sum(out[k] * base[k][i] for k in range(len(base)))
+                  for i in range(len(alpha)))
     return out if check == alpha else None
 
 

@@ -14,7 +14,7 @@ from klvkit.blockdata import (
     generate_complex_block,
     product_block,
 )
-from klvkit import correspondence, klv, rootdata
+from klvkit import klv, rootdata
 from klvkit.cli import run
 
 from test_blockdata import _doc_with
@@ -180,7 +180,7 @@ def test_induce_solve_failure_exits_1(capsys, tmp_path, monkeypatch):
     def fail(b, cls):
         raise klv.DualityError("duality system non-unique")
 
-    monkeypatch.setattr(correspondence, "compute_duality", fail)
+    monkeypatch.setattr(klv, "compute_duality", fail)
     mp = tmp_path / "ident.json"
     mp.write_text(json.dumps(
         {"pairs": [["D+", "D+"], ["D-", "D-"], ["P", "P"]],

@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from klvkit import genericity
 from klvkit.gaussian import GaussRat, gvec, mat_apply, pair, vec_add, vec_sub
 from klvkit.genericity import (
     check_hypA,
@@ -363,3 +364,19 @@ def test_on_a_hyperplane_hypC_fails_at_a_weyl_element(case):
     assert not ok and wit[0] == "weyl"
     xi = vec_add(xi_m, nu)
     assert mat_apply(wit[1], xi) == xi and mat_apply(wit[1], xi_m) != xi_m
+
+
+def test_verdict_finds_the_singular_roots_once(monkeypatch):
+    """Hypotheses C and D share one pass over the roots per verdict."""
+    calls = []
+    singular = genericity._singular_roots
+    monkeypatch.setattr(genericity, "_singular_roots",
+                        lambda *args: calls.append(1) or singular(*args))
+    d, lv = rootdatum_from_json(B3)
+    rec = verdict(d, lv, gvec([0, 0, 0]), gvec(["1/2", "1/3", 0]))
+    assert len(calls) == 1
+    monkeypatch.setattr(genericity, "_singular_roots", singular)
+    assert verdict(d, lv, gvec([0, 0, 0]), gvec(["1/2", "1/3", 0])) == rec
+    xi = gvec(["1/2", "1/3", 0])
+    assert rec["hypC"]["holds"] == check_hypC(d, lv, gvec([0, 0, 0]), xi)[0]
+    assert rec["hypD"]["holds"] == check_hypD(d, lv, xi)[0]

@@ -11,6 +11,8 @@ from klvkit.blockdata import (
 from klvkit.hecke import ModuleElement, apply_T, basis, check_braid, check_quadratic
 from klvkit.laurent import ONE, U, LaurentPoly
 
+import reference_klv
+
 U1 = U - ONE
 
 
@@ -110,3 +112,22 @@ def test_module_element_algebra():
     assert (a - a).is_zero()
     assert (-b).coeff("y") == -U
     assert str(ModuleElement()) == "0"
+
+
+def test_T_table_is_built_once_and_matches_per_call_reference():
+    blocks = [builtin_sl2r_block(), builtin_nci2_block(),
+              generate_complex_block(("s1", "s2"), ((1, 4), (4, 1))),
+              product_block(builtin_sl2r_block(), block_from_json(
+                  {**block_to_json(builtin_nci2_block()), "simples": ["t"]}))]
+    for b in blocks:
+        for s in range(len(b.simples)):
+            for label in b.params:
+                first = apply_T(b, s, label)
+                assert first == reference_klv.T_basis(b, s, label)
+                assert apply_T(b, s, label) is first
+        with pytest.raises(ValueError, match="unknown simple index: -1"):
+            apply_T(b, -1, label)
+        with pytest.raises(ValueError, match=f"unknown simple index: {len(b.simples)}"):
+            apply_T(b, len(b.simples), label)
+        with pytest.raises(ValueError, match="unknown label: nope"):
+            apply_T(b, len(b.simples), "nope")

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klvkit.blockdata import (
+    BlockData,
+    Parameter,
     block_from_json,
     block_to_json,
     builtin_nci2_block,
@@ -27,7 +29,6 @@ from klvkit.klv import (
     compute_P,
     compute_duality,
     compute_order,
-    duality_map,
     multiplicities,
     partition_blocks,
     _solve_linear,
@@ -169,7 +170,7 @@ def test_degree_bounds_and_signs():
 def test_duality_map_round_trip():
     b = builtin_sl2r_block()
     blk, r, _, _ = _pipeline(b)
-    dual = duality_map(b, r)
+    dual = reference_klv.duality_map(b, r)
     assert dual["P"].coeff("P") == LaurentPoly({-2: 1})
     assert dual["D+"].coeff("D+") == ONE
 
@@ -382,7 +383,7 @@ def _block_and_dual(name):
     b = _MODULE_BLOCKS[name]()
     dual = {}
     for blk in partition_blocks(b):
-        dual.update(duality_map(b, compute_duality(b, blk)))
+        dual.update(reference_klv.duality_map(b, compute_duality(b, blk)))
     return b, dual
 
 
@@ -400,8 +401,188 @@ def test_module_actions_match_fold_reference(name, data):
         st.sampled_from(labels), _small_polys, max_size=12)))
     s = data.draw(st.integers(0, len(b.simples) - 1))
     assert apply_T(b, s, m) == reference_klv.apply_T(b, s, m)
-    assert klv.apply_D(dual, m) == reference_klv.apply_D(dual, m)
     # D is an involution and intertwines T_s + 1 with u^(-1)(T_s + 1)
-    assert klv.apply_D(dual, klv.apply_D(dual, m)) == m
-    lhs = klv.apply_D(dual, apply_T(b, s, m) + m)
-    assert lhs == klv._ts_plus_one_over_u(b, s, klv.apply_D(dual, m))
+    apply_D = reference_klv.apply_D
+    assert apply_D(dual, apply_D(dual, m)) == m
+    lhs = apply_D(dual, apply_T(b, s, m) + m)
+    assert lhs == klv._ts_plus_one_over_u(b, s, apply_D(dual, m))
+
+
+# ---------------------------------------------------------------------------
+# verify_duality and compute_P on packed D against the references.
+
+@functools.lru_cache(maxsize=None)
+def _solved(name):
+    b = _MODULE_BLOCKS[name]()
+    return b, [compute_duality(b, blk) for blk in partition_blocks(b)]
+
+
+def _p_outcome(compute, *args):
+    try:
+        return compute(*args)
+    except PSolveError as exc:
+        return str(exc)
+
+
+def _packed(b, r, width=None):
+    """D of r packed, starting from the given digit width if any."""
+    packed = klv._PackedDuality(b, r)
+    packed.width = width or packed.width
+    return packed
+
+
+def _assert_agrees(b, r, width=None):
+    blk = list(r.order)
+    assert (verify_duality(b, blk, r, _packed(b, r, width))
+            == reference_klv.verify_duality(b, r))
+    assert (_p_outcome(compute_P, b, blk, r, _packed(b, r, width))
+            == _p_outcome(reference_klv.compute_P, b, r))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_MODULE_BLOCKS)), st.data())
+def test_packed_duality_matches_references(name, data):
+    """Valid R, and R with one coefficient changed by +-1 or +-2^k for k
+    across the digit width chosen for it, or with c u^i - c u^j added,
+    which keeps the value at u = 1."""
+    b, rs = _solved(name)
+    r = data.draw(st.sampled_from(rs))
+    w = klv._PackedDuality(b, r).width
+    pairs = sorted((phi, g) for g in r.order for phi in r.down[g])
+    phi, gamma = data.draw(st.sampled_from(pairs))
+    n = b.params[gamma].length - b.params[phi].length
+    c = data.draw(st.sampled_from([0, 1, -1] + [s << k for k in range(w + 2)
+                                                for s in (1, -1)]))
+    i, j = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    delta = {2 * i: c}
+    if data.draw(st.booleans()) and i != j:
+        delta[2 * j] = -c
+    entries = dict(r.entries)
+    entries[(phi, gamma)] = r.entry(phi, gamma) + LaurentPoly(delta)
+    bad = RMatrix(r.order, entries, r.down)
+    _assert_agrees(b, bad)
+    # the same from a digit width far too narrow for the coefficients
+    _assert_agrees(b, bad, width=2)
+
+
+def test_valid_duality_passes_packed_checks():
+    for name in sorted(_MODULE_BLOCKS):
+        b, rs = _solved(name)
+        for r in rs:
+            packed = klv._PackedDuality(b, r)
+            assert packed.involutive() and packed.intertwines(), name
+            _assert_agrees(b, r)
+
+
+def _rank_zero_block(lengths):
+    """A block without simples; only the lengths of its labels matter."""
+    return BlockData((), (), "x", {
+        lab: Parameter(lab, l, "", (), (), ()) for lab, l in lengths.items()})
+
+
+def _r_from_p(b, p_entries):
+    """The R-matrix whose D makes each column C(gamma) = sum of
+    P(phi, gamma) phi self-dual: D(C(gamma)) = v^(-2 l gamma) C(gamma).
+    Every label of shorter length is below."""
+    order = tuple(sorted(b.params, key=lambda x: (b.params[x].length, x)))
+    lens = {x: b.params[x].length for x in order}
+    down = {g: frozenset(x for x in order if lens[x] < lens[g]) | {g}
+            for g in order}
+    dual = {}
+    for g in order:
+        col = ModuleElement({g: ONE, **{x: p_entries[(x, g)] for x in down[g]
+                                         if (x, g) in p_entries}})
+        d = col.scale(LaurentPoly({-2 * lens[g]: 1}))
+        for x in down[g] - {g}:
+            d = d - dual[x].scale(p_entries.get((x, g), ZERO).bar())
+        dual[g] = d
+    entries = {}
+    for g in order:
+        for x, poly in dual[g].coeffs.items():
+            sign = -1 if (lens[g] - lens[x]) % 2 else 1
+            entries[(x, g)] = poly.shifted(2 * lens[g]) * sign
+    return RMatrix(order, entries, down)
+
+
+def test_huge_coefficients_widen_the_digits():
+    """P entries near 2^90 give R entries near 2^180: the P-solve, started
+    from 4-bit digits, must widen until its sums decode exactly."""
+    b = _rank_zero_block({"a": 0, "b": 1, "c": 2, "d": 3, "e": 3})
+    big = (1 << 90) + 12345
+    p_entries = {
+        ("a", "b"): LaurentPoly({0: big}),
+        ("a", "c"): LaurentPoly({0: -big}),
+        ("b", "c"): LaurentPoly({0: 3}),
+        ("a", "d"): LaurentPoly({0: 7, 2: big - 1}),
+        ("b", "d"): LaurentPoly({0: -(big >> 3)}),
+        ("c", "d"): LaurentPoly({0: big}),
+        ("c", "e"): LaurentPoly({0: -big}),
+        ("b", "e"): LaurentPoly({0: 5}),
+    }
+    r = _r_from_p(b, p_entries)
+    assert max(abs(c) for q in r.entries.values() for c in q.terms.values()) > big
+    want = PMatrix(r.order, p_entries)
+    packed = _packed(b, r, width=4)
+    assert packed.solve_P() == want
+    assert packed.width > 4
+    # longest column first: its first decodes come before any widening
+    rev = RMatrix(tuple(reversed(r.order)), r.entries, r.down)
+    assert _packed(b, rev, width=4).solve_P() == PMatrix(rev.order, p_entries)
+    assert compute_P(b, list(r.order), r) == want
+    assert reference_klv.compute_P(b, r) == want
+    _assert_agrees(b, r)
+    _assert_agrees(b, r, width=4)
+
+
+def test_verify_rejects_duality_that_is_not_an_involution():
+    """Without simples only the involution check can fail: R(a, b) =
+    (u - 1)^2 has the degree and the value at u = 1 of a valid entry."""
+    b = _rank_zero_block({"a": 0, "b": 2})
+    r = RMatrix(("a", "b"), {("a", "a"): ONE, ("b", "b"): ONE,
+                             ("a", "b"): (U - ONE) * (U - ONE)},
+                {"a": frozenset({"a"}), "b": frozenset({"a", "b"})})
+    assert not klv._PackedDuality(b, r).involutive()
+    assert not verify_duality(b, ["a", "b"], r)
+    assert not reference_klv.verify_duality(b, r)
+
+
+def test_verify_rejects_duality_that_does_not_intertwine():
+    """R(D+, P) = 2(u - 1) keeps D an involution on sl2r but breaks its
+    intertwining with T_s + 1."""
+    b = builtin_sl2r_block()
+    blk, r, _, _ = _pipeline(b)
+    bad = RMatrix(r.order, {**r.entries, ("D+", "P"): (U - ONE) * 2}, r.down)
+    packed = klv._PackedDuality(b, bad)
+    assert packed.involutive() and not packed.intertwines()
+    assert not verify_duality(b, blk, bad)
+    assert not reference_klv.verify_duality(b, bad)
+
+
+def test_verify_rejects_entry_outside_down_set():
+    b = builtin_sl2r_block()
+    blk, r, _, _ = _pipeline(b)
+    bad = RMatrix(r.order, {**r.entries, ("D+", "D-"): U - ONE}, r.down)
+    assert not verify_duality(b, blk, bad)
+
+
+def test_multiplicities_reports_first_lower_entry_in_row_major_order():
+    b = builtin_sl2r_block()
+    bad = PMatrix(order=("D+", "D-", "P"), entries={
+        ("P", "D+"): ONE, ("P", "D-"): U - ONE, ("D-", "D+"): ONE})
+    with pytest.raises(MultiplicityError) as exc:
+        multiplicities(b, bad)
+    assert str(exc.value) == "M not unitriangular at ('D-', 'D+')"
+    # an entry that vanishes at u = 1 is no offender
+    ok = PMatrix(order=("D+", "D-", "P"), entries={("P", "D-"): U - ONE})
+    assert multiplicities(b, ok) == reference_klv.multiplicities(b, ok)
+
+
+def test_solve_block_shares_one_solve():
+    b = product_block(_FACTORS["nci2"]("a"), _FACTORS["sl2r"]("b"))
+    for blk in partition_blocks(b):
+        res = klv.solve_block(b, blk, check=True)
+        blk, r, p, mm = _pipeline(b, blk)
+        assert res.verified is True
+        assert (res.order, res.down, res.r, res.p) == (r.order, r.down, r, p)
+        assert (res.M, res.m) == (mm.M, mm.m)
+        assert klv.solve_block(b, blk).verified is None

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from klvkit import rootdata
 from klvkit.gaussian import GaussRat, gvec
 from klvkit.rootdata import (
     InfChar,
@@ -175,3 +178,29 @@ def test_pairing_typing():
     assert d.pairing((2,), gvec(["3/2"])) == GaussRat.parse("3/2")
     with pytest.raises(ValueError):
         d.coroot((3,))
+
+
+def _coefficients_by_search(alpha, base, box=3):
+    """Every integer vector c in [-box, box]^len(base) with sum c_k base_k
+    = alpha."""
+    return [c for c in itertools.product(range(-box, box + 1), repeat=len(base))
+            if tuple(sum(ck * b[i] for ck, b in zip(c, base))
+                     for i in range(len(alpha))) == alpha]
+
+
+@pytest.mark.parametrize("base", [
+    [[1, -1, 0], [0, 1, -1], [0, 0, 1]],  # B3 simple roots
+    [[0, 0, 1], [1, -1, 0], [0, 1, -1]],  # the same, permuted
+    [[2, 0, 0], [0, 1, -1], [0, 0, 1]],   # index 2: some roots are half-integral
+    [[1, -1, 0], [0, 1, -1]],             # rank 2 in rank 3: e3 is outside
+    [[0, 1, -1], [1, 0, 0]],              # rank 2, first pivot in a later row
+])
+def test_decompose_through_one_elimination(base):
+    """Each root's coefficients come from one elimination of the base:
+    the unique integer solution, or None where there is none."""
+    base = tuple(map(tuple, base))
+    elim = rootdata._eliminator(base, 3)
+    for alpha in map(tuple, B3["roots"]):
+        found = _coefficients_by_search(alpha, base)
+        assert len(found) <= 1
+        assert rootdata._decompose(alpha, base, elim) == (found[0] if found else None)
