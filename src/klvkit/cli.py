@@ -73,8 +73,51 @@ def _parse_vector(text: str):
         raise InputError(str(exc)) from exc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _key(k) -> str:
+    """A dict key as json renders it: str as is, int, float, bool and
+    None by their JSON text, quoted."""
+    if isinstance(k, str):
+        return _encode_str(k)
+    if k is None or isinstance(k, (int, float)):
+        return _encode_str(json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _render(x, indent: str) -> str:
+    """x as json.dumps(x, sort_keys=True, indent=2) renders it when it
+    starts at the given indent.  A list of plain ints is one join."""
+    if isinstance(x, str):
+        return _encode_str(x)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if set(map(type, x)) == {int}:
+            body = sep.join(map(int.__repr__, x))
+        else:
+            body = sep.join([_render(v, inner) for v in x])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([f"{_key(k)}: {_render(v, inner)}"
+                                      for k, v in sorted(x.items())])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if type(x) is int:
+        return int.__repr__(x)
+    return json.dumps(x)  # None, a bool or a float; else json's TypeError
+
+
 def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    """Write report exactly as json.dumps(report, sort_keys=True,
+    indent=2) renders it, plus a newline."""
+    sys.stdout.write(_render(report, "") + "\n")
 
 
 def _report(command: str, inputs: list[str], payload: dict) -> dict:
@@ -117,6 +160,9 @@ def _cmd_blocks(args) -> int:
 
 def _cmd_hecke_apply(args) -> int:
     b = _load_block(args.block)
+    violations = blockdata.validate_block(b)
+    if violations:
+        return _emit_violations("hecke-apply", args.block, violations)
     if args.label not in b.params:
         raise InputError(f"unknown label: {args.label}")
     if not 0 <= args.simple < len(b.simples):
@@ -147,8 +193,8 @@ def _cmd_klv(args) -> int:
         payload["order"].extend(res.order)
         payload["R"].update({f"{x}|{y}": str(v) for (x, y), v in res.r.entries.items()})
         payload["P"].update({f"{x}|{y}": str(v) for (x, y), v in res.p.entries.items()})
-        payload["M"].append([list(row) for row in res.M])
-        payload["m"].append([list(row) for row in res.m])
+        payload["M"].append(res.M)
+        payload["m"].append(res.m)
     if args.check:
         for s in range(len(b.simples)):
             for t in range(s + 1, len(b.simples)):

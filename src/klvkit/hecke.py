@@ -2,7 +2,9 @@
 basis a block, plus the quadratic- and braid-relation validators.
 
 T_s of each basis label is built on first use and kept in the block's
-`derived` table, so every caller shares one element per (s, label)."""
+`derived` table, so every caller shares one element per (s, label).
+`_T_rows` reads that table as plain integer rows, for the validators and
+the duality recursion of `klv`."""
 
 from __future__ import annotations
 
@@ -93,6 +95,30 @@ def _apply_T_basis(b: BlockData, s: int, label: str) -> ModuleElement:
     return e
 
 
+class _Rows(dict):
+    """label -> T_s label as {label: {exponent: coefficient}}, read from
+    the shared T table on first use.  The inner tables are those of the
+    shared elements: read them, never change them."""
+
+    def __init__(self, b: BlockData, s: int):
+        super().__init__()
+        self.b, self.s = b, s
+
+    def __missing__(self, label: str) -> dict[str, dict[int, int]]:
+        e = _apply_T_basis(self.b, self.s, label)
+        rows = self[label] = {mu: p._t for mu, p in e._c.items()}
+        return rows
+
+
+def _T_rows(b: BlockData, s: int) -> _Rows:
+    """The integer rows of T_s on b, one table per simple kept with the
+    block."""
+    tables = b.derived.setdefault("T rows", {})
+    if s not in tables:
+        tables[s] = _Rows(b, s)
+    return tables[s]
+
+
 def _T_basis(b: BlockData, s: int, label: str) -> ModuleElement:
     p = b.param(label)
     if not 0 <= s < len(b.simples):
@@ -155,12 +181,24 @@ def apply_T(b: BlockData, s: int, m: ModuleElement | str) -> ModuleElement:
 def check_quadratic(b: BlockData):
     """(T_s - u)(T_s + 1) must kill every basis element.
 
-    Returns (True, None) or (False, (simple, label))."""
+    Returns (True, None) or (False, (simple, label)), the first failure
+    with the simple outermost and labels in `sorted_labels` order."""
     for s in range(len(b.simples)):
+        rows = _T_rows(b, s)
         for label in b.sorted_labels():
-            te = apply_T(b, s, label)
-            lhs = apply_T(b, s, te) - te.scale(_U_MINUS_1) - basis(label).scale(U)
-            if not lhs.is_zero():
+            # T_s(T_s label) - (u - 1) T_s label - u label, keyed (label, k)
+            acc: dict[tuple[str, int], int] = {(label, 2): -1}
+            get = acc.get
+            for mu, p in rows[label].items():
+                for nu, q in rows[mu].items():
+                    for k2, c2 in q.items():
+                        for k1, c1 in p.items():
+                            key = (nu, k1 + k2)
+                            acc[key] = get(key, 0) + c1 * c2
+                for k, c in p.items():
+                    acc[(mu, k + 2)] = get((mu, k + 2), 0) - c
+                    acc[(mu, k)] = get((mu, k), 0) + c
+            if any(acc.values()):
                 return False, (s, label)
     return True, None
 

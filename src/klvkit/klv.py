@@ -9,6 +9,12 @@ per length, pinned by intertwining with T_s + 1, D^2 = Id and the u = 1
 specialization.  Its solution is asserted unique and integral, so blocks
 with several type-II factors are solved as well.
 
+Each D(gamma) is a plain table label -> {v-exponent: coefficient}.  The
+recursions apply E_s = u^(-1)(T_s + 1) - 1 through integer rows built
+once per (s, label) from the block's shared T table and kept with the
+block; the level systems read and write the same tables, and
+`LaurentPoly` objects are made only for the entries of the `RMatrix`.
+
 `verify_duality` and `compute_P` run on D packed by Kronecker
 substitution (`_PackedDuality`): each entry of D is one Python int, the
 sum of c * 2^(w i) over its terms c v^k, with the digit index i taken
@@ -26,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blockdata import BlockData, SimpleStatus
-from .hecke import ModuleElement, apply_T, basis
-from .laurent import ONE, U_INV, ZERO, LaurentPoly
+from .hecke import _T_rows
+from .laurent import ONE, ZERO, LaurentPoly
 
 __all__ = [
     "RMatrix", "PMatrix", "MultMatrices", "BlockKLV",
@@ -106,24 +112,25 @@ def _descent_targets(b: BlockData, label: str, s: int) -> list[str]:
 
 def compute_order(b: BlockData, block: list[str]) -> dict[str, frozenset[str]]:
     """Down-set of each label: a set guaranteed to contain every element
-    below it in the representation-theoretic order (and the label itself)."""
+    below it in the representation-theoretic order (and the label itself).
+
+    The support of T_s psi is read from the block's T rows.  A label
+    already in the down-set is skipped: every down-set holds the
+    down-sets of its members, so it would add nothing."""
     members = set(block)
     down: dict[str, frozenset[str]] = {}
     for label in sorted(block, key=_sort_key(b)):
-        p = b.param(label)
+        l = b.params[label].length
         dset = {label}
         for s in range(len(b.simples)):
             targets = _descent_targets(b, label, s)
             if not targets:
                 continue
-            acc: set[str] = set()
-            for t in targets:
-                acc |= down[t]
-            clo = set(acc)
-            for psi in acc:
-                clo |= apply_T(b, s, psi).support()
-            for phi in clo:
-                if phi in members and b.params[phi].length < p.length:
+            rows = _T_rows(b, s)
+            acc = set().union(*[down[t] for t in targets])
+            for phi in acc.union(*[rows[psi] for psi in acc]) - dset:
+                if (phi not in dset and phi in members
+                        and b.params[phi].length < l):
                     dset.add(phi)
                     dset |= down[phi]
         down[label] = frozenset(dset)
@@ -161,8 +168,64 @@ class MultMatrices:
     m: tuple[tuple[int, ...], ...]
 
 
-def _ts_plus_one_over_u(b: BlockData, s: int, m: ModuleElement) -> ModuleElement:
-    return (apply_T(b, s, m) + m).scale(U_INV)
+# D(gamma) is held as a table label -> {v-exponent: coefficient}.
+
+def _nonzero(x: dict[str, dict[int, int]]) -> dict[str, dict[int, int]]:
+    """x without its zero coefficients and the labels left empty."""
+    return {lab: q for lab, t in x.items()
+            if (q := {k: c for k, c in t.items() if c})}
+
+
+def _tp1(b: BlockData, s: int, x: str) -> dict[str, dict[int, int]]:
+    """(T_s + 1) x as a table, from the block's T rows."""
+    out = {mu: dict(t) for mu, t in _T_rows(b, s)[x].items()}
+    own = out.setdefault(x, {})
+    own[0] = own.get(0, 0) + 1
+    return _nonzero(out)
+
+
+class _Steps(dict):
+    """label -> E_s label = u^(-1)(T_s + 1) label - label as
+    ((mu, ((k, c), ...)), ...), built on first use.  E_s is the step of
+    the direct recursions: D(gamma) = E_s D(s gamma)."""
+
+    def __init__(self, b: BlockData, s: int):
+        super().__init__()
+        self.b, self.s = b, s
+
+    def __missing__(self, label: str) -> tuple:
+        rows = {mu: {k - 2: c for k, c in t.items()}
+                for mu, t in _tp1(self.b, self.s, label).items()}
+        own = rows.setdefault(label, {})
+        own[0] = own.get(0, 0) - 1
+        e = self[label] = tuple((mu, tuple(t.items()))
+                                for mu, t in _nonzero(rows).items())
+        return e
+
+
+def _steps(b: BlockData, s: int) -> _Steps:
+    """The E_s rows of b, one table per simple kept with the block."""
+    tables = b.derived.setdefault("E", {})
+    if s not in tables:
+        tables[s] = _Steps(b, s)
+    return tables[s]
+
+
+def _step(steps: _Steps, x: dict[str, dict[int, int]]) -> dict[str, dict[int, int]]:
+    """E_s x for a table x; the zeros it creates are kept."""
+    out: dict[str, dict[int, int]] = {}
+    for lam, t1 in x.items():
+        t1 = t1.items()
+        for mu, t2 in steps[lam]:
+            row = out.get(mu)
+            if row is None:
+                row = out[mu] = {}
+            get = row.get
+            for k2, c2 in t2:
+                for k1, c1 in t1:
+                    k = k1 + k2
+                    row[k] = get(k, 0) + c1 * c2
+    return out
 
 
 def _solve_linear(equations, nvars):
@@ -206,12 +269,6 @@ def _solve_linear(equations, nvars):
     return sol
 
 
-def _terms(m: ModuleElement) -> dict[tuple[str, int], int]:
-    """The integer coefficient of each v^k * label in m."""
-    return {(label, k): c for label, poly in m.coeffs.items()
-            for k, c in poly.terms.items()}
-
-
 def _solve_level(b, down, dual, hard: list[str]):
     """Determine D on the hard parameters of one length: those whose
     descents are all type-II real.  D is known below this length and on
@@ -220,12 +277,11 @@ def _solve_level(b, down, dual, hard: list[str]):
     The unknowns are the integer coefficients of v^k phi in D(gamma), for
     each hard gamma, each phi below it and each even k from -2l(gamma) to
     -2l(phi); the v^(-2l) gamma term is fixed.  The rows are affine in
-    them: D((T_s + 1)gamma) = u^(-1)(T_s + 1)D(gamma) at every descent s,
+    them: D((T_s + 1)gamma) = (E_s + 1)D(gamma) at every descent s,
     D(D(gamma)) = gamma, and each D(gamma)_phi vanishes at u = 1.  The
     solution must be unique and integral."""
     l = b.params[hard[0]].length
     where = f"at length {l}, parameters {', '.join(map(repr, hard))}"
-    top = {g: ModuleElement({g: LaurentPoly({-2 * l: 1})}) for g in hard}
     unknowns: list[tuple[str, str, int]] = []
     owned: dict[str, list[int]] = {g: [] for g in hard}
     equations = []
@@ -237,39 +293,53 @@ def _solve_level(b, down, dual, hard: list[str]):
                 unknowns.append((g, phi, k))
             equations.append(({j: 1 for j in range(first, len(unknowns))}, 0))
 
-    def unit(j: int) -> ModuleElement:
+    def add(into: dict, x: dict[str, dict[int, int]], terms) -> dict:
+        """into += x * sum of c v^k over terms, keyed (label, exponent)."""
+        for lab, t in x.items():
+            for k1, c1 in t.items():
+                for k2, c2 in terms:
+                    key = (lab, k1 + k2)
+                    into[key] = into.get(key, 0) + c1 * c2
+        return into
+
+    def lowered(into: dict, steps: _Steps, x: dict[str, dict[int, int]]) -> dict:
+        """into -= (E_s + 1) x."""
+        return add(add(into, _step(steps, x), ((0, -1),)), x, ((0, -1),))
+
+    def unit(j: int) -> dict[str, dict[int, int]]:
         _, phi, k = unknowns[j]
-        return ModuleElement({phi: LaurentPoly({k: 1})})
+        return {phi: {k: 1}}
 
-    def add_rows(const: ModuleElement, columns: dict[int, ModuleElement]):
-        """The rows const + sum_j x_j columns[j] = 0, one per v^k label."""
-        cols = {j: _terms(e) for j, e in columns.items()}
-        rhs = _terms(const)
-        for key in sorted(set(rhs).union(*cols.values())):
-            equations.append(({j: col[key] for j, col in cols.items()
-                               if key in col}, -rhs.get(key, 0)))
+    def add_rows(const: dict, columns: dict[int, dict]):
+        """The rows const + sum_j x_j columns[j] = 0, one per (label, k)."""
+        for key in sorted(set(const).union(*columns.values())):
+            f = {j: c for j, col in columns.items() if (c := col.get(key))}
+            rhs = -const.get(key, 0)
+            if f or rhs:
+                equations.append((f, rhs))
 
-    u_to_l = LaurentPoly({2 * l: 1})
+    top = {g: {g: {-2 * l: 1}} for g in hard}
     for g in hard:
-        # D((T_s + 1)g) - u^(-1)(T_s + 1)D(g) = 0 at each descent s.
+        # D((T_s + 1)g) - (E_s + 1)D(g) = 0 at each descent s.
         for s, st in enumerate(b.param(g).status):
             if st is not SimpleStatus.RP2:
                 continue
-            const = -_ts_plus_one_over_u(b, s, top[g])
-            columns = {j: -_ts_plus_one_over_u(b, s, unit(j)) for j in owned[g]}
-            for lab, poly in (apply_T(b, s, g) + basis(g)).coeffs.items():
-                c = poly.bar()
+            steps = _steps(b, s)
+            const = lowered({}, steps, top[g])
+            columns = {j: lowered({}, steps, unit(j)) for j in owned[g]}
+            for lab, t in _tp1(b, s, g).items():
+                c = [(-k, x) for k, x in t.items()]
                 if lab not in owned:
-                    const = const + dual[lab].scale(c)
+                    add(const, dual[lab], c)
                     continue
-                const = const + top[lab].scale(c)
+                add(const, top[lab], c)
                 for j in owned[lab]:
-                    columns[j] = columns.get(j, ModuleElement()) + unit(j).scale(c)
+                    add(columns.setdefault(j, {}), unit(j), c)
             add_rows(const, columns)
         # D(D(g)) - g = 0; u^l D(top) = g, so only the unknowns remain.
-        add_rows(ModuleElement(), {
-            j: unit(j).scale(u_to_l)
-            + dual[unknowns[j][1]].scale(LaurentPoly({-unknowns[j][2]: 1}))
+        add_rows({}, {
+            j: add(add({}, unit(j), ((2 * l, 1),)),
+                   dual[unknowns[j][1]], ((-unknowns[j][2], 1),))
             for j in owned[g]})
 
     try:
@@ -282,7 +352,8 @@ def _solve_level(b, down, dual, hard: list[str]):
             f"rank {len(unknowns)} {where}")
     dual.update(top)
     for (g, phi, k), x in zip(unknowns, sol):
-        dual[g] = dual[g] + ModuleElement({phi: LaurentPoly({k: int(x)})})
+        if x:
+            dual[g].setdefault(phi, {})[k] = int(x)
 
 
 def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
@@ -291,7 +362,7 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
     parameters whose descents are all type-II real."""
     down = compute_order(b, block)
     order = tuple(sorted(block, key=_sort_key(b)))
-    dual: dict[str, ModuleElement] = {}
+    dual: dict[str, dict[str, dict[int, int]]] = {}
     for _, level in itertools.groupby(order, key=lambda g: b.params[g].length):
         hard = []
         for gamma in level:
@@ -300,29 +371,33 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
             cd = lowest.get(SimpleStatus.COMPLEX_DESCENT)
             rp1 = lowest.get(SimpleStatus.RP1)
             if cd is not None:
-                g2 = p.cross[cd]
-                dual[gamma] = _ts_plus_one_over_u(b, cd, dual[g2]) - dual[g2]
+                dual[gamma] = _nonzero(_step(_steps(b, cd), dual[p.cross[cd]]))
             elif rp1 is not None:
                 lo1, lo2 = sorted(p.cayley[rp1])
-                dual[gamma] = (_ts_plus_one_over_u(b, rp1, dual[lo1])
-                               - dual[lo1] - dual[lo2])
+                d = _step(_steps(b, rp1), dual[lo1])
+                for lab, t in dual[lo2].items():
+                    row = d.setdefault(lab, {})
+                    for k, c in t.items():
+                        row[k] = row.get(k, 0) - c
+                dual[gamma] = _nonzero(d)
             elif SimpleStatus.RP2 in lowest:
                 hard.append(gamma)
             else:
-                dual[gamma] = basis(gamma).scale(LaurentPoly({-2 * p.length: 1}))
+                dual[gamma] = {gamma: {-2 * p.length: 1}}
         if hard:
             _solve_level(b, down, dual, hard)
 
     entries: dict[tuple[str, str], LaurentPoly] = {}
     for gamma in order:
         lg = b.params[gamma].length
-        for phi, poly in dual[gamma].coeffs.items():
+        for phi, t in dual[gamma].items():
             if phi not in down[gamma]:
                 raise DualityError(
                     "duality system inconsistent or non-unique: "
                     f"D({gamma!r}) has a term at {phi!r} outside its down-set")
             sign = -1 if (lg - b.params[phi].length) % 2 else 1
-            entries[(phi, gamma)] = poly.shifted(2 * lg) * sign
+            entries[(phi, gamma)] = LaurentPoly._trusted(
+                {k + 2 * lg: sign * c for k, c in t.items()})
     return RMatrix(order=order, entries=entries, down=down)
 
 
@@ -460,11 +535,7 @@ class _PackedDuality:
         T_s + 1 and u^(-1)(T_s + 1) multiplied by u."""
         b, lens, step = self.b, self.lens, self.step
         # tp1[s][x]: label -> terms of the coefficient of (T_s + 1)x there
-        tp1 = []
-        for s in range(len(b.simples)):
-            tp1.append({x: {lab: p.terms
-                            for lab, p in (apply_T(b, s, x) + basis(x)).coeffs.items()}
-                        for x in self.order})
+        tp1 = [{x: _tp1(b, s, x) for x in self.order} for s in range(len(b.simples))]
         row_l1 = max((sum(map(_l1, t.values())) for rows in tp1
                       for t in rows.values()), default=0)
         col_l1 = 0
@@ -646,11 +717,15 @@ def multiplicities(b: BlockData, p: PMatrix) -> MultMatrices:
         inv[i] = {j: x for j, x in acc.items() if x}
     for i, row in enumerate(rows):
         row[i] = 1
-    return MultMatrices(
-        order=order,
-        M=tuple(tuple(row.get(j, 0) for j in range(n)) for row in rows),
-        m=tuple(tuple(row.get(j, 0) for j in range(n)) for row in inv),
-    )
+
+    def dense(row: dict[int, int]) -> tuple[int, ...]:
+        full = [0] * n
+        for j, x in row.items():
+            full[j] = x
+        return tuple(full)
+
+    return MultMatrices(order=order, M=tuple(map(dense, rows)),
+                        m=tuple(map(dense, inv)))
 
 
 # ---------------------------------------------------------------------------

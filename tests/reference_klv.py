@@ -3,16 +3,20 @@ multiplicity inverse, kept only for the tests.
 
 These are the straightforward versions: `T_basis` builds T_s of a basis
 label afresh on every call, `apply_T` and `apply_D` fold
-`out = out + term` over the input's support, `verify_duality` and
-`compute_P` apply D to whole module elements and sum one `LaurentPoly`
-product per pair, and the inverse of M is a dense back-substitution.
-The library's versions must agree with them exactly.
+`out = out + term` over the input's support, `check_quadratic`,
+`compute_order` and `compute_duality` run on whole module elements,
+`verify_duality` and `compute_P` apply D to whole module elements and sum
+one `LaurentPoly` product per pair, and the inverse of M is a dense
+back-substitution.  The library's versions must agree with them exactly.
 """
+
+import itertools
 
 from klvkit.blockdata import SimpleStatus
 from klvkit.hecke import ModuleElement, basis
-from klvkit.klv import MultMatrices, PMatrix, PSolveError
-from klvkit.laurent import ONE, U, ZERO, LaurentPoly
+from klvkit.klv import (DualityError, MultMatrices, PMatrix, PSolveError,
+                        RMatrix, _descent_targets, _solve_linear, _sort_key)
+from klvkit.laurent import ONE, U, U_INV, ZERO, LaurentPoly
 
 
 def T_basis(b, s, label):
@@ -50,6 +54,149 @@ def apply_T(b, s, m):
     return out
 
 
+def check_quadratic(b):
+    for s in range(len(b.simples)):
+        for label in b.sorted_labels():
+            te = apply_T(b, s, basis(label))
+            lhs = apply_T(b, s, te) - te.scale(U - ONE) - basis(label).scale(U)
+            if not lhs.is_zero():
+                return False, (s, label)
+    return True, None
+
+
+def compute_order(b, block):
+    members = set(block)
+    down = {}
+    for label in sorted(block, key=_sort_key(b)):
+        p = b.param(label)
+        dset = {label}
+        for s in range(len(b.simples)):
+            targets = _descent_targets(b, label, s)
+            if not targets:
+                continue
+            acc = set()
+            for t in targets:
+                acc |= down[t]
+            clo = set(acc)
+            for psi in acc:
+                clo |= T_basis(b, s, psi).support()
+            for phi in clo:
+                if phi in members and b.params[phi].length < p.length:
+                    dset.add(phi)
+                    dset |= down[phi]
+        down[label] = frozenset(dset)
+    return down
+
+
+def ts_plus_one_over_u(b, s, m):
+    return (apply_T(b, s, m) + m).scale(U_INV)
+
+
+def _terms(m):
+    return {(label, k): c for label, poly in m.coeffs.items()
+            for k, c in poly.terms.items()}
+
+
+def _solve_level(b, down, dual, hard):
+    """D on the parameters of one length whose descents are all type-II
+    real, as one linear system over module elements."""
+    l = b.params[hard[0]].length
+    where = f"at length {l}, parameters {', '.join(map(repr, hard))}"
+    top = {g: ModuleElement({g: LaurentPoly({-2 * l: 1})}) for g in hard}
+    unknowns = []
+    owned = {g: [] for g in hard}
+    equations = []
+    for g in hard:
+        for phi in sorted(down[g] - {g}, key=_sort_key(b)):
+            first = len(unknowns)
+            for k in range(-2 * l, -2 * b.params[phi].length + 1, 2):
+                owned[g].append(len(unknowns))
+                unknowns.append((g, phi, k))
+            equations.append(({j: 1 for j in range(first, len(unknowns))}, 0))
+
+    def unit(j):
+        _, phi, k = unknowns[j]
+        return ModuleElement({phi: LaurentPoly({k: 1})})
+
+    def add_rows(const, columns):
+        cols = {j: _terms(e) for j, e in columns.items()}
+        rhs = _terms(const)
+        for key in sorted(set(rhs).union(*cols.values())):
+            equations.append(({j: col[key] for j, col in cols.items()
+                               if key in col}, -rhs.get(key, 0)))
+
+    u_to_l = LaurentPoly({2 * l: 1})
+    for g in hard:
+        for s, st in enumerate(b.param(g).status):
+            if st is not SimpleStatus.RP2:
+                continue
+            const = -ts_plus_one_over_u(b, s, top[g])
+            columns = {j: -ts_plus_one_over_u(b, s, unit(j)) for j in owned[g]}
+            for lab, poly in (apply_T(b, s, basis(g)) + basis(g)).coeffs.items():
+                c = poly.bar()
+                if lab not in owned:
+                    const = const + dual[lab].scale(c)
+                    continue
+                const = const + top[lab].scale(c)
+                for j in owned[lab]:
+                    columns[j] = columns.get(j, ModuleElement()) + unit(j).scale(c)
+            add_rows(const, columns)
+        add_rows(ModuleElement(), {
+            j: unit(j).scale(u_to_l)
+            + dual[unknowns[j][1]].scale(LaurentPoly({-unknowns[j][2]: 1}))
+            for j in owned[g]})
+
+    try:
+        sol = _solve_linear(equations, len(unknowns))
+    except DualityError as exc:
+        raise DualityError(f"{exc} {where}") from None
+    if any(x.denominator != 1 for x in sol):
+        raise DualityError(
+            f"duality system non-integral: {len(unknowns)} unknowns, "
+            f"rank {len(unknowns)} {where}")
+    dual.update(top)
+    for (g, phi, k), x in zip(unknowns, sol):
+        dual[g] = dual[g] + ModuleElement({phi: LaurentPoly({k: int(x)})})
+
+
+def compute_duality(b, block):
+    down = compute_order(b, block)
+    order = tuple(sorted(block, key=_sort_key(b)))
+    dual = {}
+    for _, level in itertools.groupby(order, key=lambda g: b.params[g].length):
+        hard = []
+        for gamma in level:
+            p = b.param(gamma)
+            lowest = {st: s for s, st in reversed(list(enumerate(p.status)))}
+            cd = lowest.get(SimpleStatus.COMPLEX_DESCENT)
+            rp1 = lowest.get(SimpleStatus.RP1)
+            if cd is not None:
+                g2 = p.cross[cd]
+                dual[gamma] = ts_plus_one_over_u(b, cd, dual[g2]) - dual[g2]
+            elif rp1 is not None:
+                lo1, lo2 = sorted(p.cayley[rp1])
+                dual[gamma] = (ts_plus_one_over_u(b, rp1, dual[lo1])
+                               - dual[lo1] - dual[lo2])
+            elif SimpleStatus.RP2 in lowest:
+                hard.append(gamma)
+            else:
+                dual[gamma] = basis(gamma).scale(LaurentPoly({-2 * p.length: 1}))
+        if hard:
+            _solve_level(b, down, dual, hard)
+
+    entries = {}
+    for gamma in order:
+        lg = b.params[gamma].length
+        for phi, poly in dual[gamma].coeffs.items():
+            if phi not in down[gamma]:
+                raise DualityError(
+                    "duality system inconsistent or non-unique: "
+                    f"D({gamma!r}) has a term at {phi!r} outside its down-set")
+            sign = -1 if (lg - b.params[phi].length) % 2 else 1
+            entries[(phi, gamma)] = poly.shifted(2 * lg) * sign
+    return RMatrix(order=order, entries=entries, down=down)
+
+
 def apply_D(dual, m):
     out = ModuleElement()
     for label, poly in m.coeffs.items():
@@ -67,10 +214,6 @@ def duality_map(b, r):
         sign = -1 if (lg - b.params[phi].length) % 2 else 1
         coeffs[gamma][phi] = (poly * sign).shifted(-2 * lg)
     return {gamma: ModuleElement(c) for gamma, c in coeffs.items()}
-
-
-def ts_plus_one_over_u(b, s, m):
-    return (apply_T(b, s, m) + m).scale(LaurentPoly({-2: 1}))
 
 
 def verify_duality(b, r):

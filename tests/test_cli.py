@@ -14,7 +14,7 @@ from klvkit.blockdata import (
     generate_complex_block,
     product_block,
 )
-from klvkit import klv, rootdata
+from klvkit import cli, klv, rootdata
 from klvkit.cli import run
 
 from test_blockdata import _doc_with
@@ -125,6 +125,9 @@ def test_mutated_block_files_never_raise(tmp_path_factory, labels_doc):
         for command in ("blocks", "validate", "klv"):
             assert run([command, str(p)]) in (0, 1, 2), command
         assert run(["induce", str(p), str(p), str(ident)]) in (0, 1, 2)
+        for label in labels:
+            assert run(["hecke-apply", str(p), "--simple", "0",
+                        "--label", label]) in (0, 1, 2), label
 
 
 def test_hecke_apply(capsys):
@@ -133,6 +136,20 @@ def test_hecke_apply(capsys):
     assert code == 0
     assert rep["result"] == {"P": "-2 + 1*v^2", "D+": "-1 + 1*v^2",
                              "D-": "-1 + 1*v^2"}
+
+
+def test_hecke_apply_reports_violations_of_an_invalid_block(capsys, tmp_path):
+    """An NCI2 parameter with one Cayley target once ended in a ValueError
+    from T_s with a traceback; hecke-apply validates first, as blocks
+    does."""
+    path = _written(tmp_path, "nci2.json", _doc_with(
+        block_to_json(builtin_nci2_block()), "D", cayley=[["nope"]]))
+    code, rep = _run(capsys, "hecke-apply", path, "--simple", "0", "--label", "D")
+    assert code == 1
+    assert "result" not in rep
+    assert rep["violations"] == [{
+        "axiom": "AX_UNKNOWN_LABEL", "label": "D", "simple": 0,
+        "message": "cayley target 'nope' is not in the block"}]
 
 
 def test_klv_golden_with_check(capsys):
@@ -444,3 +461,42 @@ def test_reports_are_deterministic(capsys):
     assert first == second == 0 and out1 == out2
     assert out1.endswith("\n")
     assert json.dumps(json.loads(out1), sort_keys=True, indent=2) + "\n" == out1
+
+
+# ---------------------------------------------------------------------------
+# The report renderer against json.dumps(x, sort_keys=True, indent=2).
+
+_odd_strings = st.sampled_from(
+    ["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "ü|ß", " ",
+     "日本", "\U0001f600", "\ud800", "a|b"])
+_strings = st.one_of(st.text(max_size=8), _odd_strings)
+_leaves = st.one_of(
+    st.none(), st.booleans(), _strings,
+    st.integers(), st.integers(-(1 << 200), 1 << 200),
+    st.floats(allow_nan=True, allow_infinity=True))
+_int_lists = st.lists(st.integers(-(1 << 70), 1 << 70))
+_trees = st.recursive(
+    st.one_of(_leaves, _int_lists, _int_lists.map(tuple),
+              st.lists(_int_lists.map(tuple)).map(tuple)),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(_strings, kids, max_size=5),
+        st.dictionaries(st.integers(), kids, max_size=3),
+        st.dictionaries(st.booleans(), kids, max_size=2),
+        st.dictionaries(st.floats(), kids, max_size=2)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+def test_render_matches_json_dumps(x):
+    assert cli._render(x, "") == json.dumps(x, sort_keys=True, indent=2)
+
+
+def test_render_rejects_what_json_rejects():
+    for bad in ({"a": {1, 2}}, [object()], {(1, 2): 0}, {"a": 1, 2: 0}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._render(bad, "")

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klvkit.blockdata import (
     block_from_json,
@@ -131,3 +133,27 @@ def test_T_table_is_built_once_and_matches_per_call_reference():
             apply_T(b, len(b.simples), label)
         with pytest.raises(ValueError, match="unknown label: nope"):
             apply_T(b, len(b.simples), "nope")
+
+
+_QUADRATIC_BLOCKS = [
+    builtin_sl2r_block(), builtin_nci2_block(),
+    generate_complex_block(("s1", "s2"), ((1, 4), (4, 1))),
+    product_block(builtin_sl2r_block(), block_from_json(
+        {**block_to_json(builtin_nci2_block()), "simples": ["t"]})),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(_QUADRATIC_BLOCKS))), st.data())
+def test_quadratic_matches_module_reference(i, data):
+    """On valid blocks and on blocks with up to three (label, simple)
+    statuses changed to one whose T_s reads only the label and its cross
+    target: the same verdict and the same first (simple, label)."""
+    doc = block_to_json(_QUADRATIC_BLOCKS[i])
+    for _ in range(data.draw(st.integers(0, 3))):
+        rec = data.draw(st.sampled_from(doc["params"]))
+        s = data.draw(st.integers(0, len(doc["simples"]) - 1))
+        rec["status"][s] = data.draw(st.sampled_from(
+            ["CompactImaginary", "RealNonparity", "ComplexAscent", "ComplexDescent"]))
+    b = block_from_json(doc)
+    assert check_quadratic(b) == reference_klv.check_quadratic(b)

@@ -405,7 +405,7 @@ def test_module_actions_match_fold_reference(name, data):
     apply_D = reference_klv.apply_D
     assert apply_D(dual, apply_D(dual, m)) == m
     lhs = apply_D(dual, apply_T(b, s, m) + m)
-    assert lhs == klv._ts_plus_one_over_u(b, s, apply_D(dual, m))
+    assert lhs == reference_klv.ts_plus_one_over_u(b, s, apply_D(dual, m))
 
 
 # ---------------------------------------------------------------------------
@@ -586,3 +586,47 @@ def test_solve_block_shares_one_solve():
         assert (res.order, res.down, res.r, res.p) == (r.order, r.down, r, p)
         assert (res.M, res.m) == (mm.M, mm.m)
         assert klv.solve_block(b, blk).verified is None
+
+
+# ---------------------------------------------------------------------------
+# compute_duality and compute_order on integer tables against the
+# module-element references.
+
+_REFERENCE_BLOCKS = {
+    "A3": _MODULE_BLOCKS["A3"],
+    "B2xsl2r": _MODULE_BLOCKS["B2xsl2r"],
+    "sl2rxnci2xA1": lambda: functools.reduce(product_block, [
+        _FACTORS["sl2r"]("a"), _FACTORS["nci2"]("b"), _FACTORS["A1"]("c")]),
+    "nci2xnci2": _MODULE_BLOCKS["nci2xnci2"],
+}
+
+
+def _relabelled(b, names, order):
+    """b with label i of sorted(b.params) renamed names[i] and its
+    parameters listed in the given order."""
+    labels = sorted(b.params)
+    new = dict(zip(labels, names))
+    doc = block_to_json(b)
+    for rec in doc["params"]:
+        rec["label"] = new[rec["label"]]
+        rec["cross"] = [new[x] for x in rec["cross"]]
+        rec["cayley"] = [[new[x] for x in c] if c else c for c in rec["cayley"]]
+    doc["params"] = [doc["params"][i] for i in order]
+    return block_from_json(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_REFERENCE_BLOCKS)), st.data())
+def test_duality_and_order_match_module_references(name, data):
+    """Direct (complex), type-I and type-II levels, with the labels
+    renamed so that the order breaks its length ties differently and the
+    parameters listed in another order."""
+    base = _REFERENCE_BLOCKS[name]()
+    n = len(base.params)
+    names = data.draw(st.permutations([f"q{i:02d}" for i in range(n)]))
+    order = data.draw(st.permutations(range(n)))
+    b = _relabelled(base, names, order)
+    for blk in partition_blocks(b):
+        blk = data.draw(st.permutations(blk))
+        assert compute_order(b, blk) == reference_klv.compute_order(b, blk)
+        assert compute_duality(b, blk) == reference_klv.compute_duality(b, blk)
