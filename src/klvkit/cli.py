@@ -336,7 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("klv", help="R/P polynomials and multiplicity matrices")
     p.add_argument("block")
     p.add_argument("--check", action="store_true",
-                   help="also run the duality, quadratic, and braid validators")
+                   help="also certify the duality of each class and check the "
+                        "braid relations (the quadratic relation is always checked)")
     p.set_defaults(func=_cmd_klv)
 
     p = sub.add_parser("induce", help="verify a label map and emit verdicts")

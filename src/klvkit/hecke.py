@@ -203,17 +203,44 @@ def check_quadratic(b: BlockData):
     return True, None
 
 
+def _times(rows: dict[str, list[tuple[str, int]]], x: dict[str, int]) -> dict[str, int]:
+    """T x for an element x and T given as packed rows label -> [(mu, c)]."""
+    out: dict[str, int] = {}
+    get = out.get
+    for lam, a in x.items():
+        for mu, c in rows[lam]:
+            out[mu] = get(mu, 0) + a * c
+    return out
+
+
 def check_braid(b: BlockData, s: int, t: int) -> bool:
-    """Alternating products T_s T_t ... of length m(s,t) agree."""
+    """Alternating products T_s T_t ... of length m(s,t) agree on every
+    basis label.
+
+    The products run on the integer T rows with each coefficient packed
+    as one Python int in powers of u: c_0 + c_1 u + ... becomes
+    c_0 + c_1 2^w + ....  Applying T_s multiplies the L1 norm of an
+    element (the sum of |c| over its labels and terms) by at most L, the
+    largest L1 norm of a row of T_s or T_t, so no coefficient of a
+    product of m factors applied to a label exceeds L^m.  With
+    L^m < 2^(w-1) each coefficient is one balanced base-2^w digit, so two
+    packed products are equal exactly when their coefficients are."""
     if s == t:
         return True
     m = b.braid_order(s, t)
-    for label in b.sorted_labels():
-        lhs, rhs = basis(label), basis(label)
-        gen_l, gen_r = (s, t), (t, s)
+    labels = b.sorted_labels()
+    rows = {x: _T_rows(b, x) for x in (s, t)}
+    top = max((sum(abs(c) for p in rows[x][lab].values() for c in p.values())
+               for x in (s, t) for lab in labels), default=0)
+    w = (top ** m).bit_length() + 1
+    packed = {x: {lab: [(mu, sum(c << w * (k // 2) for k, c in p.items()))
+                        for mu, p in rows[x][lab].items()] for lab in labels}
+              for x in (s, t)}
+    for label in labels:
+        lhs = rhs = {label: 1}
         for i in range(m):
-            lhs = apply_T(b, gen_l[i % 2], lhs)
-            rhs = apply_T(b, gen_r[i % 2], rhs)
-        if lhs != rhs:
+            lhs = _times(packed[(s, t)[i % 2]], lhs)
+            rhs = _times(packed[(t, s)[i % 2]], rhs)
+        if {mu: c for mu, c in lhs.items() if c} != {mu: c for mu, c in rhs.items() if c}:
             return False
     return True

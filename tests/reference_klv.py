@@ -4,9 +4,10 @@ multiplicity inverse, kept only for the tests.
 These are the straightforward versions: `T_basis` builds T_s of a basis
 label afresh on every call, `apply_T` and `apply_D` fold
 `out = out + term` over the input's support, `check_quadratic`,
-`compute_order` and `compute_duality` run on whole module elements,
-`verify_duality` and `compute_P` apply D to whole module elements and sum
-one `LaurentPoly` product per pair, and the inverse of M is a dense
+`check_braid`, `compute_order` and `compute_duality` run on whole module
+elements, `verify_duality` and `compute_P` apply D to whole module
+elements and sum one `LaurentPoly` product per pair, `verify_duality`
+checks D^2 = Id at every parameter, and the inverse of M is a dense
 back-substitution.  The library's versions must agree with them exactly.
 """
 
@@ -62,6 +63,23 @@ def check_quadratic(b):
             if not lhs.is_zero():
                 return False, (s, label)
     return True, None
+
+
+def check_braid(b, s, t):
+    """The braid relation on whole module elements: the alternating
+    products T_s T_t ... and T_t T_s ... of length m(s, t) agree on every
+    basis label."""
+    if s == t:
+        return True
+    m = b.braid_order(s, t)
+    for label in b.sorted_labels():
+        lhs, rhs = basis(label), basis(label)
+        for i in range(m):
+            lhs = apply_T(b, (s, t)[i % 2], lhs)
+            rhs = apply_T(b, (t, s)[i % 2], rhs)
+        if lhs != rhs:
+            return False
+    return True
 
 
 def compute_order(b, block):

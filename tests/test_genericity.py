@@ -272,6 +272,26 @@ def test_arrangement_lists_each_family_once():
     assert [f.kind for f in fams] == ["IntegerCoset", "Zero"]
 
 
+def test_arrangement_families_may_cover_the_same_planes():
+    """Each family stands for the condition of one nilradical root, so
+    families of different roots may name the same planes.  On B2 at
+    xi_m = (1, 0) the three roots pair to 0, 1 and 2 with xi_m: three
+    integer cosets of functional (2) with equal members, and two
+    hyperplanes that lie inside them.  Merging them would change the
+    report."""
+    d, lv = rootdatum_from_json(B2)
+    fams = emit_arrangement(d, lv, gvec([1, 0]), (-2, 2))
+    members = ["-2", "-1", "0", "1", "2"]
+    assert [f.to_json() for f in fams] == [
+        {"kind": "IntegerCoset", "functional": [2], "offset": "0", "members": members},
+        {"kind": "Zero", "functional": [2]},
+        {"kind": "IntegerCoset", "functional": [2], "offset": "1", "members": members},
+        {"kind": "IntegerCoset", "functional": [2], "offset": "2", "members": members},
+        {"kind": "Hyperplane", "functional": [2], "members": ["-1"]},
+        {"kind": "Hyperplane", "functional": [2], "members": ["-2"]},
+    ]
+
+
 # ---------------------------------------------------------------------------
 # The arrangement against the paper's theorem: i_P^G(pi_M x chi_nu) is
 # irreducible for every nu off a locally finite union of hyperplanes.

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from klvkit.hecke import ModuleElement, apply_T, basis, check_braid, check_quadr
 from klvkit.laurent import ONE, U, LaurentPoly
 
 import reference_klv
+from test_klv import _REFERENCE_BLOCKS
 
 U1 = U - ONE
 
@@ -157,3 +160,42 @@ def test_quadratic_matches_module_reference(i, data):
             ["CompactImaginary", "RealNonparity", "ComplexAscent", "ComplexDescent"]))
     b = block_from_json(doc)
     assert check_quadratic(b) == reference_klv.check_quadratic(b)
+
+
+def _with_braid_order(b, i, j, m):
+    """b with the braid order of simples i and j set to m."""
+    doc = block_to_json(b)
+    doc["braid"][i][j] = doc["braid"][j][i] = m
+    return block_from_json(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_REFERENCE_BLOCKS)), st.data())
+def test_braid_matches_module_reference(name, data):
+    """On valid blocks, and on the same blocks with one off-diagonal
+    braid order replaced by another of 2, 3, 4 and 6: the packed check
+    gives the verdict of the module-element reference for every pair."""
+    b = _REFERENCE_BLOCKS[name]()
+    n = len(b.simples)
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+        m = data.draw(st.sampled_from([x for x in (2, 3, 4, 6) if x != b.braid[i][j]]))
+        b = _with_braid_order(b, i, j, m)
+    for s, t in itertools.product(range(n), repeat=2):
+        assert check_braid(b, s, t) == reference_klv.check_braid(b, s, t)
+
+
+def test_braid_relation_fails_with_a_wrong_order():
+    a3 = _REFERENCE_BLOCKS["A3"]()
+    assert all(check_braid(a3, s, t) for s in range(3) for t in range(3))
+    # T_1 T_2 != T_2 T_1 and T_1 T_3 T_1 != T_3 T_1 T_3
+    for i, j, m in ((0, 1, 2), (0, 2, 3), (1, 2, 4)):
+        bad = _with_braid_order(a3, i, j, m)
+        assert not check_braid(bad, i, j) and not check_braid(bad, j, i)
+        assert not reference_klv.check_braid(bad, i, j)
+    # (T_1 T_2)^3 = T_w0^2 = (T_2 T_1)^3 in type A2, so 6 still holds
+    assert check_braid(_with_braid_order(a3, 0, 1, 6), 0, 1)
+    nci2 = _with_braid_order(_REFERENCE_BLOCKS["nci2xnci2"](), 0, 1, 3)
+    assert not check_braid(nci2, 0, 1)
+    assert not reference_klv.check_braid(nci2, 0, 1)
+

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from klvkit.blockdata import (
     BlockData,
     Parameter,
+    SimpleStatus,
     block_from_json,
     block_to_json,
     builtin_nci2_block,
@@ -630,3 +631,94 @@ def test_duality_and_order_match_module_references(name, data):
         blk = data.draw(st.permutations(blk))
         assert compute_order(b, blk) == reference_klv.compute_order(b, blk)
         assert compute_duality(b, blk) == reference_klv.compute_duality(b, blk)
+
+
+# ---------------------------------------------------------------------------
+# D^2 = Id is checked only at the generators of a class; intertwining
+# carries it to the derived parameters.
+
+def _descents(b, gamma):
+    return {st for st in b.params[gamma].status if st in (
+        SimpleStatus.COMPLEX_DESCENT, SimpleStatus.RP1, SimpleStatus.RP2)}
+
+
+def test_generators_of_a_complex_block_are_its_minimal_element():
+    b = _REFERENCE_BLOCKS["A3"]()
+    (blk,) = partition_blocks(b)
+    order = sorted(blk, key=lambda x: (b.params[x].length, x))
+    assert klv._generators(b, order) == ["e"] == order[:1]
+
+
+def test_generators_without_simples_are_every_label():
+    b = _rank_zero_block({"a": 0, "b": 1, "c": 2, "d": 2})
+    assert klv._generators(b, ["a", "b", "c", "d"]) == ["a", "b", "c", "d"]
+
+
+def test_generators_of_nci2xnci2_are_its_minimal_and_type2_parameters():
+    b = _REFERENCE_BLOCKS["nci2xnci2"]()
+    (blk,) = partition_blocks(b)
+    order = sorted(blk, key=lambda x: (b.params[x].length, x))
+    want = [g for g in order
+            if not _descents(b, g) or _descents(b, g) == {SimpleStatus.RP2}]
+    assert want[0] == order[0] and len(want) == len(order) == 9
+    assert klv._generators(b, order) == want
+
+
+@pytest.mark.parametrize("name", ["A3", "B2xsl2r", "sl2rxnci2xA1"])
+def test_verify_rejects_a_derived_column_through_intertwining(name):
+    """R(phi, gamma) + (u - 1) on the longest derived gamma keeps the
+    degree bound, the value at u = 1 and D^2 = Id at every generator, so
+    only intertwining can reject it."""
+    b = _REFERENCE_BLOCKS[name]()
+    for blk in partition_blocks(b):
+        r = compute_duality(b, blk)
+        gens = klv._generators(b, r.order)
+        gamma = [x for x in r.order if x not in gens][-1]
+        phi = r.order[0]
+        assert phi in r.down[gamma] and phi != gamma
+        bad = RMatrix(r.order, {**r.entries,
+                                (phi, gamma): r.entry(phi, gamma) + U - ONE}, r.down)
+        dual = reference_klv.duality_map(b, bad)
+        for g in gens:
+            assert reference_klv.apply_D(dual, dual[g]) == ModuleElement({g: ONE})
+        packed = klv._PackedDuality(b, bad)
+        assert packed.involutive() and not packed.intertwines()
+        assert not verify_duality(b, list(r.order), bad)
+        assert not reference_klv.verify_duality(b, bad)
+
+
+class _PackedChecksPass:
+    """Stands in for packed D, so that only the scalar checks decide."""
+
+    def involutive(self):
+        return True
+
+    def intertwines(self):
+        return True
+
+
+@pytest.mark.parametrize("change", [
+    "no diagonal", "odd exponent", "negative exponent", "degree", "u = 1"])
+def test_each_scalar_check_rejects_on_its_own(change):
+    """Each entry breaks exactly one of the checks of the one pass over
+    the terms of R; the packed checks are taken as passed."""
+    b = _REFERENCE_BLOCKS["A3"]()
+    (blk,) = partition_blocks(b)
+    r = compute_duality(b, blk)
+    assert verify_duality(b, blk, r, _PackedChecksPass())
+    gamma = r.order[-1]
+    phi = r.order[0]
+    n = b.params[gamma].length - b.params[phi].length
+    entries = dict(r.entries)
+    if change == "no diagonal":
+        del entries[(gamma, gamma)]
+    else:
+        delta = {"odd exponent": {1: 1, 3: -1},
+                 "negative exponent": {-2: 1, 0: -1},
+                 "degree": {2 * n + 2: 1, 0: -1},
+                 "u = 1": {0: 1}}[change]
+        entries[(phi, gamma)] = r.entry(phi, gamma) + LaurentPoly(delta)
+    bad = RMatrix(r.order, entries, r.down)
+    assert not verify_duality(b, blk, bad, _PackedChecksPass())
+    assert not verify_duality(b, blk, bad)
+    assert not reference_klv.verify_duality(b, bad)
