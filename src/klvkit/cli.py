@@ -171,7 +171,7 @@ def _cmd_hecke_apply(args) -> int:
     _emit(_report("hecke-apply", [args.block], {
         "simple": args.simple,
         "label": args.label,
-        "result": {k: str(p) for k, p in sorted(result.coeffs.items())},
+        "result": {k: str(p) for k, p in sorted(result.items())},
     }))
     return 0
 
@@ -253,6 +253,8 @@ def _cmd_arrangement(args) -> int:
         lo, hi = Fraction(args.window[0]), Fraction(args.window[1])
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in window: {args.window!r}") from None
     fams = genericity.emit_arrangement(d, lv, xi_m, (lo, hi))
     _emit(_report("arrangement", [args.rootdatum],
                   {"window": [str(lo), str(hi)],

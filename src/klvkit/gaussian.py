@@ -39,8 +39,11 @@ class GaussRat:
         m = _GR.match(text)
         if m is None or (m.group("re") is None and m.group("im") is None):
             raise ValueError(f"cannot parse Gaussian rational: {text!r}")
-        real = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-        imag = Fraction(m.group("im")) if m.group("im") else Fraction(0)
+        try:
+            real = Fraction(m.group("re")) if m.group("re") else Fraction(0)
+            imag = Fraction(m.group("im")) if m.group("im") else Fraction(0)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in Gaussian rational: {text!r}") from None
         return cls(real, imag)
 
     def __add__(self, other: "GaussRat") -> "GaussRat":

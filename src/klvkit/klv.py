@@ -11,7 +11,7 @@ with several type-II factors are solved as well.
 
 Each D(gamma) is a plain table label -> {v-exponent: coefficient}.  The
 recursions apply E_s = u^(-1)(T_s + 1) - 1 through integer rows built
-once per (s, label) from the block's shared T table and kept with the
+once per (s, label) from the block's shared T rows and kept with the
 block; the level systems read and write the same tables, and
 `LaurentPoly` objects are made only for the entries of the `RMatrix`.
 
@@ -239,10 +239,7 @@ def _solve_linear(equations, nvars):
     sol = [None] * nvars
     pivot_rows = []
     for var in range(nvars):
-        piv = next(
-            (i for i, (f, _) in enumerate(rows) if f.get(var)),
-            None,
-        )
+        piv = next((i for i, (f, _) in enumerate(rows) if f.get(var)), None)
         if piv is None:
             continue
         f, r = rows.pop(piv)
@@ -265,8 +262,7 @@ def _solve_linear(equations, nvars):
         raise DualityError(f"duality system inconsistent: {size}")
     if len(pivot_rows) < nvars:
         raise DualityError(f"duality system non-unique: {size}")
-    # Back substitution; each pivot row holds only its own and later
-    # variables.
+    # Back substitution: a pivot row holds its own and later variables.
     for var, f, r in reversed(pivot_rows):
         sol[var] = r - sum(c * sol[v] for v, c in f.items() if v != var)
     return sol
@@ -542,16 +538,7 @@ class _PackedDuality:
         b, lens, step = self.b, self.lens, self.step
         # tp1[s][x]: label -> terms of the coefficient of (T_s + 1)x there
         tp1 = [{x: _tp1(b, s, x) for x in self.order} for s in range(len(b.simples))]
-        row_l1 = max((sum(map(_l1, t.values())) for rows in tp1
-                      for t in rows.values()), default=0)
-        col_l1 = 0
-        for rows in tp1:
-            into: dict[str, int] = {}
-            for t in rows.values():
-                for lab, terms in t.items():
-                    into[lab] = into.get(lab, 0) + _l1(terms)
-            col_l1 = max(col_l1, max(into.values(), default=0))
-        w = self._fit(self.max_entry * (row_l1 + col_l1))
+        w = self._intertwining_width(tp1)
         plain = self._plain()
         for rows in tp1:
             # the coefficients of (T_s + 1)psi have exponents 0 to 2
@@ -578,6 +565,19 @@ class _PackedDuality:
                 if any(acc.values()):
                     return False
         return True
+
+    def _intertwining_width(self, tp1: list[dict]) -> int:
+        """Fit the width to `intertwines` on the tables tp1 of T_s + 1: the
+        bound is max entry times (row L1 + column L1) of T_s + 1."""
+        row_l1 = col_l1 = 0
+        for rows in tp1:
+            into: dict[str, int] = {}
+            for t in rows.values():
+                row_l1 = max(row_l1, sum(map(_l1, t.values())))
+                for lab, terms in t.items():
+                    into[lab] = into.get(lab, 0) + _l1(terms)
+            col_l1 = max([col_l1, *into.values()])
+        return self._fit(self.max_entry * (row_l1 + col_l1))
 
     def solve_P(self) -> PMatrix:
         """P, one column at a time; a column that finds the digits too

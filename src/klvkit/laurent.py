@@ -13,15 +13,11 @@ compares the tables, so it relies on this invariant.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 __all__ = ["LaurentPoly", "ZERO", "ONE", "V", "U", "U_INV", "MINUS_INF"]
 
 MINUS_INF = float("-inf")
-
-_TOKEN = re.compile(r"[+-]|(?:\d+\*?)?v(?:\^-?\d+)?|\d+")
-_TERM = re.compile(r"(?:(?P<coeff>\d+)\*?)?(?P<var>v(?:\^(?P<exp>-?\d+))?)?")
 
 
 class LaurentPoly:
@@ -45,11 +41,6 @@ class LaurentPoly:
         p = object.__new__(cls)
         p._t = t
         return p
-
-    @classmethod
-    def monomial(cls, coeff: int, half_exp: int = 0) -> "LaurentPoly":
-        """coeff * v^half_exp, i.e. coeff * u^(half_exp/2)."""
-        return cls({half_exp: coeff})
 
     @property
     def terms(self) -> dict[int, int]:
@@ -155,43 +146,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self._t!r})"
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        """Parse the rendering produced by __str__."""
-        s = text.strip()
-        if s in ("0", "-0"):
-            return ZERO
-        tokens = _TOKEN.findall(s)
-        if "".join(tokens) != s.replace(" ", ""):
-            raise ValueError(f"cannot parse polynomial: {text!r}")
-        terms: dict[int, int] = {}
-        sign = 1
-        pending_sign = False
-        for tok in tokens:
-            if tok == "+":
-                if pending_sign:
-                    raise ValueError(f"cannot parse polynomial: {text!r}")
-                sign, pending_sign = 1, True
-                continue
-            if tok == "-":
-                if pending_sign:
-                    raise ValueError(f"cannot parse polynomial: {text!r}")
-                sign, pending_sign = -1, True
-                continue
-            m = _TERM.fullmatch(tok)
-            if m is None or (m.group("coeff") is None and m.group("var") is None):
-                raise ValueError(f"cannot parse polynomial: {text!r}")
-            c = int(m.group("coeff")) if m.group("coeff") else 1
-            if m.group("var"):
-                k = int(m.group("exp")) if m.group("exp") else 1
-            else:
-                k = 0
-            terms[k] = terms.get(k, 0) + sign * c
-            sign, pending_sign = 1, False
-        if pending_sign:
-            raise ValueError(f"cannot parse polynomial: {text!r}")
-        return cls(terms)
 
 
 ZERO = LaurentPoly()

@@ -1,23 +1,86 @@
 """Slow references for klvkit's Hecke action, duality map, P-solve and
 multiplicity inverse, kept only for the tests.
 
-These are the straightforward versions: `T_basis` builds T_s of a basis
-label afresh on every call, `apply_T` and `apply_D` fold
-`out = out + term` over the input's support, `check_quadratic`,
-`check_braid`, `compute_order` and `compute_duality` run on whole module
-elements, `verify_duality` and `compute_P` apply D to whole module
-elements and sum one `LaurentPoly` product per pair, `verify_duality`
-checks D^2 = Id at every parameter, and the inverse of M is a dense
-back-substitution.  The library's versions must agree with them exactly.
+They are written in `ModuleElement`, a sparse element label ->
+LaurentPoly of the block module.  These are the straightforward
+versions: `T_basis` builds T_s of a basis label afresh on every call,
+`apply_T` and `apply_D` fold `out = out + term` over the input's
+support, `check_quadratic`, `check_braid`, `compute_order` and
+`compute_duality` run on whole module elements, `verify_duality` and
+`compute_P` apply D to whole module elements and sum one `LaurentPoly`
+product per pair, `verify_duality` checks D^2 = Id at every parameter,
+and the inverse of M is a dense back-substitution.  The library's
+versions must agree with them exactly.
 """
 
 import itertools
 
 from klvkit.blockdata import SimpleStatus
-from klvkit.hecke import ModuleElement, basis
 from klvkit.klv import (DualityError, MultMatrices, PMatrix, PSolveError,
                         RMatrix, _descent_targets, _solve_linear, _sort_key)
 from klvkit.laurent import ONE, U, U_INV, ZERO, LaurentPoly
+
+
+class ModuleElement:
+    """Sparse element of the block module: label -> LaurentPoly."""
+
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs: dict[str, LaurentPoly] | None = None):
+        c = {}
+        if coeffs:
+            for k, p in coeffs.items():
+                if p:
+                    c[k] = p
+        self._c = c
+
+    @property
+    def coeffs(self) -> dict[str, LaurentPoly]:
+        return dict(self._c)
+
+    def coeff(self, label: str) -> LaurentPoly:
+        return self._c.get(label, ZERO)
+
+    def support(self) -> set[str]:
+        return set(self._c)
+
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ModuleElement) and self._c == other._c
+
+    def __hash__(self):
+        return hash(tuple(sorted(self._c.items())))
+
+    def __add__(self, other: "ModuleElement") -> "ModuleElement":
+        c = dict(self._c)
+        for k, p in other._c.items():
+            c[k] = c.get(k, ZERO) + p
+        return ModuleElement(c)
+
+    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
+        c = dict(self._c)
+        for k, p in other._c.items():
+            c[k] = c.get(k, ZERO) - p
+        return ModuleElement(c)
+
+    def __neg__(self) -> "ModuleElement":
+        return ModuleElement({k: -p for k, p in self._c.items()})
+
+    def scale(self, poly: LaurentPoly) -> "ModuleElement":
+        return ModuleElement({k: p * poly for k, p in self._c.items()})
+
+    def __str__(self) -> str:
+        if not self._c:
+            return "0"
+        return " + ".join(f"({self._c[k]})*{k}" for k in sorted(self._c))
+
+    __repr__ = __str__
+
+
+def basis(label: str) -> ModuleElement:
+    return ModuleElement({label: ONE})
 
 
 def T_basis(b, s, label):

@@ -284,6 +284,20 @@ def test_translate_check(capsys, tmp_path, sl2_path):
     assert rep["square_commutes"] is False and rep["witness"] == "a"
 
 
+@pytest.mark.parametrize("argv", [
+    ["generic", "--xi-m", "0", "--nu", "1/0"],
+    ["arrangement", "--xi-m", "1/0"],
+    ["arrangement", "--xi-m", "0", "--window", "1/0", "3"],
+    ["translate-check", "--xi", "1/0", "--mu", "1"],
+])
+def test_zero_denominators_exit_2(capsys, sl2_path, argv):
+    assert run([argv[0], sl2_path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'1/0'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_malformed_inputs_exit_2(capsys, tmp_path, sl2_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -23,3 +25,16 @@ def test_all_lists_exactly_the_public_definitions(name):
         and obj.__module__ == mod.__name__
     }
     assert sorted(public - set(exported)) == []
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    """bench/tracer.py rebinds library functions by name; a name that is
+    gone would crash a traced benchmark run.  Load it without installing."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer._PATCHES
+    missing = [(m.__name__, attr) for m, attr, _, _ in tracer._PATCHES
+               if not hasattr(m, attr)]
+    assert missing == []

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,9 @@ def test_parse_forms():
         GaussRat.parse("")
     with pytest.raises(ValueError):
         GaussRat.parse("1/2 + x")
+    for text in ("1/0", "1+1/0*i"):
+        with pytest.raises(ValueError, match="zero denominator .*" + re.escape(repr(text))):
+            GaussRat.parse(text)
 
 
 def test_parse_no_star_imaginary():

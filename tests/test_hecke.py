@@ -1,10 +1,13 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klvkit import cli, hecke, klv
 from klvkit.blockdata import (
+    SimpleStatus,
     block_from_json,
     block_to_json,
     builtin_nci2_block,
@@ -12,41 +15,40 @@ from klvkit.blockdata import (
     generate_complex_block,
     product_block,
 )
-from klvkit.hecke import ModuleElement, apply_T, basis, check_braid, check_quadratic
-from klvkit.laurent import ONE, U, LaurentPoly
+from klvkit.hecke import apply_T, check_braid, check_quadratic
+from klvkit.klv import partition_blocks
+from klvkit.laurent import ONE, U, U_INV
 
 import reference_klv
-from test_klv import _REFERENCE_BLOCKS
+from reference_klv import ModuleElement, basis
+from test_klv import _FACTORS, _REFERENCE_BLOCKS
 
 U1 = U - ONE
 
 
 def test_sl2r_action_table():
     b = builtin_sl2r_block()
-    assert apply_T(b, 0, "P") == ModuleElement(
-        {"P": U - 2, "D+": U1, "D-": U1})
-    assert apply_T(b, 0, "D+") == ModuleElement({"D-": ONE, "P": ONE})
-    assert apply_T(b, 0, "D-") == ModuleElement({"D+": ONE, "P": ONE})
+    assert apply_T(b, 0, "P") == {"P": U - 2, "D+": U1, "D-": U1}
+    assert apply_T(b, 0, "D+") == {"D-": ONE, "P": ONE}
+    assert apply_T(b, 0, "D-") == {"D+": ONE, "P": ONE}
 
 
 def test_type2_parity_action():
     b = builtin_nci2_block()
     # (u-1)*self - cross + (u-1)*cayley target
-    assert apply_T(b, 0, "P1") == ModuleElement(
-        {"P1": U1, "P2": -ONE, "D": U1})
-    assert apply_T(b, 0, "D") == ModuleElement(
-        {"D": ONE, "P1": ONE, "P2": ONE})
+    assert apply_T(b, 0, "P1") == {"P1": U1, "P2": -ONE, "D": U1}
+    assert apply_T(b, 0, "D") == {"D": ONE, "P1": ONE, "P2": ONE}
 
 
 def test_complex_action_is_regular_representation():
     b = generate_complex_block(("s1", "s2"), ((1, 3), (3, 1)))
-    assert apply_T(b, 0, "e") == basis("s1")
-    assert apply_T(b, 0, "s1") == ModuleElement({"e": U, "s1": U1})
-    assert apply_T(b, 1, "s1") == basis("s2s1")
+    assert apply_T(b, 0, "e") == {"s1": ONE}
+    assert apply_T(b, 0, "s1") == {"e": U, "s1": U1}
+    assert apply_T(b, 1, "s1") == {"s2s1": ONE}
 
 
-def test_compact_and_nonparity_cases():
-    doc = {
+def _compact_and_nonparity_block():
+    return block_from_json({
         "simples": ["s"], "braid": [[1]], "infchar_tag": "x",
         "params": [
             {"label": "c", "length": 0, "cartan_class": "",
@@ -54,19 +56,14 @@ def test_compact_and_nonparity_cases():
             {"label": "n", "length": 0, "cartan_class": "",
              "status": ["RealNonparity"], "cross": ["n"], "cayley": [None]},
         ],
-    }
-    b = block_from_json(doc)
-    assert apply_T(b, 0, "c") == ModuleElement({"c": U})
-    assert apply_T(b, 0, "n") == ModuleElement({"n": -ONE})
+    })
+
+
+def test_compact_and_nonparity_cases():
+    b = _compact_and_nonparity_block()
+    assert apply_T(b, 0, "c") == {"c": U}
+    assert apply_T(b, 0, "n") == {"n": -ONE}
     assert check_quadratic(b) == (True, None)
-
-
-def test_apply_T_linearity():
-    b = builtin_sl2r_block()
-    m = ModuleElement({"P": U, "D+": LaurentPoly({-1: 2})})
-    expected = (apply_T(b, 0, "P").scale(U)
-                + apply_T(b, 0, "D+").scale(LaurentPoly({-1: 2})))
-    assert apply_T(b, 0, m) == expected
 
 
 def test_apply_T_errors():
@@ -119,23 +116,91 @@ def test_module_element_algebra():
     assert str(ModuleElement()) == "0"
 
 
-def test_T_table_is_built_once_and_matches_per_call_reference():
+def _g2():
+    return generate_complex_block(("s1", "s2"), ((1, 6), (6, 1)))
+
+
+def test_T_table_is_built_once_and_matches_per_call_reference(capsys, tmp_path):
     blocks = [builtin_sl2r_block(), builtin_nci2_block(),
               generate_complex_block(("s1", "s2"), ((1, 4), (4, 1))),
               product_block(builtin_sl2r_block(), block_from_json(
-                  {**block_to_json(builtin_nci2_block()), "simples": ["t"]}))]
+                  {**block_to_json(builtin_nci2_block()), "simples": ["t"]})),
+              _g2(), _REFERENCE_BLOCKS["nci2xnci2"](),
+              product_block(_FACTORS["sl2r"]("a"), _FACTORS["nci2"]("b")),
+              _compact_and_nonparity_block()]
+    assert {status for b in blocks for p in b.params.values()
+            for status in p.status} == set(SimpleStatus)
     for b in blocks:
         for s in range(len(b.simples)):
             for label in b.params:
-                first = apply_T(b, s, label)
-                assert first == reference_klv.T_basis(b, s, label)
-                assert apply_T(b, s, label) is first
+                row = hecke._T_rows(b, s)[label]
+                # no empty label and no zero coefficient
+                assert row and all(t and all(t.values()) for t in row.values())
+                result = apply_T(b, s, label)
+                assert result == reference_klv.T_basis(b, s, label).coeffs
+                assert hecke._T_rows(b, s)[label] is row
+                assert all(p._t is row[mu] for mu, p in result.items())
+        assert list(b.derived) == ["T rows"]
         with pytest.raises(ValueError, match="unknown simple index: -1"):
             apply_T(b, -1, label)
         with pytest.raises(ValueError, match=f"unknown simple index: {len(b.simples)}"):
             apply_T(b, len(b.simples), label)
         with pytest.raises(ValueError, match="unknown label: nope"):
             apply_T(b, len(b.simples), "nope")
+    # hecke-apply renders the str of each reference coefficient
+    b = blocks[5]
+    path = tmp_path / "nci2xnci2.json"
+    path.write_text(json.dumps(block_to_json(b)))
+    for s in range(len(b.simples)):
+        for label in sorted(b.params):
+            assert cli.run(["hecke-apply", str(path), "--simple", str(s),
+                            "--label", label]) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert result == {mu: str(p) for mu, p
+                              in reference_klv.T_basis(b, s, label).coeffs.items()}
+
+
+def _coefficients(*elements):
+    return [c for m in elements for p in m.coeffs.values() for c in p.terms.values()]
+
+
+_WIDTH_BLOCKS = {
+    "G2": _g2,
+    "B3": lambda: generate_complex_block(
+        ("s1", "s2", "s3"), ((1, 4, 2), (4, 1, 3), (2, 3, 1))),
+    "B2xsl2r": _REFERENCE_BLOCKS["B2xsl2r"],
+    "nci2xnci2": _REFERENCE_BLOCKS["nci2xnci2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDTH_BLOCKS))
+def test_digit_widths_hold_every_packed_coefficient(name):
+    """Each coefficient that `check_braid` and `intertwines` pack, read
+    off the reference module elements, is one balanced base-2^w digit
+    (|c| < 2^(w-1)) at the width w that each of them picks."""
+    b = _WIDTH_BLOCKS[name]()
+    n = len(b.simples)
+    for s, t in itertools.permutations(range(n), 2):
+        half = 1 << hecke._braid_width(b, s, t) - 1
+        for label in b.params:
+            lhs = rhs = basis(label)
+            for i in range(b.braid_order(s, t)):
+                lhs = reference_klv.apply_T(b, (s, t)[i % 2], lhs)
+                rhs = reference_klv.apply_T(b, (t, s)[i % 2], rhs)
+                assert all(abs(c) < half for c in _coefficients(lhs, rhs))
+    for blk in partition_blocks(b):
+        r = klv.compute_duality(b, blk)
+        tp1 = [{x: klv._tp1(b, s, x) for x in r.order} for s in range(n)]
+        half = 1 << klv._PackedDuality(b, r)._intertwining_width(tp1) - 1
+        dual = reference_klv.duality_map(b, r)
+        for s in range(n):
+            for gamma in r.order:
+                # u D((T_s + 1) gamma) and (T_s + 1) D(gamma)
+                g = basis(gamma)
+                lhs = reference_klv.apply_D(dual, reference_klv.apply_T(b, s, g) + g)
+                rhs = reference_klv.apply_T(b, s, dual[gamma]) + dual[gamma]
+                assert lhs == rhs.scale(U_INV)
+                assert all(abs(c) < half for c in _coefficients(lhs, rhs))
 
 
 _QUADRATIC_BLOCKS = [
