@@ -384,9 +384,15 @@ class BlockFormatError(ValueError):
     pass
 
 
+def _list(x, what: str) -> list:
+    if type(x) is not list:
+        raise BlockFormatError(f"{what} is not a list")
+    return x
+
+
 def block_from_json(doc: dict) -> BlockData:
     try:
-        simples = tuple(str(s) for s in doc["simples"])
+        simples = tuple(str(s) for s in _list(doc["simples"], "simples"))
         braid = tuple(tuple(row) for row in doc["braid"])
         for i, row in enumerate(braid):
             for j, x in enumerate(row):
@@ -395,24 +401,24 @@ def block_from_json(doc: dict) -> BlockData:
                         f"braid entry at row {i}, column {j} is not an integer")
         tag = str(doc.get("infchar_tag", ""))
         params = {}
-        for rec in doc["params"]:
+        for rec in _list(doc["params"], "params"):
             label = str(rec["label"])
             if label in params:
                 raise BlockFormatError(f"duplicate label {label!r}")
             if type(rec["length"]) is not int:
                 raise BlockFormatError(f"length of {label!r} is not an integer")
-            status = tuple(_STATUS_BY_NAME[s] for s in rec["status"])
-            cayley = tuple(
-                frozenset(str(x) for x in c) if c is not None else None
-                for c in rec["cayley"]
-            )
+            status, cross, cayley = (_list(rec[key], f"{key} of {label!r}")
+                                     for key in ("status", "cross", "cayley"))
             params[label] = Parameter(
                 label=label,
                 length=rec["length"],
                 cartan_class=str(rec.get("cartan_class", "")),
-                status=status,
-                cross=tuple(str(x) for x in rec["cross"]),
-                cayley=cayley,
+                status=tuple(_STATUS_BY_NAME[s] for s in status),
+                cross=tuple(str(x) for x in cross),
+                cayley=tuple(
+                    None if c is None else frozenset(
+                        str(x) for x in _list(c, f"cayley entry {s} of {label!r}"))
+                    for s, c in enumerate(cayley)),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise BlockFormatError(f"malformed block file: {exc}") from exc

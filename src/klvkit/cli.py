@@ -49,7 +49,8 @@ def _load_block(path: str) -> blockdata.BlockData:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         return blockdata.block_from_json(doc)
-    except (OSError, json.JSONDecodeError, blockdata.BlockFormatError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            blockdata.BlockFormatError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -143,7 +144,7 @@ def _cmd_validate(args) -> int:
         try:
             with open(args.block, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(str(exc)) from exc
         violations = blockdata.validate_block_doc(doc)
     return _emit_violations("validate", args.block, violations)

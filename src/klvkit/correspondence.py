@@ -32,10 +32,18 @@ class Correspondence:
 
 
 def correspondence_from_json(doc: dict) -> Correspondence:
-    pairs = {str(a): str(b) for a, b in doc["pairs"]}
-    if len(pairs) != len(doc["pairs"]):
+    """The map of a JSON document; a ValueError names a malformed field."""
+    raw, shift = doc["pairs"], doc["length_shift"]
+    if type(raw) is not list or not all(
+            type(p) is list and len(p) == 2 and all(type(x) is str for x in p)
+            for p in raw):
+        raise ValueError("pairs must be a list of [source, target] label lists")
+    if type(shift) is not int:
+        raise ValueError("length_shift is not an integer")
+    pairs = dict(raw)
+    if len(pairs) != len(raw):
         raise ValueError("duplicate source labels in correspondence")
-    return Correspondence(pairs=pairs, length_shift=int(doc["length_shift"]))
+    return Correspondence(pairs=pairs, length_shift=shift)
 
 
 def correspondence_to_json(c: Correspondence) -> dict:

@@ -4,8 +4,9 @@ basis a block, plus the quadratic- and braid-relation validators.
 T_s of a basis label is one integer row, label -> {v-exponent:
 coefficient}, built on first use by `_T_row` and kept in the block's
 `derived` table, so every caller shares one row per (s, label): the
-validators, `apply_T` (and so `hecke-apply`), and the order, generators
-and duality recursion of `klv`."""
+validators, `apply_T` (and so `hecke-apply`), and the classes, order,
+generators and duality steps of `klv`, which also shares the packing
+of `check_braid` (`_width`, `_pack`)."""
 
 from __future__ import annotations
 
@@ -105,6 +106,21 @@ def check_quadratic(b: BlockData):
     return True, None
 
 
+def _width(bound: int) -> int:
+    """The least digit width w with bound < 2^(w-1).  Integers c with
+    |c| <= bound are then balanced base-2^w digits: a packing of such
+    coefficients decodes uniquely, and it is zero only if they all are."""
+    return bound.bit_length() + 1
+
+
+def _pack(terms: dict[int, int], lo: int, step: int, w: int) -> int:
+    """The sum of c * 2^(w (k - lo) / step) over the terms c v^k."""
+    x = 0
+    for k, c in terms.items():
+        x += c << w * ((k - lo) // step)
+    return x
+
+
 def _times(rows: dict[str, list[tuple[str, int]]], x: dict[str, int]) -> dict[str, int]:
     """T x for an element x and T given as packed rows label -> [(mu, c)]."""
     out: dict[str, int] = {}
@@ -122,7 +138,7 @@ def _braid_width(b: BlockData, s: int, t: int) -> int:
     rows = [_T_rows(b, x) for x in (s, t)]
     top = max((sum(abs(c) for p in r[lab].values() for c in p.values())
                for r in rows for lab in b.params), default=0)
-    return (top ** b.braid_order(s, t)).bit_length() + 1
+    return _width(top ** b.braid_order(s, t))
 
 
 def check_braid(b: BlockData, s: int, t: int) -> bool:
@@ -143,8 +159,8 @@ def check_braid(b: BlockData, s: int, t: int) -> bool:
     labels = b.sorted_labels()
     rows = {x: _T_rows(b, x) for x in (s, t)}
     w = _braid_width(b, s, t)
-    packed = {x: {lab: [(mu, sum(c << w * (k // 2) for k, c in p.items()))
-                        for mu, p in rows[x][lab].items()] for lab in labels}
+    packed = {x: {lab: [(mu, _pack(p, 0, 2, w)) for mu, p in rows[x][lab].items()]
+                  for lab in labels}
               for x in (s, t)}
     for label in labels:
         lhs = rhs = {label: 1}

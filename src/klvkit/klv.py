@@ -9,23 +9,20 @@ per length, pinned by intertwining with T_s + 1, D^2 = Id and the u = 1
 specialization.  Its solution is asserted unique and integral, so blocks
 with several type-II factors are solved as well.
 
-Each D(gamma) is a plain table label -> {v-exponent: coefficient}.  The
-recursions apply E_s = u^(-1)(T_s + 1) - 1 through integer rows built
-once per (s, label) from the block's shared T rows and kept with the
-block; the level systems read and write the same tables, and
-`LaurentPoly` objects are made only for the entries of the `RMatrix`.
+The block's T rows (`hecke._T_rows`) are the only table derived from
+it: the classes are the components of their supports, the order reads
+its descents off them, and the recursions apply the step
+E_s = u^(-1)(T_s + 1) - 1 straight from them.  Each D(gamma) is a table
+label -> {v-exponent: coefficient}; `LaurentPoly` objects are made only
+for the entries of the `RMatrix`.
 
 `verify_duality` and `compute_P` run on D packed by Kronecker
-substitution (`_PackedDuality`): each entry of D is one Python int, the
-sum of c * 2^(w i) over its terms c v^k, with the digit index i taken
-from an offset fixed by the lengths, so that a sum over psi of products
-of entries is a sum of integer products.  Each check bounds the
-coefficients of its sums before it compares or decodes them, and widens
-the digit width w until the bound fits in w - 1 bits.  `verify_duality`
-checks D^2 = Id only at the generators of a class; the intertwining,
-which it checks everywhere, carries the involution to the rest (see its
-docstring).  `solve_block` runs the chain for one class, packing D
-once, and returns a `BlockKLV`.
+substitution (`_PackedDuality`, one pass over the terms of R): each
+entry of D is one Python int, so a sum over psi of products of entries
+is a sum of integer products, and each check bounds its sums before it
+compares or decodes them.  `verify_duality` checks D^2 = Id only at the
+generators of a class (see its docstring).  `solve_block` runs the
+chain for one class, packing D once, and returns a `BlockKLV`.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blockdata import BlockData, SimpleStatus
-from .hecke import _T_rows
+from .hecke import _T_rows, _pack, _width
 from .laurent import ONE, ZERO, LaurentPoly
 
 __all__ = [
@@ -61,38 +58,25 @@ class MultiplicityError(ValueError):
 # ---------------------------------------------------------------------------
 # Block partition
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def partition_blocks(b: BlockData) -> list[list[str]]:
     """Equivalence classes generated by noncompact-imaginary Cayley links
-    and complex cross-actions.  Classes are sorted lists."""
-    uf = _UnionFind(b.params)
-    for label, p in b.params.items():
-        for s in range(len(b.simples)):
-            st = p.status[s]
-            if st in (SimpleStatus.COMPLEX_ASCENT, SimpleStatus.COMPLEX_DESCENT):
-                uf.union(label, p.cross[s])
-            elif st in (SimpleStatus.NCI1, SimpleStatus.NCI2):
-                for t in p.cayley[s]:
-                    uf.union(label, t)
-    classes: dict[str, list[str]] = {}
+    and complex cross-actions, as sorted lists: the components of the
+    graph joining each label to the support of its T rows.  Each row holds
+    the link of its case, and any other label in it is already in the
+    class.  That holds on a valid block: validate first, as every caller
+    does."""
+    rows = [_T_rows(b, s) for s in range(len(b.simples))]
+    seen, classes = set(), []
     for label in b.params:
-        classes.setdefault(uf.find(label), []).append(label)
-    return sorted(sorted(c) for c in classes.values())
+        if label not in seen:
+            seen.add(label)
+            cls = [label]
+            for x in cls:
+                new = {mu for r in rows for mu in r[x]} - seen
+                seen |= new
+                cls.extend(new)
+            classes.append(sorted(cls))
+    return sorted(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -102,34 +86,24 @@ def _sort_key(b: BlockData):
     return lambda label: (b.params[label].length, label)
 
 
-def _descent_targets(b: BlockData, label: str, s: int) -> list[str]:
-    """Labels one length below gamma reached through the descent s."""
-    p = b.param(label)
-    st = p.status[s]
-    if st is SimpleStatus.COMPLEX_DESCENT:
-        return [p.cross[s]]
-    if st in (SimpleStatus.RP1, SimpleStatus.RP2):
-        return sorted(p.cayley[s])
-    return []
-
-
 def compute_order(b: BlockData, block: list[str]) -> dict[str, frozenset[str]]:
     """Down-set of each label: a set guaranteed to contain every element
     below it in the representation-theoretic order (and the label itself).
 
-    The support of T_s psi is read from the block's T rows.  A label
-    already in the down-set is skipped: every down-set holds the
-    down-sets of its members, so it would add nothing."""
+    The descent targets of gamma at s (the labels of T_s gamma one length
+    below it) and the support of T_s psi are read from the block's T
+    rows.  A label already in the down-set is skipped: every down-set
+    holds the down-sets of its members, so it would add nothing."""
     members = set(block)
     down: dict[str, frozenset[str]] = {}
     for label in sorted(block, key=_sort_key(b)):
         l = b.params[label].length
         dset = {label}
         for s in range(len(b.simples)):
-            targets = _descent_targets(b, label, s)
+            rows = _T_rows(b, s)
+            targets = [t for t in rows[label] if b.params[t].length == l - 1]
             if not targets:
                 continue
-            rows = _T_rows(b, s)
             acc = set().union(*[down[t] for t in targets])
             for phi in acc.union(*[rows[psi] for psi in acc]) - dset:
                 if (phi not in dset and phi in members
@@ -187,47 +161,34 @@ def _tp1(b: BlockData, s: int, x: str) -> dict[str, dict[int, int]]:
     return _nonzero(out)
 
 
-class _Steps(dict):
-    """label -> E_s label = u^(-1)(T_s + 1) label - label as
-    ((mu, ((k, c), ...)), ...), built on first use.  E_s is the step of
+def _step(rows: dict, x: dict[str, dict[int, int]]) -> dict[str, dict[int, int]]:
+    """E_s x = u^(-1)(T_s + 1 - u) x for a table x, read straight from
+    the T rows of s; the zeros it creates are kept.  E_s is the step of
     the direct recursions: D(gamma) = E_s D(s gamma)."""
-
-    def __init__(self, b: BlockData, s: int):
-        super().__init__()
-        self.b, self.s = b, s
-
-    def __missing__(self, label: str) -> tuple:
-        rows = {mu: {k - 2: c for k, c in t.items()}
-                for mu, t in _tp1(self.b, self.s, label).items()}
-        own = rows.setdefault(label, {})
-        own[0] = own.get(0, 0) - 1
-        e = self[label] = tuple((mu, tuple(t.items()))
-                                for mu, t in _nonzero(rows).items())
-        return e
-
-
-def _steps(b: BlockData, s: int) -> _Steps:
-    """The E_s rows of b, one table per simple kept with the block."""
-    tables = b.derived.setdefault("E", {})
-    if s not in tables:
-        tables[s] = _Steps(b, s)
-    return tables[s]
-
-
-def _step(steps: _Steps, x: dict[str, dict[int, int]]) -> dict[str, dict[int, int]]:
-    """E_s x for a table x; the zeros it creates are kept."""
     out: dict[str, dict[int, int]] = {}
     for lam, t1 in x.items():
         t1 = t1.items()
-        for mu, t2 in steps[lam]:
+        # E_s lam at lam: u^(-1)(a0 + a2 u), as T rows have exponents 0, 2
+        a0, a2 = 1, -1
+        for mu, t2 in rows[lam].items():
+            if mu == lam:
+                a0, a2 = a0 + t2.get(0, 0), a2 + t2.get(2, 0)
+                continue
             row = out.get(mu)
             if row is None:
                 row = out[mu] = {}
             get = row.get
-            for k2, c2 in t2:
+            for k2, c2 in t2.items():
+                k2 -= 2
                 for k1, c1 in t1:
                     k = k1 + k2
                     row[k] = get(k, 0) + c1 * c2
+        if a0 or a2:
+            row = out.setdefault(lam, {})
+            get = row.get
+            for k1, c1 in t1:
+                row[k1 - 2] = get(k1 - 2, 0) + a0 * c1
+                row[k1] = get(k1, 0) + a2 * c1
     return out
 
 
@@ -301,9 +262,9 @@ def _solve_level(b, down, dual, hard: list[str]):
                     into[key] = into.get(key, 0) + c1 * c2
         return into
 
-    def lowered(into: dict, steps: _Steps, x: dict[str, dict[int, int]]) -> dict:
-        """into -= (E_s + 1) x."""
-        return add(add(into, _step(steps, x), ((0, -1),)), x, ((0, -1),))
+    def lowered(into: dict, rows: dict, x: dict[str, dict[int, int]]) -> dict:
+        """into -= (E_s + 1) x, for rows the T rows of s."""
+        return add(add(into, _step(rows, x), ((0, -1),)), x, ((0, -1),))
 
     def unit(j: int) -> dict[str, dict[int, int]]:
         _, phi, k = unknowns[j]
@@ -323,9 +284,9 @@ def _solve_level(b, down, dual, hard: list[str]):
         for s, st in enumerate(b.param(g).status):
             if st is not SimpleStatus.RP2:
                 continue
-            steps = _steps(b, s)
-            const = lowered({}, steps, top[g])
-            columns = {j: lowered({}, steps, unit(j)) for j in owned[g]}
+            rows = _T_rows(b, s)
+            const = lowered({}, rows, top[g])
+            columns = {j: lowered({}, rows, unit(j)) for j in owned[g]}
             for lab, t in _tp1(b, s, g).items():
                 c = [(-k, x) for k, x in t.items()]
                 if lab not in owned:
@@ -370,10 +331,10 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
             cd = lowest.get(SimpleStatus.COMPLEX_DESCENT)
             rp1 = lowest.get(SimpleStatus.RP1)
             if cd is not None:
-                dual[gamma] = _nonzero(_step(_steps(b, cd), dual[p.cross[cd]]))
+                dual[gamma] = _nonzero(_step(_T_rows(b, cd), dual[p.cross[cd]]))
             elif rp1 is not None:
                 lo1, lo2 = sorted(p.cayley[rp1])
-                d = _step(_steps(b, rp1), dual[lo1])
+                d = _step(_T_rows(b, rp1), dual[lo1])
                 for lab, t in dual[lo2].items():
                     row = d.setdefault(lab, {})
                     for k, c in t.items():
@@ -402,21 +363,6 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
 
 # ---------------------------------------------------------------------------
 # D packed as integers (Kronecker substitution)
-
-def _width(bound: int) -> int:
-    """The least digit width w with bound < 2^(w-1).  Integers c with
-    |c| <= bound are then balanced base-2^w digits: a packing of such
-    coefficients decodes uniquely, and it is zero only if they all are."""
-    return bound.bit_length() + 1
-
-
-def _pack(terms: dict[int, int], lo: int, step: int, w: int) -> int:
-    """The sum of c * 2^(w (k - lo) / step) over the terms c v^k."""
-    x = 0
-    for k, c in terms.items():
-        x += c << w * ((k - lo) // step)
-    return x
-
 
 def _unpack(x: int, lo: int, step: int, w: int) -> dict[int, int]:
     """The terms that `_pack` packed into x, every |c| < 2^(w-1)."""
@@ -453,7 +399,11 @@ class _PackedDuality:
     L1(a) L1(b), which is at most max L1(a) times the L1 norm of a row
     of D.  Each check bounds its sums so before it compares or decodes
     a packing, and widens the digit width until the bound fits in
-    w - 1 bits."""
+    w - 1 bits.
+
+    The same pass over R sets `sound`: each diagonal entry is 1, and each
+    nonzero entry is in its column's down-set, a u-polynomial of degree
+    at most l psi - l phi, and 0 at u = 1 off the diagonal."""
 
     def __init__(self, b: BlockData, r: RMatrix):
         self.b, self.order, self.down = b, r.order, r.down
@@ -464,15 +414,19 @@ class _PackedDuality:
         read: dict[str, list] = {x: [] for x in r.order}
         rest: dict[str, list] = {x: [] for x in r.order}
         row_l1: dict[str, int] = {}
-        low = high = self.max_entry = 0
-        odd = False
+        low = high = self.max_entry = ones = 0
+        odd, sound = False, True
         for (phi, psi), poly in r.entries.items():
-            if psi not in read or not poly:
+            t = poly._t
+            if psi not in read or not t:
                 continue
             n = lens[psi] - (lens[phi] if phi in lens else b.params[phi].length)
-            t = poly.terms
-            solved = phi != psi and phi in r.down[psi]
-            (read if solved else rest)[psi].append((phi, -1 if n % 2 else 1, t, n))
+            below = phi in r.down[psi]
+            ones += phi == psi and t == {0: 1}
+            if not below or sum(t.values()) != (phi == psi):
+                sound = False
+            (read if below and phi != psi else rest)[psi].append(
+                (phi, -1 if n % 2 else 1, t, n))
             l1 = _l1(t)
             row_l1[phi] = row_l1.get(phi, 0) + l1
             self.max_entry = max(self.max_entry, l1)
@@ -482,6 +436,7 @@ class _PackedDuality:
         self.reads = {x: len(read[x]) for x in r.order}
         self.step = 1 if odd else 2
         self.margin = max(-low, high)
+        self.sound = sound and ones == len(r.order) and not odd and not self.margin
         self.max_row = max(row_l1.values(), default=0)
         self.width = _width(self.max_entry * self.max_row + 1)
         self._plain_rows: tuple[int, dict] | None = None
@@ -671,11 +626,12 @@ def _generators(b: BlockData, order: tuple[str, ...] | list[str]) -> list[str]:
 
 def verify_duality(b: BlockData, block: list[str], r: RMatrix,
                    packed: _PackedDuality | None = None) -> bool:
-    """Independent certification of the duality map that R defines.  One
-    pass over the terms of R checks the diagonal one, every entry in its
-    column's down-set, the degree bounds and the u = 1 specialization.
-    Packed D is then checked for the involution D^2 = Id at the
-    generators of the class (`_generators`) and for the intertwining
+    """Independent certification of the duality map that R defines.  The
+    pass that packs D over the terms of R also checks the diagonal one,
+    every entry in its column's down-set, the degree bounds and the
+    u = 1 specialization (`_PackedDuality.sound`).  Packed D is then
+    checked for the involution D^2 = Id at the generators of the class
+    (`_generators`) and for the intertwining
     u D((T_s + 1)gamma) = (T_s + 1)D(gamma) at every simple s and every
     gamma.
 
@@ -689,31 +645,8 @@ def verify_duality(b: BlockData, block: list[str], r: RMatrix,
     the nonzero coefficient of gamma in T_s x.  The module is free over
     the domain Z[v, v^-1], so D^2(gamma) = gamma.  By induction on
     length, D^2 is the identity once it fixes every generator."""
-    lens = {x: b.params[x].length for x in r.order}
-    diagonal = 0
-    for (phi, gamma), e in r.entries.items():
-        if phi == gamma and gamma in lens:
-            if e != ONE:
-                return False
-            diagonal += 1
-        if not e or gamma not in r.down:
-            continue
-        if phi not in r.down[gamma]:
-            return False
-        # a u-polynomial of degree at most l gamma - l phi, with value
-        # 1 at u = 1 on the diagonal and 0 elsewhere
-        top = 2 * (b.params[gamma].length - b.params[phi].length)
-        total = 0
-        for k, c in e._t.items():
-            if k & 1 or not 0 <= k <= top:
-                return False
-            total += c
-        if total != (1 if phi == gamma else 0):
-            return False
-    if diagonal != len(lens):
-        return False
     packed = packed or _PackedDuality(b, r)
-    return packed.involutive() and packed.intertwines()
+    return packed.sound and packed.involutive() and packed.intertwines()
 
 
 # ---------------------------------------------------------------------------

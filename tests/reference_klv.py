@@ -3,7 +3,9 @@ multiplicity inverse, kept only for the tests.
 
 They are written in `ModuleElement`, a sparse element label ->
 LaurentPoly of the block module.  These are the straightforward
-versions: `T_basis` builds T_s of a basis label afresh on every call,
+versions: `partition_blocks` joins labels by status in a union-find,
+`compute_order` picks its descent targets by status, `T_basis` builds
+T_s of a basis label afresh on every call,
 `apply_T` and `apply_D` fold `out = out + term` over the input's
 support, `check_quadratic`, `check_braid`, `compute_order` and
 `compute_duality` run on whole module elements, `verify_duality` and
@@ -17,7 +19,7 @@ import itertools
 
 from klvkit.blockdata import SimpleStatus
 from klvkit.klv import (DualityError, MultMatrices, PMatrix, PSolveError,
-                        RMatrix, _descent_targets, _solve_linear, _sort_key)
+                        RMatrix, _solve_linear, _sort_key)
 from klvkit.laurent import ONE, U, U_INV, ZERO, LaurentPoly
 
 
@@ -143,6 +145,51 @@ def check_braid(b, s, t):
         if lhs != rhs:
             return False
     return True
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def partition_blocks(b):
+    """Classes generated by noncompact-imaginary Cayley links and complex
+    cross-actions, joined in a union-find by status."""
+    uf = _UnionFind(b.params)
+    for label, p in b.params.items():
+        for s in range(len(b.simples)):
+            st = p.status[s]
+            if st in (SimpleStatus.COMPLEX_ASCENT, SimpleStatus.COMPLEX_DESCENT):
+                uf.union(label, p.cross[s])
+            elif st in (SimpleStatus.NCI1, SimpleStatus.NCI2):
+                for t in p.cayley[s]:
+                    uf.union(label, t)
+    classes = {}
+    for label in b.params:
+        classes.setdefault(uf.find(label), []).append(label)
+    return sorted(sorted(c) for c in classes.values())
+
+
+def _descent_targets(b, label, s):
+    """Labels one length below gamma reached through the descent s."""
+    p = b.param(label)
+    st = p.status[s]
+    if st is SimpleStatus.COMPLEX_DESCENT:
+        return [p.cross[s]]
+    if st in (SimpleStatus.RP1, SimpleStatus.RP2):
+        return sorted(p.cayley[s])
+    return []
 
 
 def compute_order(b, block):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -136,6 +137,24 @@ def test_duplicate_label_rejected(sl2r_doc):
 def test_length_must_be_json_integer(sl2r_doc, length):
     doc = _doc_with(sl2r_doc, "P", length=length)
     with pytest.raises(BlockFormatError, match="not an integer"):
+        block_from_json(doc)
+    assert [v.axiom for v in validate_block_doc(doc)] == ["AX_STRUCTURE"]
+
+
+@pytest.mark.parametrize("label, edit, field", [
+    ("D+", {"cayley": ["P"]}, "cayley entry 0 of 'D+'"),
+    ("P", {"cayley": ["D+D-"]}, "cayley entry 0 of 'P'"),
+    ("P", {"cayley": "D+"}, "cayley of 'P'"),
+    ("P", {"status": "RealParityI"}, "status of 'P'"),
+    ("P", {"cross": "P"}, "cross of 'P'"),
+    (None, {"simples": "st"}, "simples"),
+    (None, {"params": {}}, "params"),
+])
+def test_fields_must_be_json_lists(sl2r_doc, label, edit, field):
+    """A string where a list belongs was split into characters: cayley
+    ["D+D-"] named the labels D, + and -, and simples "st" two simples."""
+    doc = _doc_with(sl2r_doc, label, **edit) if label else {**sl2r_doc, **edit}
+    with pytest.raises(BlockFormatError, match=re.escape(f"{field} is not a list")):
         block_from_json(doc)
     assert [v.axiom for v in validate_block_doc(doc)] == ["AX_STRUCTURE"]
 

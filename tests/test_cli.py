@@ -362,6 +362,43 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, sl2_path):
         assert run(["induce", "builtin:sl2r", "builtin:sl2r", path]) == 2
         assert capsys.readouterr().err.startswith(
             "error: malformed correspondence file: ")
+    # Map values that were coerced: a shift 1.9 ran as 1, true as 1 and
+    # "3" as 3, and the pair [["D+"], "D+"] named the label "['D+']".
+    for i, (edit, field) in enumerate([
+            ({"length_shift": 1.9}, "length_shift"),
+            ({"length_shift": True}, "length_shift"),
+            ({"length_shift": "3"}, "length_shift"),
+            ({"pairs": [[["D+"], "D+"], ["D-", "D-"], ["P", "P"]]}, "pairs"),
+            ({"pairs": [["D+", "D+", "P"], ["D-", "D-"], ["P", "P"]]}, "pairs")]):
+        path = _written(tmp_path, f"coerced{i}.json", {**_MAP_BASE, **edit})
+        assert run(["induce", "builtin:sl2r", "builtin:sl2r", path]) == 2, edit
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed correspondence file: " + field), edit
+    # Block fields given as a string were split into characters.
+    sl2r = block_to_json(builtin_sl2r_block())
+    for i, (doc, field) in enumerate([
+            (_doc_with(_doc_with(sl2r, "D+", cayley=["P"]), "D-", cayley=["P"]),
+             "cayley entry 0 of 'D+'"),
+            (_doc_with(sl2r, "P", cayley=["D+D-"]), "cayley entry 0 of 'P'"),
+            ({**sl2r, "simples": "st"}, "simples")]):
+        path = _written(tmp_path, f"split{i}.json", doc)
+        for argv in (["blocks", path], ["klv", path]):
+            assert run(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                f"error: malformed block file: {field} is not a list\n"), argv
+        code, rep = _run(capsys, "validate", path)
+        assert code == 1
+        assert [v["axiom"] for v in rep["violations"]] == ["AX_STRUCTURE"]
+    # A block file that is not UTF-8 ended in a UnicodeDecodeError.
+    raw = tmp_path / "not_utf8.json"
+    raw.write_bytes(b"\xff\xfe{")
+    for argv in (["klv", raw], ["blocks", raw], ["validate", raw],
+                 ["hecke-apply", raw, "--simple", "0", "--label", "P"],
+                 ["induce", "builtin:sl2r", raw, _written(tmp_path, "id.json", _MAP_BASE)]):
+        assert run(list(map(str, argv))) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(
+            "error: 'utf-8' codec can't decode byte 0xff"), argv
 
 
 def _written(tmp_path, name, doc):

@@ -127,3 +127,20 @@ def test_json_round_trip():
     with pytest.raises(ValueError, match="duplicate"):
         correspondence_from_json(
             {"pairs": [["a", "b"], ["a", "c"]], "length_shift": 0})
+
+
+@pytest.mark.parametrize("edit, field", [
+    ({"length_shift": 1.9}, "length_shift"),
+    ({"length_shift": True}, "length_shift"),
+    ({"length_shift": "3"}, "length_shift"),
+    ({"pairs": [[["D+"], "D+"], ["D-", "D-"], ["P", "P"]]}, "pairs"),
+    ({"pairs": [["D+", 1], ["D-", "D-"], ["P", "P"]]}, "pairs"),
+    ({"pairs": [["D+", "D+", "P"], ["D-", "D-"], ["P", "P"]]}, "pairs"),
+    ({"pairs": {"D+": "D+"}}, "pairs"),
+])
+def test_map_values_are_not_coerced(edit, field):
+    """A shift 1.9 was read as 1, true as 1 and "3" as 3, and a pair
+    [["D+"], "D+"] named the label "['D+']"."""
+    doc = {**correspondence_to_json(IDENT), **edit}
+    with pytest.raises(ValueError, match=f"^{field} "):
+        correspondence_from_json(doc)

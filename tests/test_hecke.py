@@ -21,7 +21,7 @@ from klvkit.laurent import ONE, U, U_INV
 
 import reference_klv
 from reference_klv import ModuleElement, basis
-from test_klv import _FACTORS, _REFERENCE_BLOCKS
+from test_klv import _FACTORS, _REFERENCE_BLOCKS, _compact_and_nonparity_block
 
 U1 = U - ONE
 
@@ -45,18 +45,6 @@ def test_complex_action_is_regular_representation():
     assert apply_T(b, 0, "e") == {"s1": ONE}
     assert apply_T(b, 0, "s1") == {"e": U, "s1": U1}
     assert apply_T(b, 1, "s1") == {"s2s1": ONE}
-
-
-def _compact_and_nonparity_block():
-    return block_from_json({
-        "simples": ["s"], "braid": [[1]], "infchar_tag": "x",
-        "params": [
-            {"label": "c", "length": 0, "cartan_class": "",
-             "status": ["CompactImaginary"], "cross": ["c"], "cayley": [None]},
-            {"label": "n", "length": 0, "cartan_class": "",
-             "status": ["RealNonparity"], "cross": ["n"], "cayley": [None]},
-        ],
-    })
 
 
 def test_compact_and_nonparity_cases():
@@ -140,6 +128,12 @@ def test_T_table_is_built_once_and_matches_per_call_reference(capsys, tmp_path):
                 assert result == reference_klv.T_basis(b, s, label).coeffs
                 assert hecke._T_rows(b, s)[label] is row
                 assert all(p._t is row[mu] for mu, p in result.items())
+        # the classes, order, duality, certificate, P-solve and braid
+        # check read these rows and keep no other table with the block
+        for cls in partition_blocks(b):
+            assert klv.solve_block(b, cls, check=True).verified
+        n = len(b.simples)
+        assert all(check_braid(b, s, t) for s, t in itertools.product(range(n), repeat=2))
         assert list(b.derived) == ["T rows"]
         with pytest.raises(ValueError, match="unknown simple index: -1"):
             apply_T(b, -1, label)

@@ -19,6 +19,7 @@ from klvkit.blockdata import (
     builtin_sl2r_block,
     generate_complex_block,
     product_block,
+    validate_block,
 )
 from klvkit import klv
 from klvkit.klv import (
@@ -71,6 +72,23 @@ def test_partition_disjoint_union():
 def test_partition_complex_connected():
     b = generate_complex_block(("s1", "s2"), A2_BRAID)
     assert partition_blocks(b) == [sorted(b.params)]
+
+
+def _compact_and_nonparity_block():
+    return block_from_json({
+        "simples": ["s"], "braid": [[1]], "infchar_tag": "x",
+        "params": [
+            {"label": "c", "length": 0, "cartan_class": "",
+             "status": ["CompactImaginary"], "cross": ["c"], "cayley": [None]},
+            {"label": "n", "length": 0, "cartan_class": "",
+             "status": ["RealNonparity"], "cross": ["n"], "cayley": [None]},
+        ],
+    })
+
+
+def test_partition_compact_and_nonparity_labels_stand_alone():
+    b = _compact_and_nonparity_block()
+    assert partition_blocks(b) == reference_klv.partition_blocks(b) == [["c"], ["n"]]
 
 
 def test_order_sl2r():
@@ -615,6 +633,37 @@ def _relabelled(b, names, order):
     return block_from_json(doc)
 
 
+_RANK_ONE = ["sl2r", "nci2", "A1", "compact/nonparity"]
+_PARTITION_FACTORS = {**_FACTORS, "compact/nonparity":
+                      lambda c: _rank_one(_compact_and_nonparity_block(), c + "1")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_partition_matches_union_find_reference(data):
+    """Disjoint unions of one to three products over the same simples
+    (each factor of rank one drawn apart for each part), with the labels
+    renamed and the parameters listed in another order: the search over
+    the T rows finds the classes that the reference joins by status."""
+    shape = data.draw(st.lists(st.sampled_from(["rank one", "A2", "B2"]),
+                               min_size=1, max_size=2))
+    params = []
+    for i in range(data.draw(st.integers(1, 3))):
+        kinds = [data.draw(st.sampled_from(_RANK_ONE)) if k == "rank one" else k
+                 for k in shape]
+        part = functools.reduce(product_block, [
+            _PARTITION_FACTORS[k](c) for k, c in zip(kinds, "ab")])
+        renamed = _relabelled(part, [f"{i}:{x}" for x in sorted(part.params)],
+                              range(len(part.params)))
+        params += block_to_json(renamed)["params"]
+    union = block_from_json({**block_to_json(part), "params": params})
+    n = len(params)
+    b = _relabelled(union, data.draw(st.permutations([f"q{i:03d}" for i in range(n)])),
+                    data.draw(st.permutations(range(n))))
+    assert validate_block(b) == []
+    assert partition_blocks(b) == reference_klv.partition_blocks(b)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(_REFERENCE_BLOCKS)), st.data())
 def test_duality_and_order_match_module_references(name, data):
@@ -686,14 +735,12 @@ def test_verify_rejects_a_derived_column_through_intertwining(name):
         assert not reference_klv.verify_duality(b, bad)
 
 
-class _PackedChecksPass:
-    """Stands in for packed D, so that only the scalar checks decide."""
-
-    def involutive(self):
-        return True
-
-    def intertwines(self):
-        return True
+def _packed_checks_pass(b, r):
+    """Packed D of r with its packed checks taken as passed, so that only
+    the scalar checks of the pass that packs it decide."""
+    packed = klv._PackedDuality(b, r)
+    packed.involutive = packed.intertwines = lambda: True
+    return packed
 
 
 @pytest.mark.parametrize("change", [
@@ -704,7 +751,7 @@ def test_each_scalar_check_rejects_on_its_own(change):
     b = _REFERENCE_BLOCKS["A3"]()
     (blk,) = partition_blocks(b)
     r = compute_duality(b, blk)
-    assert verify_duality(b, blk, r, _PackedChecksPass())
+    assert verify_duality(b, blk, r, _packed_checks_pass(b, r))
     gamma = r.order[-1]
     phi = r.order[0]
     n = b.params[gamma].length - b.params[phi].length
@@ -718,6 +765,6 @@ def test_each_scalar_check_rejects_on_its_own(change):
                  "u = 1": {0: 1}}[change]
         entries[(phi, gamma)] = r.entry(phi, gamma) + LaurentPoly(delta)
     bad = RMatrix(r.order, entries, r.down)
-    assert not verify_duality(b, blk, bad, _PackedChecksPass())
+    assert not verify_duality(b, blk, bad, _packed_checks_pass(b, bad))
     assert not verify_duality(b, blk, bad)
     assert not reference_klv.verify_duality(b, bad)
