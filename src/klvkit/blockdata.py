@@ -390,9 +390,16 @@ def _list(x, what: str) -> list:
     return x
 
 
+def _str(x, what: str) -> str:
+    if type(x) is not str:
+        raise BlockFormatError(f"{what} is not a string: {x!r}")
+    return x
+
+
 def block_from_json(doc: dict) -> BlockData:
     try:
-        simples = tuple(str(s) for s in _list(doc["simples"], "simples"))
+        simples = tuple(_str(s, f"simples entry {i}")
+                        for i, s in enumerate(_list(doc["simples"], "simples")))
         braid = tuple(tuple(row) for row in doc["braid"])
         for i, row in enumerate(braid):
             for j, x in enumerate(row):
@@ -402,7 +409,7 @@ def block_from_json(doc: dict) -> BlockData:
         tag = str(doc.get("infchar_tag", ""))
         params = {}
         for rec in _list(doc["params"], "params"):
-            label = str(rec["label"])
+            label = _str(rec["label"], "label")
             if label in params:
                 raise BlockFormatError(f"duplicate label {label!r}")
             if type(rec["length"]) is not int:
@@ -414,10 +421,12 @@ def block_from_json(doc: dict) -> BlockData:
                 length=rec["length"],
                 cartan_class=str(rec.get("cartan_class", "")),
                 status=tuple(_STATUS_BY_NAME[s] for s in status),
-                cross=tuple(str(x) for x in cross),
+                cross=tuple(_str(x, f"cross entry {s} of {label!r}")
+                            for s, x in enumerate(cross)),
                 cayley=tuple(
                     None if c is None else frozenset(
-                        str(x) for x in _list(c, f"cayley entry {s} of {label!r}"))
+                        _str(x, f"cayley target in entry {s} of {label!r}")
+                        for x in _list(c, f"cayley entry {s} of {label!r}"))
                     for s, c in enumerate(cayley)),
             )
     except (KeyError, TypeError, ValueError) as exc:

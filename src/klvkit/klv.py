@@ -16,13 +16,17 @@ E_s = u^(-1)(T_s + 1) - 1 straight from them.  Each D(gamma) is a table
 label -> {v-exponent: coefficient}; `LaurentPoly` objects are made only
 for the entries of the `RMatrix`.
 
-`verify_duality` and `compute_P` run on D packed by Kronecker
-substitution (`_PackedDuality`, one pass over the terms of R): each
-entry of D is one Python int, so a sum over psi of products of entries
-is a sum of integer products, and each check bounds its sums before it
-compares or decodes them.  `verify_duality` checks D^2 = Id only at the
-generators of a class (see its docstring).  `solve_block` runs the
-chain for one class, packing D once, and returns a `BlockKLV`.
+`compute_P` finds most columns of P by the descent recursion of
+Kazhdan-Lusztig on the same T rows, with no R (see its docstring).
+`verify_duality`, and the P-solve of the columns that have no complex
+or RP1 descent, run on D packed by Kronecker substitution
+(`_PackedDuality`, one pass over the terms of R): each entry of D is
+one Python int, so a sum over psi of products of entries is a sum of
+integer products, and each check bounds its sums before it compares or
+decodes them.  `verify_duality` checks D^2 = Id only at the generators
+of a class (see its docstring).  `solve_block` runs the chain for one
+class and returns a `BlockKLV`; under check it packs all of D once, for
+the certificate and for the self-duality net on every column of P.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blockdata import BlockData, SimpleStatus
+from .blockdata import BlockData, Parameter, SimpleStatus
 from .hecke import _T_rows, _pack, _width
 from .laurent import ONE, ZERO, LaurentPoly
 
@@ -316,6 +320,20 @@ def _solve_level(b, down, dual, hard: list[str]):
             dual[g].setdefault(phi, {})[k] = int(x)
 
 
+def _descent(p: Parameter) -> tuple[int, str] | None:
+    """The simple s and the label x one length below p that the direct
+    recursions of D and of P start from: the lowest complex descent and
+    its cross target, else the lowest RP1 descent and the smaller of its
+    Cayley targets.  None if p has neither kind of descent."""
+    if SimpleStatus.COMPLEX_DESCENT in p.status:
+        s = p.status.index(SimpleStatus.COMPLEX_DESCENT)
+        return s, p.cross[s]
+    if SimpleStatus.RP1 in p.status:
+        s = p.status.index(SimpleStatus.RP1)
+        return s, sorted(p.cayley[s])[0]
+    return None
+
+
 def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
     """R-polynomials of one block, by induction on length.  At each
     length the direct recursions come first; one system then solves the
@@ -327,20 +345,18 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
         hard = []
         for gamma in level:
             p = b.param(gamma)
-            lowest = {st: s for s, st in reversed(list(enumerate(p.status)))}
-            cd = lowest.get(SimpleStatus.COMPLEX_DESCENT)
-            rp1 = lowest.get(SimpleStatus.RP1)
-            if cd is not None:
-                dual[gamma] = _nonzero(_step(_T_rows(b, cd), dual[p.cross[cd]]))
-            elif rp1 is not None:
-                lo1, lo2 = sorted(p.cayley[rp1])
-                d = _step(_T_rows(b, rp1), dual[lo1])
-                for lab, t in dual[lo2].items():
-                    row = d.setdefault(lab, {})
-                    for k, c in t.items():
-                        row[k] = row.get(k, 0) - c
+            descent = _descent(p)
+            if descent is not None:
+                s, x = descent
+                d = _step(_T_rows(b, s), dual[x])
+                if p.status[s] is SimpleStatus.RP1:
+                    _, lo2 = sorted(p.cayley[s])
+                    for lab, t in dual[lo2].items():
+                        row = d.setdefault(lab, {})
+                        for k, c in t.items():
+                            row[k] = row.get(k, 0) - c
                 dual[gamma] = _nonzero(d)
-            elif SimpleStatus.RP2 in lowest:
+            elif SimpleStatus.RP2 in p.status:
                 hard.append(gamma)
             else:
                 dual[gamma] = {gamma: {-2 * p.length: 1}}
@@ -385,7 +401,8 @@ def _l1(terms: dict[int, int]) -> int:
 
 
 class _PackedDuality:
-    """D of one class, each entry packed once as a Python int.
+    """D of one class, each entry packed once as a Python int: every
+    column of D, or only those named in `columns`.
 
     Entry D(psi)_phi = sign R(phi, psi) v^(-2 l psi), sign =
     (-1)^(l psi - l phi), is packed with lo = -2 l psi - E and, barred,
@@ -405,14 +422,16 @@ class _PackedDuality:
     nonzero entry is in its column's down-set, a u-polynomial of degree
     at most l psi - l phi, and 0 at u = 1 off the diagonal."""
 
-    def __init__(self, b: BlockData, r: RMatrix):
+    def __init__(self, b: BlockData, r: RMatrix,
+                 columns: frozenset[str] | None = None):
         self.b, self.order, self.down = b, r.order, r.down
         lens = self.lens = {x: b.params[x].length for x in r.order}
+        keep = [x for x in r.order if columns is None or x in columns]
         # psi -> [(phi, sign, terms of R(phi, psi), l psi - l phi)] over
         # the nonzero entries of column psi: first those the P-solve
         # reads (phi in the down-set of psi, phi != psi), then the rest
-        read: dict[str, list] = {x: [] for x in r.order}
-        rest: dict[str, list] = {x: [] for x in r.order}
+        read: dict[str, list] = {x: [] for x in keep}
+        rest: dict[str, list] = {x: [] for x in keep}
         row_l1: dict[str, int] = {}
         low = high = self.max_entry = ones = 0
         odd, sound = False, True
@@ -432,11 +451,11 @@ class _PackedDuality:
             self.max_entry = max(self.max_entry, l1)
             low, high = min(low, min(t)), max(high, max(t) - 2 * n)
             odd = odd or any(k % 2 for k in t)
-        self.cols = {x: read[x] + rest[x] for x in r.order}
-        self.reads = {x: len(read[x]) for x in r.order}
+        self.cols = {x: read[x] + rest[x] for x in keep}
+        self.reads = {x: len(read[x]) for x in keep}
         self.step = 1 if odd else 2
         self.margin = max(-low, high)
-        self.sound = sound and ones == len(r.order) and not odd and not self.margin
+        self.sound = sound and ones == len(keep) and not odd and not self.margin
         self.max_row = max(row_l1.values(), default=0)
         self.width = _width(self.max_entry * self.max_row + 1)
         self._plain_rows: tuple[int, dict] | None = None
@@ -534,71 +553,66 @@ class _PackedDuality:
             col_l1 = max([col_l1, *into.values()])
         return self._fit(self.max_entry * (row_l1 + col_l1))
 
-    def solve_P(self) -> PMatrix:
-        """P, one column at a time; a column that finds the digits too
-        narrow is solved again at twice the width."""
-        entries: dict[tuple[str, str], LaurentPoly] = {}
-        for gamma in self.order:
-            col = self._column(gamma)
-            while col is None:
-                self.width *= 2
-                col = self._column(gamma)
-            entries.update(((phi, gamma), LaurentPoly._trusted(sol))
-                           for phi, sol in col.items())
-        return PMatrix(order=self.order, entries=entries)
-
-    def _column(self, gamma: str) -> dict[str, dict[int, int]] | None:
+    def _column(self, gamma: str, col: dict[str, dict[int, int]] | None = None
+                ) -> dict[str, dict[int, int]] | None:
         """Column gamma of P as phi -> terms, or None if the digit width
-        is too narrow for it.
+        is too narrow for it.  Without col the column is solved here; col,
+        a column found otherwise, is only put through the final check.
 
-        Each solved P(psi, gamma) is pushed once: bar(P(psi, gamma))
-        v^(2(l gamma - l psi)), packed with lo = 0, times every packed
-        D(psi)_phi.  The products add up to v^(2 l gamma) times the
-        coefficient at phi of D applied to the column (lo = -E); those
-        that the solve reads give f(phi), the others are kept apart for
-        the self-duality check at the end."""
+        Each P(psi, gamma), solved or given, is pushed once:
+        bar(P(psi, gamma)) v^(2(l gamma - l psi)), packed with lo = 0,
+        times every packed D(psi)_phi.  The products add up to
+        v^(2 l gamma) times the coefficient at phi of D applied to the
+        column (lo = -E); those that the solve reads give f(phi), the
+        others are kept apart.  The final check (the self-duality net) is
+        that D applied to the column is v^(-2 l gamma) times it."""
         w, E, step, lens = self.width, self.margin, self.step, self.lens
         half = 1 << (w - 1)
         plain = self._plain()
         lg = lens[gamma]
-        below = sorted((x for x in self.down[gamma] if x != gamma),
-                       key=lambda x: (-lens[x], x))
         acc: dict[str, int] = {}
         rest: dict[str, int] = {}
         get, get_rest = acc.get, rest.get
-
-        def push(a: int, psi: str) -> None:
-            row, k = plain[psi], self.reads[psi]
-            for phi, x in row[:k]:
-                acc[phi] = get(phi, 0) + a * x
-            for phi, x in row[k:]:
-                rest[phi] = get_rest(phi, 0) + a * x
-
-        push(1, gamma)
         # the largest L1 norm of a pushed factor; the packed column,
         # v^(-2 l gamma) P(., gamma) with lo = -E, for the final check
         top = 1
         want = {gamma: 1 << w * (E // step)}
-        col: dict[str, dict[int, int]] = {}
-        for phi in below:
-            x = acc.get(phi)
-            if not x:
-                continue
-            if top * self.max_row >= half:
-                return None
-            f = _unpack(x, -E, step, w)
+
+        def push(phi: str, sol: dict[int, int]) -> None:
+            nonlocal top
+            top = max(top, _l1(sol))
             n = lg - lens[phi]
-            sol = {k: c for k, c in f.items() if k < n}
-            if {k: c for k, c in f.items() if k >= n} != {
-                    2 * n - k: -c for k, c in sol.items()}:
-                raise PSolveError(
-                    f"no solution under degree bound at P({phi!r}, {gamma!r})")
-            if sol:
-                col[phi] = sol
-                top = max(top, _l1(sol))
-                push(_pack({2 * n - k: c for k, c in sol.items()}, 0, step, w), phi)
-                want[phi] = _pack(sol, -E, step, w)
-        # safety net: the assembled column really is self-dual
+            a = _pack({2 * n - k: c for k, c in sol.items()}, 0, step, w)
+            row, k = plain[phi], self.reads[phi]
+            for psi, x in row[:k]:
+                acc[psi] = get(psi, 0) + a * x
+            for psi, x in row[k:]:
+                rest[psi] = get_rest(psi, 0) + a * x
+            want[phi] = _pack(sol, -E, step, w)
+
+        push(gamma, {0: 1})
+        if col is None:
+            col = {}
+            for phi in sorted((x for x in self.down[gamma] if x != gamma),
+                              key=lambda x: (-lens[x], x)):
+                x = acc.get(phi)
+                if not x:
+                    continue
+                if top * self.max_row >= half:
+                    return None
+                f = _unpack(x, -E, step, w)
+                n = lg - lens[phi]
+                sol = {k: c for k, c in f.items() if k < n}
+                if {k: c for k, c in f.items() if k >= n} != {
+                        2 * n - k: -c for k, c in sol.items()}:
+                    raise PSolveError(
+                        f"no solution under degree bound at P({phi!r}, {gamma!r})")
+                if sol:
+                    col[phi] = sol
+                    push(phi, sol)
+        else:
+            for phi, sol in col.items():
+                push(phi, sol)
         if top * (self.max_row + 1) >= half:
             return None
         for phi in acc.keys() | rest.keys() | want.keys():
@@ -652,17 +666,140 @@ def verify_duality(b: BlockData, block: list[str], r: RMatrix,
 # ---------------------------------------------------------------------------
 # Self-dual basis and multiplicities
 
+_UNIT = {0: 1}
+
+
+def _recursed(b: BlockData, gamma: str, s: int, x: str, earlier: tuple[str, ...],
+              down: frozenset[str], cols: dict[str, dict[str, dict[int, int]]],
+              tp1: dict[str, list]) -> dict[str, dict[int, int]]:
+    """Column gamma of P as phi -> terms, from (T_s + 1) C_x reduced by
+    the columns in `cols` of the labels `earlier` in the order (see
+    `compute_P`).  tp1 caches (T_s + 1) phi as [(mu, terms)] for this s."""
+    params = b.params
+    lg = params[gamma].length
+    y: dict[str, dict[int, int]] = {}
+    for phi, p in itertools.chain(((x, _UNIT),), cols[x].items()):
+        row_t = tp1.get(phi)
+        if row_t is None:
+            row_t = tp1[phi] = [(mu, t.items()) for mu, t in _tp1(b, s, phi).items()]
+        p = p.items()
+        for mu, t in row_t:
+            row = y.get(mu)
+            if row is None:
+                row = y[mu] = {}
+            get = row.get
+            for k2, c2 in t:
+                for k1, c1 in p:
+                    row[k1 + k2] = get(k1 + k2, 0) + c1 * c2
+    top = {mu: q for mu, t in y.items() if params[mu].length >= lg
+           and (q := {k: c for k, c in t.items() if c})}
+    if top != {gamma: _UNIT}:
+        raise PSolveError(
+            f"descent recursion at {gamma!r} through simple {s}: (T_s + 1) of "
+            f"column {x!r} has top {top!r}, not {gamma!r} with coefficient 1")
+    for delta in reversed(earlier):
+        q = y.get(delta)
+        if not q:
+            continue
+        n = lg - params[delta].length
+        a = {}
+        for k, c in q.items():
+            if c and k >= n:
+                a[k] = a[2 * n - k] = c
+        if not a:
+            continue
+        # y -= a C_delta
+        a = a.items()
+        for phi, p in itertools.chain(((delta, _UNIT),), cols[delta].items()):
+            row = y.get(phi)
+            if row is None:
+                row = y[phi] = {}
+            get = row.get
+            for k2, c2 in p.items():
+                for k1, c1 in a:
+                    row[k1 + k2] = get(k1 + k2, 0) - c1 * c2
+    del y[gamma]
+    col = {}
+    for phi, q in y.items():
+        if not q or 0 in q.values():
+            q = {k: c for k, c in q.items() if c}
+            if not q:
+                continue
+        # T rows and P, so y, have even exponents only
+        if phi not in down or min(q) < 0 or max(q) >= lg - params[phi].length:
+            raise PSolveError(
+                f"no solution under degree bound at P({phi!r}, {gamma!r}): the "
+                f"descent recursion through simple {s} leaves "
+                f"{LaurentPoly._trusted(q)} there, down-set of {len(down)} labels")
+        col[phi] = q
+    return col
+
+
 def compute_P(b: BlockData, block: list[str], r: RMatrix,
               packed: _PackedDuality | None = None) -> PMatrix:
-    """Solve the self-duality identity for the P-polynomials, column by
-    column, under the strict degree bound.
+    """The P-polynomials of one class, one column at a time in its order.
+    Column gamma stands for C_gamma = sum of P(phi, gamma) phi, the one
+    element that is self-dual of weight l gamma,
+    D(C_gamma) = v^(-2 l gamma) C_gamma, with coefficient 1 at gamma and,
+    at every other label phi, a u-polynomial of degree below n/2,
+    n = l gamma - l phi, with phi in the down-set of gamma.  It is one:
+    at the longest label delta of the difference of two such, with
+    coefficient c, D gives bar(c) v^(-2 l delta), as D(delta) is
+    v^(-2 l delta) delta plus shorter labels; so bar(c) = v^(-2n) c, c is
+    symmetric about degree n/2 and, below it, 0.
 
-    In column gamma, f(phi) = sum over psi of
+    Descent recursion (Kazhdan-Lusztig, Invent. Math. 53 (1979), (2.2.c);
+    on block modules, Lusztig-Vogan, Invent. Math. 71 (1983)).  With s
+    and x from `_descent`, y = (T_s + 1) C_x must have gamma as its only
+    label of length l gamma, with coefficient 1.  Its other labels delta
+    are taken in decreasing (length, label) order, and y loses
+    a_delta C_delta, where a_delta, with a_k = a_(n-k), agrees with the
+    coefficient q of y at delta in each u-degree k with 2k >= n: that
+    leaves degree below n/2 at delta and changes only shorter labels.
+    The mu of the classical recursion are these top coefficients of q;
+    no table of them is kept.  At the end every coefficient must meet the
+    degree bound at a label of the down-set, or PSolveError names gamma,
+    s, the label and the size of the down-set.  The recursion reads no R.
+
+    Why that is C_gamma: D intertwines T_s + 1 with u^(-1)(T_s + 1)
+    (`verify_duality` certifies it), so D(y) = u^(-1)(T_s + 1)
+    v^(-2 l x) C_x = v^(-2 l gamma) y.  Each a_delta C_delta is self-dual
+    of weight l gamma too, as bar(a_delta) = v^(-2n) a_delta.  So the
+    reduced y is self-dual of weight l gamma, with top gamma and under the
+    degree bound: it is C_gamma, by induction along the order.
+
+    Fallback.  A column with only RP2 descents, or none, is solved on
+    packed D (`_PackedDuality._column`): f(phi) = sum over psi of
     (-1)^(l psi - l phi) bar(P(psi, gamma)) v^(2(l gamma - l psi)) R(phi, psi)
     must equal P(phi, gamma) - bar(P(phi, gamma)) v^(2(l gamma - l phi)),
-    and D applied to the column must give v^(-2 l gamma) times it.  Both
-    sums run on packed D (see `_PackedDuality._column`)."""
-    return (packed or _PackedDuality(b, r)).solve_P()
+    and the column must pass the self-duality net: D applied to it gives
+    v^(-2 l gamma) times it.  Without `packed`, D is packed only over the
+    down-sets of these columns (on a complex class, the minimal label)
+    and recursed columns get no net; the argument above covers them.
+    With `packed`, all of D as `solve_block` passes it under check,
+    `_column` also nets each recursed column, without solving it."""
+    order, down = r.order, r.down
+    descents = {gamma: _descent(b.param(gamma)) for gamma in order}
+    net = packed is not None
+    if not net:
+        fallback = [gamma for gamma in order if descents[gamma] is None]
+        packed = _PackedDuality(b, r, frozenset().union(*(down[g] for g in fallback)))
+    cols: dict[str, dict[str, dict[int, int]]] = {}
+    tp1: list[dict[str, list]] = [{} for _ in b.simples]
+    entries: dict[tuple[str, str], LaurentPoly] = {}
+    for i, gamma in enumerate(order):
+        col = found = None
+        if descents[gamma] is not None:
+            s, x = descents[gamma]
+            col = found = _recursed(b, gamma, s, x, order[:i], down[gamma], cols, tp1[s])
+        if found is None or net:
+            # a column that finds the digits too narrow runs again at
+            # twice the width
+            while (col := packed._column(gamma, found)) is None:
+                packed.width *= 2
+        cols[gamma] = col
+        entries.update(((phi, gamma), LaurentPoly._trusted(t)) for phi, t in col.items())
+    return PMatrix(order=order, entries=entries)
 
 
 def multiplicities(b: BlockData, p: PMatrix) -> MultMatrices:
@@ -728,10 +865,11 @@ class BlockKLV:
 
 
 def solve_block(b: BlockData, block: list[str], check: bool = False) -> BlockKLV:
-    """R, P, M and m of one class; with check, also certify R.  D is
-    packed once and shared by the certificate and the P-solve."""
+    """R, P, M and m of one class; with check, also certify R.  Under
+    check, D is packed once, whole, and shared by the certificate and
+    the P-solve, which then nets every column (see `compute_P`)."""
     r = compute_duality(b, block)
-    packed = _PackedDuality(b, r)
+    packed = _PackedDuality(b, r) if check else None
     verified = verify_duality(b, block, r, packed) if check else None
     p = compute_P(b, block, r, packed)
     mm = multiplicities(b, p)

@@ -11,7 +11,8 @@ support, `check_quadratic`, `check_braid`, `compute_order` and
 `compute_duality` run on whole module elements, `verify_duality` and
 `compute_P` apply D to whole module elements and sum one `LaurentPoly`
 product per pair, `verify_duality` checks D^2 = Id at every parameter,
-and the inverse of M is a dense back-substitution.  The library's
+`solve_P` solves every column of P against packed D, and the inverse of
+M is a dense back-substitution.  The library's
 versions must agree with them exactly.
 """
 
@@ -405,6 +406,23 @@ def compute_P(b, r):
         if apply_D(dual, col) != col.scale(LaurentPoly({-2 * lg: 1})):
             raise PSolveError(f"column {gamma!r} of P is not self-dual")
     return PMatrix(order=r.order, entries=entries)
+
+
+def solve_P(packed):
+    """P, one column at a time; a column that finds the digits too
+    narrow is solved again at twice the width.  This is the P-solve of
+    every column against packed D (`klv._PackedDuality`), which
+    `klv.compute_P` keeps only for the columns without a complex or RP1
+    descent."""
+    entries = {}
+    for gamma in packed.order:
+        col = packed._column(gamma)
+        while col is None:
+            packed.width *= 2
+            col = packed._column(gamma)
+        entries.update(((phi, gamma), LaurentPoly._trusted(sol))
+                       for phi, sol in col.items())
+    return PMatrix(order=packed.order, entries=entries)
 
 
 def multiplicities(b, p):

@@ -159,6 +159,24 @@ def test_fields_must_be_json_lists(sl2r_doc, label, edit, field):
     assert [v.axiom for v in validate_block_doc(doc)] == ["AX_STRUCTURE"]
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: json.loads(json.dumps(doc).replace('"D+"', "7")),
+     "label is not a string: 7"),
+    (lambda doc: {**doc, "simples": [0]}, "simples entry 0 is not a string: 0"),
+    (lambda doc: _doc_with(doc, "D+", cross=[7]),
+     "cross entry 0 of 'D+' is not a string: 7"),
+    (lambda doc: _doc_with(doc, "P", cayley=[[7, "D+"]]),
+     "cayley target in entry 0 of 'P' is not a string: 7"),
+])
+def test_labels_must_be_json_strings(sl2r_doc, edit, message):
+    """A label written as the JSON integer 7 in "label", "cross" and
+    "cayley" was read as the label "7", and `blocks` reported its class."""
+    doc = edit(sl2r_doc)
+    with pytest.raises(BlockFormatError, match=re.escape(message)):
+        block_from_json(doc)
+    assert [v.axiom for v in validate_block_doc(doc)] == ["AX_STRUCTURE"]
+
+
 def _nci2_squared_doc():
     other = block_from_json(
         {**block_to_json(builtin_nci2_block()), "simples": ["t"]})

@@ -389,6 +389,24 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, sl2_path):
         code, rep = _run(capsys, "validate", path)
         assert code == 1
         assert [v["axiom"] for v in rep["violations"]] == ["AX_STRUCTURE"]
+    # Labels and simples that are not JSON strings were read through str().
+    for i, (doc, message) in enumerate([
+            (json.loads(json.dumps(sl2r).replace('"D+"', "7")),
+             "label is not a string: 7"),
+            ({**sl2r, "simples": [0]}, "simples entry 0 is not a string: 0"),
+            (_doc_with(sl2r, "D+", cross=[7]), "cross entry 0 of 'D+' is not a string: 7"),
+            (_doc_with(sl2r, "P", cayley=[["D+", 7]]),
+             "cayley target in entry 0 of 'P' is not a string: 7")]):
+        path = _written(tmp_path, f"int_label{i}.json", doc)
+        for argv in (["blocks", path], ["klv", path],
+                     ["hecke-apply", path, "--simple", "0", "--label", "P"],
+                     ["induce", path, path, _written(tmp_path, "id.json", _MAP_BASE)]):
+            assert run(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                f"error: malformed block file: {message}\n"), argv
+        code, rep = _run(capsys, "validate", path)
+        assert code == 1
+        assert [v["axiom"] for v in rep["violations"]] == ["AX_STRUCTURE"]
     # A block file that is not UTF-8 ended in a UnicodeDecodeError.
     raw = tmp_path / "not_utf8.json"
     raw.write_bytes(b"\xff\xfe{")

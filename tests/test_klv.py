@@ -21,7 +21,7 @@ from klvkit.blockdata import (
     product_block,
     validate_block,
 )
-from klvkit import klv
+from klvkit import cli, klv
 from klvkit.klv import (
     DualityError,
     MultiplicityError,
@@ -449,11 +449,16 @@ def _packed(b, r, width=None):
     return packed
 
 
-def _assert_agrees(b, r, width=None):
+def _solve_all_columns(b, blk, r, packed):
+    """The P-solve of every column against packed D."""
+    return reference_klv.solve_P(packed)
+
+
+def _assert_agrees(b, r, width=None, solve=compute_P):
     blk = list(r.order)
     assert (verify_duality(b, blk, r, _packed(b, r, width))
             == reference_klv.verify_duality(b, r))
-    assert (_p_outcome(compute_P, b, blk, r, _packed(b, r, width))
+    assert (_p_outcome(solve, b, blk, r, _packed(b, r, width))
             == _p_outcome(reference_klv.compute_P, b, r))
 
 
@@ -462,7 +467,8 @@ def _assert_agrees(b, r, width=None):
 def test_packed_duality_matches_references(name, data):
     """Valid R, and R with one coefficient changed by +-1 or +-2^k for k
     across the digit width chosen for it, or with c u^i - c u^j added,
-    which keeps the value at u = 1."""
+    which keeps the value at u = 1.  Recursed columns of compute_P do not
+    read R, so the P half runs the P-solve of every column."""
     b, rs = _solved(name)
     r = data.draw(st.sampled_from(rs))
     w = klv._PackedDuality(b, r).width
@@ -478,9 +484,9 @@ def test_packed_duality_matches_references(name, data):
     entries = dict(r.entries)
     entries[(phi, gamma)] = r.entry(phi, gamma) + LaurentPoly(delta)
     bad = RMatrix(r.order, entries, r.down)
-    _assert_agrees(b, bad)
+    _assert_agrees(b, bad, solve=_solve_all_columns)
     # the same from a digit width far too narrow for the coefficients
-    _assert_agrees(b, bad, width=2)
+    _assert_agrees(b, bad, width=2, solve=_solve_all_columns)
 
 
 def test_valid_duality_passes_packed_checks():
@@ -541,11 +547,11 @@ def test_huge_coefficients_widen_the_digits():
     assert max(abs(c) for q in r.entries.values() for c in q.terms.values()) > big
     want = PMatrix(r.order, p_entries)
     packed = _packed(b, r, width=4)
-    assert packed.solve_P() == want
+    assert reference_klv.solve_P(packed) == want
     assert packed.width > 4
     # longest column first: its first decodes come before any widening
     rev = RMatrix(tuple(reversed(r.order)), r.entries, r.down)
-    assert _packed(b, rev, width=4).solve_P() == PMatrix(rev.order, p_entries)
+    assert reference_klv.solve_P(_packed(b, rev, width=4)) == PMatrix(rev.order, p_entries)
     assert compute_P(b, list(r.order), r) == want
     assert reference_klv.compute_P(b, r) == want
     _assert_agrees(b, r)
@@ -768,3 +774,139 @@ def test_each_scalar_check_rejects_on_its_own(change):
     assert not verify_duality(b, blk, bad, _packed_checks_pass(b, bad))
     assert not verify_duality(b, blk, bad)
     assert not reference_klv.verify_duality(b, bad)
+
+
+# ---------------------------------------------------------------------------
+# compute_P by descent recursion, with the packed solve only for columns
+# that have neither a complex nor an RP1 descent.
+
+def _p_both_modes(b, blk, r):
+    """compute_P without packed D and with all of it, as `solve_block`
+    runs it without and with check."""
+    return compute_P(b, blk, r), compute_P(b, blk, r, klv._PackedDuality(b, r))
+
+
+_SIZES = {"sl2r": 3, "nci2": 3, "A1": 2, "A2": 6, "B2": 8}
+
+
+@st.composite
+def _relabelled_products(draw):
+    """A product of one to three of sl2r, nci2, A1, A2, B2 with at most
+    200 parameters, its labels renamed and its parameters reordered."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_SIZES)), min_size=1, max_size=3)
+                 .filter(lambda ks: functools.reduce(
+                     operator.mul, (_SIZES[k] for k in ks)) <= 200))
+    base = functools.reduce(product_block, [_FACTORS[k](c) for k, c in zip(kinds, "abc")])
+    n = len(base.params)
+    return _relabelled(base, draw(st.permutations([f"q{i:03d}" for i in range(n)])),
+                       draw(st.permutations(range(n))))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_relabelled_products())
+def test_compute_P_matches_the_full_solve_and_the_module_reference(b):
+    for blk in partition_blocks(b):
+        r = compute_duality(b, blk)
+        want = reference_klv.compute_P(b, r)
+        assert reference_klv.solve_P(klv._PackedDuality(b, r)) == want
+        assert _p_both_modes(b, blk, r) == (want, want)
+
+
+_COXETER = {
+    "A3": ((1, 3, 2), (3, 1, 3), (2, 3, 1)),
+    "B3": ((1, 3, 2), (3, 1, 4), (2, 4, 1)),
+    "G2": ((1, 6), (6, 1)),
+    "A4": ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)),
+    "D4": ((1, 3, 2, 2), (3, 1, 3, 3), (2, 3, 1, 2), (2, 3, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COXETER))
+def test_compute_P_matches_classical_kl(name):
+    braid = _COXETER[name]
+    names = tuple(f"s{i + 1}" for i in range(len(braid)))
+    b = generate_complex_block(names, braid)
+    (blk,) = partition_blocks(b)
+    r = compute_duality(b, blk)
+    oracle = ClassicalKL(names, braid).p_matrix()
+    want = PMatrix(r.order, {k: v for k, v in oracle.items() if k[0] != k[1]})
+    assert _p_both_modes(b, blk, r) == (want, want)
+
+
+def _corrupt_last_recursed_column(monkeypatch, b, blk):
+    """Make the recursion return its longest column with 1 added to the
+    constant term of the entry at the minimal label: still under the
+    degree bound, no longer self-dual.  Returns the two labels."""
+    order = sorted(blk, key=lambda x: (b.params[x].length, x))
+    gamma, phi = next(x for x in reversed(order) if klv._descent(b.params[x])), order[0]
+    recursed = klv._recursed
+
+    def corrupted(b, g, *args):
+        col = recursed(b, g, *args)
+        if g == gamma:
+            t = col.setdefault(phi, {})
+            t[0] = t.get(0, 0) + 1
+        return col
+
+    monkeypatch.setattr(klv, "_recursed", corrupted)
+    return phi, gamma
+
+
+@pytest.mark.parametrize("name", ["A3", "B2xsl2r", "sl2rxnci2xA1"])
+def test_check_nets_a_corrupted_recursed_column(name, monkeypatch, tmp_path, capsys):
+    """With check every column goes through the self-duality net, and
+    klv --check exits 1; without check a recursed column gets no net."""
+    b = _REFERENCE_BLOCKS[name]()
+    blk = max(partition_blocks(b), key=len)
+    right = klv.solve_block(b, blk).p
+    phi, gamma = _corrupt_last_recursed_column(monkeypatch, b, blk)
+    message = f"column {gamma!r} of P is not self-dual"
+    with pytest.raises(PSolveError, match=re.escape(message)):
+        klv.solve_block(b, blk, check=True)
+    assert klv.solve_block(b, blk).p.entry(phi, gamma) == right.entry(phi, gamma) + ONE
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(block_to_json(b)))
+    assert cli.run(["klv", str(path), "--check"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_solve_block_runs_each_stage_once_per_class(check, monkeypatch):
+    """The tracer of the benchmark times these four stages by rebinding
+    them in klv; solve_block must look each up there, once per class,
+    and verify_duality only under check."""
+    calls = {}
+    for name in ("compute_duality", "compute_P", "multiplicities", "verify_duality"):
+        def counted(*args, _name=name, _f=getattr(klv, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(klv, name, counted)
+    classes = 0
+    for b in (_REFERENCE_BLOCKS["A3"](), _REFERENCE_BLOCKS["sl2rxnci2xA1"](),
+              _compact_and_nonparity_block()):
+        for blk in partition_blocks(b):
+            klv.solve_block(b, blk, check=check)
+            classes += 1
+    assert classes > 3
+    want = dict.fromkeys(["compute_duality", "compute_P", "multiplicities"], classes)
+    assert calls == ({**want, "verify_duality": classes} if check else want)
+
+
+def test_default_packing_holds_only_the_fallback_down_sets(monkeypatch):
+    """On A3 every label but the minimal one has a complex descent, so
+    without check D is packed at that one column; with check, whole."""
+    made = []
+
+    class Recorded(klv._PackedDuality):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(klv, "_PackedDuality", Recorded)
+    b = _REFERENCE_BLOCKS["A3"]()
+    (blk,) = partition_blocks(b)
+    klv.solve_block(b, blk)
+    assert [set(p.cols) for p in made] == [{"e"}]
+    made.clear()
+    klv.solve_block(b, blk, check=True)
+    assert [set(p.cols) for p in made] == [set(blk)]
