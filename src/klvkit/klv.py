@@ -400,6 +400,9 @@ def _l1(terms: dict[int, int]) -> int:
     return sum(map(abs, terms.values()))
 
 
+_UNIT = {0: 1}
+
+
 class _PackedDuality:
     """D of one class, each entry packed once as a Python int: every
     column of D, or only those named in `columns`.
@@ -553,72 +556,92 @@ class _PackedDuality:
             col_l1 = max([col_l1, *into.values()])
         return self._fit(self.max_entry * (row_l1 + col_l1))
 
-    def _column(self, gamma: str, col: dict[str, dict[int, int]] | None = None
-                ) -> dict[str, dict[int, int]] | None:
-        """Column gamma of P as phi -> terms, or None if the digit width
-        is too narrow for it.  Without col the column is solved here; col,
-        a column found otherwise, is only put through the final check.
-
-        Each P(psi, gamma), solved or given, is pushed once:
-        bar(P(psi, gamma)) v^(2(l gamma - l psi)), packed with lo = 0,
-        times every packed D(psi)_phi.  The products add up to
-        v^(2 l gamma) times the coefficient at phi of D applied to the
-        column (lo = -E); those that the solve reads give f(phi), the
-        others are kept apart.  The final check (the self-duality net) is
-        that D applied to the column is v^(-2 l gamma) times it."""
+    def _column(self, gamma: str) -> dict[str, dict[int, int]] | None:
+        """Column gamma of P as phi -> terms, solved on packed D and put
+        through the self-duality net, or None if the digit width is too
+        narrow for it.  P(phi, gamma) is read off f(phi), the part of the
+        sums (`_ColumnSums`) that the solve reads, once every longer
+        entry is pushed."""
         w, E, step, lens = self.width, self.margin, self.step, self.lens
         half = 1 << (w - 1)
-        plain = self._plain()
         lg = lens[gamma]
-        acc: dict[str, int] = {}
-        rest: dict[str, int] = {}
-        get, get_rest = acc.get, rest.get
-        # the largest L1 norm of a pushed factor; the packed column,
-        # v^(-2 l gamma) P(., gamma) with lo = -E, for the final check
-        top = 1
-        want = {gamma: 1 << w * (E // step)}
-
-        def push(phi: str, sol: dict[int, int]) -> None:
-            nonlocal top
-            top = max(top, _l1(sol))
+        sums = _ColumnSums(self, gamma)
+        col: dict[str, dict[int, int]] = {}
+        for phi in sorted((x for x in self.down[gamma] if x != gamma),
+                          key=lambda x: (-lens[x], x)):
+            x = sums.read.get(phi)
+            if not x:
+                continue
+            if sums.top * self.max_row >= half:
+                return None
+            f = _unpack(x, -E, step, w)
             n = lg - lens[phi]
-            a = _pack({2 * n - k: c for k, c in sol.items()}, 0, step, w)
-            row, k = plain[phi], self.reads[phi]
-            for psi, x in row[:k]:
-                acc[psi] = get(psi, 0) + a * x
-            for psi, x in row[k:]:
-                rest[psi] = get_rest(psi, 0) + a * x
-            want[phi] = _pack(sol, -E, step, w)
+            sol = {k: c for k, c in f.items() if k < n}
+            if {k: c for k, c in f.items() if k >= n} != {
+                    2 * n - k: -c for k, c in sol.items()}:
+                raise PSolveError(
+                    f"no solution under degree bound at P({phi!r}, {gamma!r})")
+            if sol:
+                col[phi] = sol
+                sums.push(phi, sol)
+        return col if sums.net() else None
 
-        push(gamma, {0: 1})
-        if col is None:
-            col = {}
-            for phi in sorted((x for x in self.down[gamma] if x != gamma),
-                              key=lambda x: (-lens[x], x)):
-                x = acc.get(phi)
-                if not x:
-                    continue
-                if top * self.max_row >= half:
-                    return None
-                f = _unpack(x, -E, step, w)
-                n = lg - lens[phi]
-                sol = {k: c for k, c in f.items() if k < n}
-                if {k: c for k, c in f.items() if k >= n} != {
-                        2 * n - k: -c for k, c in sol.items()}:
-                    raise PSolveError(
-                        f"no solution under degree bound at P({phi!r}, {gamma!r})")
-                if sol:
-                    col[phi] = sol
-                    push(phi, sol)
-        else:
+    def _net(self, gamma: str, col: dict[str, dict[int, int]]) -> None:
+        """The self-duality net alone, on column gamma of P found
+        otherwise; the digit width doubles until the sums fit."""
+        while True:
+            sums = _ColumnSums(self, gamma)
             for phi, sol in col.items():
-                push(phi, sol)
-        if top * (self.max_row + 1) >= half:
-            return None
-        for phi in acc.keys() | rest.keys() | want.keys():
-            if get(phi, 0) + get_rest(phi, 0) != want.get(phi, 0):
-                raise PSolveError(f"column {gamma!r} of P is not self-dual")
-        return col
+                sums.push(phi, sol)
+            if sums.net():
+                return
+            self.width *= 2
+
+
+class _ColumnSums:
+    """v^(2 l gamma) times D applied to column gamma of P, on packed D,
+    with the entries of the column pushed one at a time.  Pushing
+    P(psi, gamma) adds bar(P(psi, gamma)) v^(2(l gamma - l psi)), packed
+    with lo = 0, times every packed D(psi)_phi: the products add up to
+    the coefficient at phi, packed with lo = -E.  Those that the P-solve
+    reads give f(phi) (`read`), the others are kept apart (`rest`).
+    `top` is the largest L1 norm of a pushed entry, and `want` the packed
+    column, v^(-2 l gamma) P(., gamma) with lo = -E."""
+
+    def __init__(self, packed: _PackedDuality, gamma: str):
+        self.packed, self.gamma = packed, gamma
+        self.plain = packed._plain()
+        self.read: dict[str, int] = {}
+        self.rest: dict[str, int] = {}
+        self.want: dict[str, int] = {}
+        self.top = 1
+        self.push(gamma, _UNIT)
+
+    def push(self, psi: str, sol: dict[int, int]) -> None:
+        p = self.packed
+        w, step = p.width, p.step
+        self.top = max(self.top, _l1(sol))
+        n = p.lens[self.gamma] - p.lens[psi]
+        a = _pack({2 * n - k: c for k, c in sol.items()}, 0, step, w)
+        row, k = self.plain[psi], p.reads[psi]
+        for into, part in ((self.read, row[:k]), (self.rest, row[k:])):
+            get = into.get
+            for phi, x in part:
+                into[phi] = get(phi, 0) + a * x
+        self.want[psi] = _pack(sol, -p.margin, step, w)
+
+    def net(self) -> bool:
+        """False if the digit width is too narrow to tell; else the
+        self-duality net: D applied to the column must be
+        v^(-2 l gamma) times it, or PSolveError."""
+        p = self.packed
+        if self.top * (p.max_row + 1) >= 1 << (p.width - 1):
+            return False
+        read, rest, want = self.read, self.rest, self.want
+        for phi in read.keys() | rest.keys() | want.keys():
+            if read.get(phi, 0) + rest.get(phi, 0) != want.get(phi, 0):
+                raise PSolveError(f"column {self.gamma!r} of P is not self-dual")
+        return True
 
 
 def _generators(b: BlockData, order: tuple[str, ...] | list[str]) -> list[str]:
@@ -665,9 +688,6 @@ def verify_duality(b: BlockData, block: list[str], r: RMatrix,
 
 # ---------------------------------------------------------------------------
 # Self-dual basis and multiplicities
-
-_UNIT = {0: 1}
-
 
 def _recursed(b: BlockData, gamma: str, s: int, x: str, earlier: tuple[str, ...],
               down: frozenset[str], cols: dict[str, dict[str, dict[int, int]]],
@@ -776,8 +796,8 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix,
     v^(-2 l gamma) times it.  Without `packed`, D is packed only over the
     down-sets of these columns (on a complex class, the minimal label)
     and recursed columns get no net; the argument above covers them.
-    With `packed`, all of D as `solve_block` passes it under check,
-    `_column` also nets each recursed column, without solving it."""
+    With `packed`, all of D as `solve_block` passes it under check, every
+    recursed column goes through the same net (`_PackedDuality._net`)."""
     order, down = r.order, r.down
     descents = {gamma: _descent(b.param(gamma)) for gamma in order}
     net = packed is not None
@@ -788,15 +808,16 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix,
     tp1: list[dict[str, list]] = [{} for _ in b.simples]
     entries: dict[tuple[str, str], LaurentPoly] = {}
     for i, gamma in enumerate(order):
-        col = found = None
-        if descents[gamma] is not None:
-            s, x = descents[gamma]
-            col = found = _recursed(b, gamma, s, x, order[:i], down[gamma], cols, tp1[s])
-        if found is None or net:
-            # a column that finds the digits too narrow runs again at
+        if descents[gamma] is None:
+            # a column that finds the digits too narrow is solved again at
             # twice the width
-            while (col := packed._column(gamma, found)) is None:
+            while (col := packed._column(gamma)) is None:
                 packed.width *= 2
+        else:
+            s, x = descents[gamma]
+            col = _recursed(b, gamma, s, x, order[:i], down[gamma], cols, tp1[s])
+            if net:
+                packed._net(gamma, col)
         cols[gamma] = col
         entries.update(((phi, gamma), LaurentPoly._trusted(t)) for phi, t in col.items())
     return PMatrix(order=order, entries=entries)
