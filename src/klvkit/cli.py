@@ -88,37 +88,65 @@ def _key(k) -> str:
                     f"not {k.__class__.__name__}")
 
 
-def _render(x, indent: str) -> str:
-    """x as json.dumps(x, sort_keys=True, indent=2) renders it when it
-    starts at the given indent.  A list of plain ints is one join."""
+# Entries of a dict or list, of the str or int values inline, that one
+# piece holds at most; a list of plain ints (a row of M or m) is one piece.
+_BATCH = 1024
+
+
+def _render(x, indent: str = ""):
+    """Yield x in pieces whose concatenation is json.dumps(x,
+    sort_keys=True, indent=2) when x starts at the given indent.  A piece
+    holds at most one list of plain ints or _BATCH entries of str or int
+    values; a container value is rendered in pieces of its own."""
     if isinstance(x, str):
-        return _encode_str(x)
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        if set(map(type, x)) == {int}:
-            body = sep.join(map(int.__repr__, x))
-        else:
-            body = sep.join([_render(v, inner) for v in x])
-        return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = indent + "  "
-        body = (",\n" + inner).join([f"{_key(k)}: {_render(v, inner)}"
-                                      for k, v in sorted(x.items())])
-        return f"{{\n{inner}{body}\n{indent}}}"
+        yield _encode_str(x)
+        return
     if type(x) is int:
-        return int.__repr__(x)
-    return json.dumps(x)  # None, a bool or a float; else json's TypeError
+        yield int.__repr__(x)
+        return
+    if not x or not isinstance(x, (list, tuple, dict)):
+        # an empty list or dict, None, a bool or a float; else json's TypeError
+        yield json.dumps(x)
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(x, dict):
+        items, brackets = ((f"{_key(k)}: ", v) for k, v in sorted(x.items())), "{}"
+    elif set(map(type, x)) == {int}:
+        yield f"[\n{inner}{sep.join(map(int.__repr__, x))}\n{indent}]"
+        return
+    else:
+        items, brackets = (("", v) for v in x), "[]"
+    parts = [f"{brackets[0]}\n{inner}"]
+    n = 0
+    for head, v in items:
+        if n:
+            parts.append(sep)
+        n += 1
+        if isinstance(v, str):
+            parts.append(head + _encode_str(v))
+        elif type(v) is int:
+            parts.append(head + int.__repr__(v))
+        else:
+            parts.append(head)
+            yield "".join(parts)
+            parts = []
+            yield from _render(v, inner)
+            continue
+        if n % _BATCH == 0:
+            yield "".join(parts)
+            parts = []
+    parts.append(f"\n{indent}{brackets[1]}")
+    yield "".join(parts)
 
 
 def _emit(report: dict) -> None:
     """Write report exactly as json.dumps(report, sort_keys=True,
-    indent=2) renders it, plus a newline."""
-    sys.stdout.write(_render(report, "") + "\n")
+    indent=2) renders it, plus a newline, piece by piece."""
+    write = sys.stdout.write
+    for piece in _render(report):
+        write(piece)
+    write("\n")
 
 
 def _report(command: str, inputs: list[str], payload: dict) -> dict:
@@ -183,6 +211,9 @@ def _cmd_klv(args) -> int:
     if violations:
         return _emit_violations("klv", args.block, violations)
     payload: dict = {"blocks": [], "order": [], "R": {}, "P": {}, "M": [], "m": []}
+    # one string per distinct polynomial of the report, keyed by value:
+    # a LaurentPoly hashes its sorted terms and compares its term tables
+    texts: dict = {}
     ok = True
     quad_ok, counter = hecke.check_quadratic(b)
     ok &= quad_ok
@@ -192,8 +223,13 @@ def _cmd_klv(args) -> int:
             ok = False
         payload["blocks"].append(cls)
         payload["order"].extend(res.order)
-        payload["R"].update({f"{x}|{y}": str(v) for (x, y), v in res.r.entries.items()})
-        payload["P"].update({f"{x}|{y}": str(v) for (x, y), v in res.p.entries.items()})
+        for name, mat in (("R", res.r), ("P", res.p)):
+            out = payload[name]
+            for (x, y), v in mat.entries.items():
+                text = texts.get(v)
+                if text is None:
+                    text = texts[v] = str(v)
+                out[f"{x}|{y}"] = text
         payload["M"].append(res.M)
         payload["m"].append(res.m)
     if args.check:

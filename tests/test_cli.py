@@ -1,4 +1,6 @@
 import contextlib
+import functools
+import hashlib
 import io
 import json
 
@@ -18,6 +20,7 @@ from klvkit import cli, klv, rootdata
 from klvkit.cli import run
 
 from test_blockdata import _doc_with
+from test_klv import _COXETER, _FACTORS, _relabelled
 from test_rootdata import A1xA1, A2, B2, B3, SL2_SPLIT, SWAP
 
 
@@ -560,7 +563,24 @@ _trees = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_trees)
 def test_render_matches_json_dumps(x):
-    assert cli._render(x, "") == json.dumps(x, sort_keys=True, indent=2)
+    pieces = list(cli._render(x, ""))
+    assert all(isinstance(piece, str) and piece for piece in pieces)
+    assert "".join(pieces) == json.dumps(x, sort_keys=True, indent=2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_strings, min_size=1, max_size=8),
+       st.integers(cli._BATCH - 1, 3 * cli._BATCH + 1), st.integers(0, 3))
+def test_render_matches_json_dumps_across_batches(pool, n, depth):
+    """Lists and dicts of more entries than one piece holds, with str,
+    int and list values mixed, nested so that every batch starts at an
+    indent."""
+    labels = [f"{pool[i % len(pool)]}{i}" for i in range(n)]
+    values = [[x, i, [i]][i % 3] if i % 7 else [] for i, x in enumerate(labels)]
+    for x in (labels, dict(zip(labels, values)), {"a": labels, "b": [values]}):
+        for _ in range(depth):
+            x = {"k": x}
+        assert "".join(cli._render(x)) == json.dumps(x, sort_keys=True, indent=2)
 
 
 def test_render_rejects_what_json_rejects():
@@ -568,4 +588,67 @@ def test_render_rejects_what_json_rejects():
         with pytest.raises(TypeError):
             json.dumps(bad, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
-            cli._render(bad, "")
+            "".join(cli._render(bad, ""))
+
+
+class _Pieces(list):
+    """A stdout that keeps each write apart."""
+
+    def write(self, piece):
+        self.append(piece)
+
+
+def test_klv_report_is_written_in_small_pieces(tmp_path):
+    """D4, 192 parameters: the report is written piece by piece, and no
+    piece is longer than a quarter of it."""
+    b = generate_complex_block(("s1", "s2", "s3", "s4"), _COXETER["D4"])
+    assert len(b.params) == 192
+    path = _written(tmp_path, "d4.json", block_to_json(b))
+    pieces = _Pieces()
+    with contextlib.redirect_stdout(pieces):
+        assert run(["klv", path]) == 0
+    report = "".join(pieces)
+    assert json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n" == report
+    assert 4 * max(map(len, pieces)) <= len(report)
+
+
+# Classes of different polynomials, all over the simples a1 and b1.
+_UNION_PARTS = [("sl2r", "sl2r"), ("sl2r", "nci2"), ("nci2", "nci2"),
+                ("nci2", "A1"), ("A1", "A1"), ("A1", "sl2r")]
+
+
+def test_klv_report_matches_one_str_per_entry(capsys, tmp_path):
+    """A block file of six classes: klv prints the json.dumps of the
+    payload built with str() of every R and P entry.  A table of strings
+    keyed by id() would fail here, as the R and P of a class are freed
+    before a later class reuses their ids."""
+    params = []
+    for i, kinds in enumerate(_UNION_PARTS):
+        part = functools.reduce(product_block, [
+            _FACTORS[k](c) for k, c in zip(kinds, "ab")])
+        renamed = _relabelled(part, [f"{i}:{x}" for x in sorted(part.params)],
+                              range(len(part.params)))
+        params += block_to_json(renamed)["params"]
+    doc = {**block_to_json(part), "params": params}
+    path = _written(tmp_path, "union.json", doc)
+    b = block_from_json(doc)
+    classes = klv.partition_blocks(b)
+    assert len(classes) == len(_UNION_PARTS)
+    for check in (False, True):
+        code = run(["klv", path] + ["--check"] * check)
+        out = capsys.readouterr().out
+        payload = {"blocks": [], "order": [], "R": {}, "P": {}, "M": [], "m": []}
+        for cls in classes:
+            res = klv.solve_block(b, cls, check=check)
+            payload["blocks"].append(cls)
+            payload["order"].extend(res.order)
+            payload["R"].update({f"{x}|{y}": str(v) for (x, y), v in res.r.entries.items()})
+            payload["P"].update({f"{x}|{y}": str(v) for (x, y), v in res.p.entries.items()})
+            payload["M"].append(res.M)
+            payload["m"].append(res.m)
+        if check:
+            payload["checks_passed"] = True
+        digest = hashlib.sha256((tmp_path / "union.json").read_bytes()).hexdigest()
+        report = {"command": "klv", "inputs": {path: digest}, **payload}
+        assert code == 0
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"

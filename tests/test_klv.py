@@ -833,6 +833,28 @@ def test_compute_P_matches_classical_kl(name):
     assert _p_both_modes(b, blk, r) == (want, want)
 
 
+_INTERNED = {
+    "A3": lambda: generate_complex_block(("s1", "s2", "s3"), _COXETER["A3"]),
+    "B3": lambda: generate_complex_block(("s1", "s2", "s3"), _COXETER["B3"]),
+    "sl2rxnci2xA3": lambda: functools.reduce(product_block, [
+        _FACTORS["sl2r"]("a"), _FACTORS["nci2"]("b"),
+        generate_complex_block(("c1", "c2", "c3"), _COXETER["A3"])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTERNED))
+@pytest.mark.parametrize("check", [False, True])
+def test_equal_entries_of_a_class_share_one_object(name, check):
+    """R and P hold one LaurentPoly per distinct value of each class."""
+    b = _INTERNED[name]()
+    for blk in partition_blocks(b):
+        res = klv.solve_block(b, blk, check=check)
+        for entries in (res.r.entries, res.p.entries):
+            values = set(entries.values())
+            assert len({id(v) for v in entries.values()}) == len(values)
+            assert len(values) < len(entries)
+
+
 def _corrupt_last_recursed_column(monkeypatch, b, blk):
     """Make the recursion return its longest column with 1 added to the
     constant term of the entry at the minimal label: still under the
