@@ -6,8 +6,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
-__all__ = ["GaussRat", "GVec", "gvec", "vec_add", "vec_sub", "mat_apply", "pair"]
+__all__ = ["GaussRat", "GVec", "ScaledVec", "gvec", "vec_add", "vec_sub",
+           "mat_apply", "pair"]
 
 # The imaginary term must carry an explicit sign when a real part is
 # present, so that "1/10*i" cannot split as real 1/1 plus imaginary 0.
@@ -95,6 +98,42 @@ GZERO = GaussRat()
 GVec = tuple[GaussRat, ...]
 
 
+class ScaledVec:
+    """A Gaussian-rational vector written once over the integers:
+    x_i = (re_i + i*im_i)/q, where q >= 1 is the lcm of every
+    denominator of the real and imaginary parts.  An integer functional
+    c pairs with x to (a + i*b)/q with a = c.re and b = c.im, so each
+    test of a pairing is at most two integer dot products.  `coords`
+    keeps x itself."""
+
+    __slots__ = ("coords", "q", "re", "im")
+
+    def __init__(self, x: GVec):
+        self.coords = x
+        q = self.q = lcm(*[v.real.denominator for v in x],
+                         *[v.imag.denominator for v in x])
+        self.re = tuple([v.real.numerator * (q // v.real.denominator) for v in x])
+        self.im = tuple([v.imag.numerator * (q // v.imag.denominator) for v in x])
+
+    def value(self, c) -> GaussRat:
+        """The pairing of c with x, (a + i*b)/q."""
+        return GaussRat(Fraction(sum(map(mul, c, self.re)), self.q),
+                        Fraction(sum(map(mul, c, self.im)), self.q))
+
+    def is_zero(self, c) -> bool:
+        return not sum(map(mul, c, self.re)) and not sum(map(mul, c, self.im))
+
+    def is_integer(self, c) -> bool:
+        return (not sum(map(mul, c, self.im))
+                and not sum(map(mul, c, self.re)) % self.q)
+
+    def is_positive_integer(self, c) -> bool:
+        if sum(map(mul, c, self.im)):
+            return False
+        a = sum(map(mul, c, self.re))
+        return a > 0 and not a % self.q
+
+
 def gvec(values) -> GVec:
     return tuple(GaussRat.of(v) for v in values)
 
@@ -117,4 +156,7 @@ def mat_apply(mat, vec: GVec) -> GVec:
 
 def pair(int_vec, vec: GVec) -> GaussRat:
     """Integer functional applied to a Gaussian-rational vector."""
-    return sum((GaussRat.of(c) * x for c, x in zip(int_vec, vec, strict=True)), GZERO)
+    if len(int_vec) != len(vec):
+        raise ValueError(f"functional of length {len(int_vec)} on a vector "
+                         f"of length {len(vec)}")
+    return ScaledVec(vec).value(int_vec)

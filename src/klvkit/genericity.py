@@ -1,9 +1,12 @@
 """Exact genericity tests for an infinitesimal character xi = xi_m + nu
 split along a Levi selection, and the excluded hyperplane arrangement.
 
-Every test is exact over Gaussian rationals; there are no tolerances.
-A failed hypothesis never claims reducibility — the strongest verdict
-that the checks support is reported, otherwise "NoConclusion".
+Every test is a root test: whether the pairing <coroot, x> is zero, an
+integer or a positive integer.  Each vector is written once as integers
+over one common denominator (`ScaledVec`), so every test reads off
+integer dot products; there are no tolerances.  A failed hypothesis
+never claims reducibility — the strongest verdict that the checks
+support is reported, otherwise "NoConclusion".
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gaussian import GaussRat, GVec, gvec, vec_add
+from .gaussian import GaussRat, GVec, ScaledVec, gvec, vec_add
 from .rootdata import InfChar, LeviSelection, RootDatum, reflection_matrix
 # Not called here: bench/tracer.py wraps these names in this module to
 # count Weyl elements enumerated.
@@ -40,32 +43,37 @@ class HyperplaneFamily:
 
 
 def _coords(xi) -> GVec:
-    return xi.coords if isinstance(xi, InfChar) else gvec(xi)
+    return xi.coords if isinstance(xi, (InfChar, ScaledVec)) else gvec(xi)
+
+
+def _scaled(xi) -> ScaledVec:
+    """xi, given as a vector, an InfChar or a ScaledVec, as a ScaledVec."""
+    return xi if isinstance(xi, ScaledVec) else ScaledVec(_coords(xi))
 
 
 def check_hypA(d: RootDatum, lv: LeviSelection, xi):
     """No Levi root may pair to zero with xi."""
-    coords = _coords(xi)
+    x = _scaled(xi)
     for alpha in lv.levi:
-        if d.pairing(alpha, coords).is_zero():
+        if x.is_zero(d.coroot(alpha)):
             return False, alpha
     return True, None
 
 
 def check_hypB(d: RootDatum, lv: LeviSelection, xi):
     """No nilradical root may pair to an integer with xi."""
-    coords = _coords(xi)
+    x = _scaled(xi)
     for alpha in lv.nilradical:
-        if d.pairing(alpha, coords).is_integer():
+        if x.is_integer(d.coroot(alpha)):
             return False, alpha
     return True, None
 
 
-def _singular_roots(d: RootDatum, coords: GVec) -> list:
-    """Roots pairing to zero with coords, in d.roots order.  By
-    Steinberg's theorem their reflections generate the stabilizer of
-    coords in the Weyl group."""
-    return [a for a in d.roots if d.pairing(a, coords).is_zero()]
+def _singular_roots(d: RootDatum, x: ScaledVec) -> list:
+    """Roots pairing to zero with x, in d.roots order.  By Steinberg's
+    theorem their reflections generate the stabilizer of x in the Weyl
+    group."""
+    return [a for a in d.roots if x.is_zero(d.coroot(a))]
 
 
 def check_hypC(d: RootDatum, lv: LeviSelection, xi_m, nu, singular=None):
@@ -74,14 +82,14 @@ def check_hypC(d: RootDatum, lv: LeviSelection, xi_m, nu, singular=None):
     i.e. every root singular on xi = xi_m + nu is singular on xi_m,
     and no nilradical root pairs to zero with nu.  `singular`, if given,
     is `_singular_roots` of xi."""
-    xm, nv = _coords(xi_m), _coords(nu)
+    xm, nv = _scaled(xi_m), _scaled(nu)
     if singular is None:
-        singular = _singular_roots(d, vec_add(xm, nv))
+        singular = _singular_roots(d, ScaledVec(vec_add(xm.coords, nv.coords)))
     for alpha in singular:
-        if not d.pairing(alpha, xm).is_zero():
+        if not xm.is_zero(d.coroot(alpha)):
             return False, ("weyl", reflection_matrix(d, alpha))
     for alpha in lv.nilradical:
-        if d.pairing(alpha, nv).is_zero():
+        if nv.is_zero(d.coroot(alpha)):
             return False, ("root", alpha)
     return True, None
 
@@ -91,7 +99,7 @@ def check_hypD(d: RootDatum, lv: LeviSelection, xi, singular=None):
     i.e. every root singular on xi must be a Levi root.  `singular`, if
     given, is `_singular_roots` of xi."""
     if singular is None:
-        singular = _singular_roots(d, _coords(xi))
+        singular = _singular_roots(d, _scaled(xi))
     for alpha in singular:
         if alpha not in lv.levi:
             return False, ("weyl", reflection_matrix(d, alpha))
@@ -101,11 +109,11 @@ def check_hypD(d: RootDatum, lv: LeviSelection, xi, singular=None):
 def verdict(d: RootDatum, lv: LeviSelection, xi_m, nu) -> dict:
     """Strongest applicable conclusion with per-hypothesis detail."""
     xm, nv = _coords(xi_m), _coords(nu)
-    xi = vec_add(xm, nv)
+    xi = ScaledVec(vec_add(xm, nv))
     singular = _singular_roots(d, xi)
     a_ok, a_wit = check_hypA(d, lv, xi)
     b_ok, b_wit = check_hypB(d, lv, xi)
-    c_ok, c_wit = check_hypC(d, lv, xm, nv, singular)
+    c_ok, c_wit = check_hypC(d, lv, ScaledVec(xm), ScaledVec(nv), singular)
     d_ok, d_wit = check_hypD(d, lv, xi, singular)
     if a_ok and b_ok:
         tag = "Main1"
@@ -147,18 +155,18 @@ def emit_arrangement(d: RootDatum, lv: LeviSelection, xi_m,
     they add no hyperplane.  Roots with the same coroot on the
     a-coordinates give the same family; it is listed once, where it
     first occurs."""
-    xm = _coords(xi_m)
+    xm = _scaled(xi_m)
     lo, hi = Fraction(window[0]), Fraction(window[1])
     out: list[HyperplaneFamily] = []
     moving: list[HyperplaneFamily] = []
     for alpha in lv.nilradical:
         cr = d.coroot(alpha)
         func = tuple(cr[j] for j in lv.a_coordinates)
-        c = d.pairing(alpha, xm)
+        c = xm.value(cr)
         members = []
         n = (lo + c.real).__ceil__()
-        while Fraction(n) - c.real <= hi:
-            members.append(GaussRat(Fraction(n)) - c)
+        while n - c.real <= hi:
+            members.append(GaussRat(n - c.real, -c.imag))
             n += 1
         out.append(HyperplaneFamily(
             kind="IntegerCoset", functional=func, offset=c,

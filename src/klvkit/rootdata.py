@@ -3,17 +3,19 @@ Levi/nilradical split of a Levi selection, and Weyl group enumeration,
 the brute-force reference for the root tests of `genericity`.
 
 The split is computed once, when `rootdatum_from_json` reads a file: it
-decomposes each root over the selection's `simple_base` and stores the
-coefficients, the Levi roots and the nilradical roots on the
-`LeviSelection`, which every later check reads.  The command line runs
-`RootDatum.validate` and `LeviSelection.validate` on every root datum
-it loads."""
+eliminates the selection's `simple_base` once, over the integers, then
+decomposes each root over the base by integer dot products and
+divisibility tests, and stores the coefficients, the Levi roots and the
+nilradical roots on the `LeviSelection`, which every later check reads.
+The command line runs `RootDatum.validate` and `LeviSelection.validate`
+on every root datum it loads."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .coxeter import _mat_mul
 from .gaussian import GaussRat, GVec, gvec, mat_apply, pair
@@ -39,7 +41,7 @@ def _identity(n: int) -> IntMat:
 
 
 def _mat_vec(m: IntMat, v: IntVec) -> IntVec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class RootDatum:
             cr = self.coroots.get(a)
             if cr is None:
                 out.append(f"missing coroot for {a}")
-            elif sum(c * x for c, x in zip(cr, a)) != 2:
+            elif sum(map(mul, cr, a)) != 2:
                 out.append(f"<coroot,root> != 2 at {a}")
         th2 = _mat_mul(self.theta, self.theta)
         if th2 != _identity(self.rank):
@@ -85,9 +87,10 @@ class RootDatum:
         for a in self.roots:
             cr = self.coroot(a)
             for b in self.roots:
-                # s_a(b) = b - <coroot(a), b> a
-                p = sum(c * x for c, x in zip(cr, b))
-                if tuple(x - p * y for x, y in zip(b, a)) not in rs:
+                # s_a(b) = b - <coroot(a), b> a, which is b itself when
+                # the pairing is 0
+                p = sum(map(mul, cr, b))
+                if p and tuple([x - p * y for x, y in zip(b, a)]) not in rs:
                     out.append(f"reflection in {a} does not permute roots")
                     break
         return out
@@ -177,50 +180,59 @@ def _split(d: RootDatum, simple_base, levi_simples, a_coordinates) -> LeviSelect
 
 
 def _eliminator(base: tuple[IntVec, ...], rank: int):
-    """Gauss-Jordan elimination over Q of the rank x len(base) matrix
-    whose columns are the base vectors, done once.  Returns the pivot
-    columns and the row operations as a rank x rank matrix E: E times
-    the matrix is in reduced row echelon form."""
+    """Gauss-Jordan elimination of the rank x len(base) matrix whose
+    columns are the base vectors, done once, over the integers: a row
+    is cleared by cross-multiplying with the pivot row and divided by
+    the gcd of its entries.  Returns the pivot columns, the row
+    operations as a rank x rank integer matrix E and a common
+    denominator den >= 1: E times the matrix is den times its reduced
+    row echelon form."""
     nb = len(base)
-    rows = [[Fraction(base[k][i]) for k in range(nb)]
-            + [Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
+    rows = [[base[k][i] for k in range(nb)] + [int(i == j) for j in range(rank)]
+            for i in range(rank)]
     pivots = []
     r = 0
     for c in range(nb):
-        piv = next((i for i in range(r, rank) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, rank) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pr = rows[r]
-        pr[:] = [x / pr[c] for x in pr]
+        p = pr[c]
         for i in range(rank):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+            f = rows[i][c]
+            if i != r and f:
+                # E stays invertible, so the row is never all zero
+                row = [p * x - f * y for x, y in zip(rows[i], pr)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row]
         pivots.append(c)
         r += 1
-    return pivots, [row[nb:] for row in rows]
+    den = lcm(*[rows[i][c] for i, c in enumerate(pivots)])
+    ops = [[x * (den // rows[i][c]) for x in rows[i][nb:]]
+           for i, c in enumerate(pivots)]
+    return pivots, ops + [row[nb:] for row in rows[r:]], den
 
 
 def _decompose(alpha: IntVec, base: tuple[IntVec, ...], elim):
     """Integer coefficients of alpha over the base vectors, or None.
-    elim is `_eliminator(base, rank)`; E alpha holds the coefficients at
-    the pivot rows and must vanish below them."""
+    elim is `_eliminator(base, rank)`; E alpha holds den times the
+    coefficients at the pivot rows and must vanish below them.  Then
+    alpha lies in the span of the base, and the coefficients (0 off the
+    pivot columns) solve for it exactly, so den must divide each."""
     if not base:
         return None if any(alpha) else ()
-    pivots, ops = elim
-    y = [sum(e * a for e, a in zip(row, alpha) if a) for row in ops]
+    pivots, ops, den = elim
+    y = [sum(map(mul, row, alpha)) for row in ops]
     if any(y[len(pivots):]):
         return None
-    coeffs = [Fraction(0)] * len(base)
+    coeffs = [0] * len(base)
     for i, c in enumerate(pivots):
-        coeffs[c] = y[i]
-    if any(x.denominator != 1 for x in coeffs):
-        return None
-    out = tuple(int(x) for x in coeffs)
-    check = tuple(sum(out[k] * base[k][i] for k in range(len(base)))
-                  for i in range(len(alpha)))
-    return out if check == alpha else None
+        k, rem = divmod(y[i], den)
+        if rem:
+            return None
+        coeffs[c] = k
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)

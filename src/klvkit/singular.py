@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blockdata import Parameter, SimpleStatus
-from .gaussian import GaussRat, vec_add
+from .gaussian import GaussRat, ScaledVec, vec_add
 from .rootdata import InfChar, LeviSelection, RootDatum
 
 __all__ = [
@@ -68,14 +68,14 @@ def validate_translation_datum(d: RootDatum, lv: LeviSelection,
     """xi + mu must be nonsingular on the Levi and preserve every
     positive-integer pairing of xi."""
     out = []
-    xip = t.xi_prime().coords
+    xi, xip = ScaledVec(t.xi.coords), ScaledVec(t.xi_prime().coords)
     for alpha in lv.levi:
-        if d.pairing(alpha, xip).is_zero():
+        if xip.is_zero(d.coroot(alpha)):
             out.append(f"shifted character still singular at Levi root {list(alpha)}")
     for alpha in d.roots:
-        if d.pairing(alpha, t.xi.coords).is_positive_integer():
-            if not d.pairing(alpha, xip).is_positive_integer():
-                out.append(f"positive-integer pairing broken at root {list(alpha)}")
+        cr = d.coroot(alpha)
+        if xi.is_positive_integer(cr) and not xip.is_positive_integer(cr):
+            out.append(f"positive-integer pairing broken at root {list(alpha)}")
     return out
 
 

@@ -1,11 +1,22 @@
+import itertools
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klvkit.gaussian import GaussRat, gvec, mat_apply, pair, vec_add, vec_sub
+from klvkit.gaussian import (
+    GaussRat,
+    ScaledVec,
+    gvec,
+    mat_apply,
+    pair,
+    vec_add,
+    vec_sub,
+)
+
+from test_rootdata import A2, B2, B3, SL2_SPLIT
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 grats = st.builds(GaussRat, fractions, fractions)
@@ -60,3 +71,65 @@ def test_vectors():
     assert vec_sub(b, a) == gvec(["0", "3/2"])
     assert pair((2, -1), a) == GaussRat(Fraction(3, 2))
     assert mat_apply(((0, 1), (1, 0)), a) == gvec(["1/2", "1"])
+
+
+def _pair_by_gaussrat(c, x) -> GaussRat:
+    """<c, x> summed term by term in GaussRat arithmetic: the oracle for
+    the integer dot products of ScaledVec."""
+    return sum((GaussRat.of(ci) * xi for ci, xi in zip(c, x, strict=True)),
+               GaussRat())
+
+
+def _bd_coroots(n: int, kind: str) -> list[tuple[int, ...]]:
+    """Coroots of type B_n or D_n on the standard lattice: the vectors
+    +-e_i +- e_j, and +-2e_i for B_n."""
+    out = []
+    for i, j in itertools.combinations(range(n), 2):
+        for si, sj in itertools.product((1, -1), repeat=2):
+            v = [0] * n
+            v[i], v[j] = si, sj
+            out.append(tuple(v))
+    if kind == "B":
+        for i, s in itertools.product(range(n), (2, -2)):
+            out.append(tuple(s if k == i else 0 for k in range(n)))
+    return out
+
+
+_COROOTS = [[tuple(c) for c in doc["coroots"]] for doc in (SL2_SPLIT, A2, B2, B3)]
+_COROOTS += [_bd_coroots(4, "D"), _bd_coroots(4, "B")]
+# zero and small half-integers make zero and integer pairings common
+_PARTS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2])),
+    st.builds(Fraction, st.integers(-180, 180), st.integers(1, 60)),
+)
+
+
+@st.composite
+def _coroots_and_vector(draw):
+    coroots = draw(st.sampled_from(_COROOTS))
+    x = tuple(GaussRat(draw(_PARTS), draw(st.one_of(st.just(Fraction(0)), _PARTS)))
+              for _ in coroots[0])
+    return coroots, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(_coroots_and_vector())
+def test_scaled_pairings_match_gaussrat_arithmetic(case):
+    """Every coroot of a fixture against a random vector: the value and
+    the zero, integer and positive-integer tests read off the integer
+    dot products agree with GaussRat arithmetic term by term."""
+    coroots, x = case
+    s = ScaledVec(x)
+    assert s.coords == x and s.q >= 1
+    for c in coroots:
+        want = _pair_by_gaussrat(c, x)
+        assert s.value(c) == want and pair(c, x) == want
+        assert s.is_zero(c) is want.is_zero()
+        assert s.is_integer(c) is want.is_integer()
+        assert s.is_positive_integer(c) is want.is_positive_integer()
+
+
+def test_pair_rejects_a_length_mismatch():
+    with pytest.raises(ValueError, match="length 2 on a vector of length 1"):
+        pair((1, 1), gvec([1]))

@@ -90,6 +90,34 @@ def test_validate_all_fixtures(datum):
     assert lv.validate(d) == []
 
 
+@pytest.mark.parametrize("doc, expected", [
+    ({**SL2_SPLIT, "roots": [[2], [-2], [2]], "coroots": [[1], [-1], [1]]},
+     ["duplicate roots"]),
+    # s_a(a) = -a whenever <coroot(a), a> = 2, so a root without its
+    # negative always breaks the reflection axiom too
+    ({**SL2_SPLIT, "roots": [[2]], "coroots": [[1]], "theta": [[1]]},
+     ["roots not closed under negation at (2,)",
+      "reflection in (2,) does not permute roots"]),
+    ({**A1xA1, "theta": [[0, -1], [1, 0]]},  # a rotation of order 4
+     ["theta^2 != identity"]),
+    ({**A1xA1, "theta": [[1, 1], [0, -1]]},  # an involution moving (0, 2) off
+     ["theta does not permute roots at (0, 2)",
+      "theta does not permute roots at (0, -2)"]),
+    # the roots of A2 with coroots 2e1, 2e2 and e1+e2: each pairs to 2
+    # with its root, but s_(1,0) sends (1, 1) to (-1, 1)
+    ({**A2, "coroots": [[2, 0], [0, 2], [1, 1], [-2, 0], [0, -2], [-1, -1]]},
+     ["reflection in (1, 0) does not permute roots",
+      "reflection in (0, 1) does not permute roots",
+      "reflection in (-1, 0) does not permute roots",
+      "reflection in (0, -1) does not permute roots"]),
+], ids=["duplicate", "negation", "theta-squared", "theta-permutes", "reflection"])
+def test_validate_names_each_violation(doc, expected):
+    """Each datum breaks one axiom; validate names exactly what breaks,
+    in order."""
+    d, _ = rootdatum_from_json(doc)
+    assert d.validate() == expected
+
+
 def test_reflection_matrix_involution():
     d, _ = rootdatum_from_json(A2)
     for alpha in d.roots:
@@ -194,6 +222,8 @@ def _coefficients_by_search(alpha, base, box=3):
     [[2, 0, 0], [0, 1, -1], [0, 0, 1]],   # index 2: some roots are half-integral
     [[1, -1, 0], [0, 1, -1]],             # rank 2 in rank 3: e3 is outside
     [[0, 1, -1], [1, 0, 0]],              # rank 2, first pivot in a later row
+    [[3, 0, 0], [0, 1, -1], [0, 0, 1]],   # index 3: a pivot of 3
+    [[0, 0, 3], [1, -1, 0], [0, 1, -1]],  # index 3, the pivot 3 in the last row
 ])
 def test_decompose_through_one_elimination(base):
     """Each root's coefficients come from one elimination of the base:
