@@ -9,6 +9,7 @@ All reports are deterministic JSON (sorted keys, LF line endings).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -347,7 +348,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by later ones:
+    parsing leaves it as it was."""
     ap = _Parser(
         prog="klvkit",
         description="Exact block combinatorics, multiplicity matrices, and "
@@ -375,8 +379,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("klv", help="R/P polynomials and multiplicity matrices")
     p.add_argument("block")
     p.add_argument("--check", action="store_true",
-                   help="also certify the duality of each class and check the "
-                        "braid relations (the quadratic relation is always checked)")
+                   help="also certify the duality of each class, replay the "
+                        "descent recursion of each column of P that it finds, and "
+                        "check the braid relations (the quadratic relation is "
+                        "always checked)")
     p.set_defaults(func=_cmd_klv)
 
     p = sub.add_parser("induce", help="verify a label map and emit verdicts")

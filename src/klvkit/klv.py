@@ -28,8 +28,10 @@ one Python int, so a sum over psi of products of entries is a sum of
 integer products, and each check bounds its sums before it compares or
 decodes them.  `verify_duality` checks D^2 = Id only at the generators
 of a class (see its docstring).  `solve_block` runs the chain for one
-class and returns a `BlockKLV`; under check it packs all of D once, for
-the certificate and for the self-duality net on every column of P.
+class and returns a `BlockKLV`.  Under check, `verify_duality` packs
+all of D, and `compute_P` replays the descent identity on each recursed
+column: with the intertwining certified and by induction along the
+order, the column is self-dual, so it is C_gamma.
 """
 
 from __future__ import annotations
@@ -154,6 +156,9 @@ class MultMatrices:
 
 # D(gamma) is held as a table label -> {v-exponent: coefficient}.
 
+_UNIT = {0: 1}
+
+
 def _nonzero(x: dict[str, dict[int, int]]) -> dict[str, dict[int, int]]:
     """x without its zero coefficients and the labels left empty."""
     return {lab: q for lab, t in x.items()
@@ -197,6 +202,19 @@ def _step(rows: dict, x: dict[str, dict[int, int]]) -> dict[str, dict[int, int]]
                 row[k1 - 2] = get(k1 - 2, 0) + a0 * c1
                 row[k1] = get(k1, 0) + a2 * c1
     return out
+
+
+def _add(y: dict[str, dict[int, int]], a: dict[int, int], column) -> None:
+    """y += a times each entry of column, an iterable of (label, terms)."""
+    a = a.items()
+    for phi, p in column:
+        row = y.get(phi)
+        if row is None:
+            row = y[phi] = {}
+        get = row.get
+        for k2, c2 in p.items():
+            for k1, c1 in a:
+                row[k1 + k2] = get(k1 + k2, 0) + c1 * c2
 
 
 def _solve_linear(equations, nvars):
@@ -353,11 +371,7 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
                 s, x = descent
                 d = _step(_T_rows(b, s), dual[x])
                 if p.status[s] is SimpleStatus.RP1:
-                    _, lo2 = sorted(p.cayley[s])
-                    for lab, t in dual[lo2].items():
-                        row = d.setdefault(lab, {})
-                        for k, c in t.items():
-                            row[k] = row.get(k, 0) - c
+                    _add(d, {0: -1}, dual[sorted(p.cayley[s])[1]].items())
                 dual[gamma] = _nonzero(d)
             elif SimpleStatus.RP2 in p.status:
                 hard.append(gamma)
@@ -405,9 +419,6 @@ def _unpack(x: int, lo: int, step: int, w: int) -> dict[int, int]:
 
 def _l1(terms: dict[int, int]) -> int:
     return sum(map(abs, terms.values()))
-
-
-_UNIT = {0: 1}
 
 
 class _PackedDuality:
@@ -487,28 +498,20 @@ class _PackedDuality:
                 for psi, col in self.cols.items()})
         return self._plain_rows[1]
 
-    def _barred(self, labels: list[str]) -> dict[str, list[tuple[str, int]]]:
-        """gamma -> [(psi, packed bar(D(gamma)_psi))] for the given labels."""
-        w, E, step = self.width, self.margin, self.step
-        return {g: [(psi, sign * _pack({2 * n - k: c for k, c in t.items()},
-                                       -E, step, w))
-                    for psi, sign, t, n in self.cols[g]]
-                for g in labels}
-
     def involutive(self) -> bool:
         """D(D(gamma)) = gamma for every generator gamma of the class.
         With `intertwines` this gives D^2 = Id on the whole class (see
         `verify_duality`).  The coefficient at phi of D(D(gamma)) is the
         sum over psi of bar(D(gamma)_psi) D(psi)_phi; its packing has
         lo = -2E."""
-        self._fit(self.max_entry * self.max_row + 1)
-        gens = _generators(self.b, self.order)
-        plain, barred = self._plain(), self._barred(gens)
-        one = 1 << self.width * (2 * self.margin // self.step)
-        for gamma in gens:
+        w = self._fit(self.max_entry * self.max_row + 1)
+        E, step, plain = self.margin, self.step, self._plain()
+        one = 1 << w * (2 * E // step)
+        for gamma in _generators(self.b, self.order):
             acc: dict[str, int] = {}
             get = acc.get
-            for psi, a in barred[gamma]:
+            for psi, sign, t, n in self.cols[gamma]:
+                a = sign * _pack({2 * n - k: c for k, c in t.items()}, -E, step, w)
                 for phi, x in plain[psi]:
                     acc[phi] = get(phi, 0) + a * x
             if acc.pop(gamma, 0) != one or any(acc.values()):
@@ -564,22 +567,48 @@ class _PackedDuality:
         return self._fit(self.max_entry * (row_l1 + col_l1))
 
     def _column(self, gamma: str) -> dict[str, dict[int, int]] | None:
-        """Column gamma of P as phi -> terms, solved on packed D and put
-        through the self-duality net, or None if the digit width is too
-        narrow for it.  P(phi, gamma) is read off f(phi), the part of the
-        sums (`_ColumnSums`) that the solve reads, once every longer
-        entry is pushed."""
+        """Column gamma of P as phi -> terms, solved on packed D, or None
+        if the digit width is too narrow for it.
+
+        Each P(psi, gamma) is pushed once, as soon as it is solved:
+        bar(P(psi, gamma)) v^(2(l gamma - l psi)), packed with lo = 0,
+        times every packed D(psi)_phi.  The products add up to
+        v^(2 l gamma) times the coefficient at phi of D applied to the
+        column (lo = -E).  Those that the solve reads give f(phi), from
+        which P(phi, gamma) is read once every longer entry is pushed; the
+        others are kept apart.  The final check (the self-duality net) is
+        that D applied to the column is v^(-2 l gamma) times it."""
         w, E, step, lens = self.width, self.margin, self.step, self.lens
         half = 1 << (w - 1)
+        plain = self._plain()
         lg = lens[gamma]
-        sums = _ColumnSums(self, gamma)
+        acc: dict[str, int] = {}
+        rest: dict[str, int] = {}
+        get, get_rest = acc.get, rest.get
+        # the largest L1 norm of a pushed entry
+        top = 1
+
+        def push(psi: str, sol: dict[int, int]) -> None:
+            nonlocal top
+            top = max(top, _l1(sol))
+            n = lg - lens[psi]
+            a = _pack({2 * n - k: c for k, c in sol.items()}, 0, step, w)
+            row, k = plain[psi], self.reads[psi]
+            for phi, x in row[:k]:
+                acc[phi] = get(phi, 0) + a * x
+            for phi, x in row[k:]:
+                rest[phi] = get_rest(phi, 0) + a * x
+            # less the packed column, v^(-2 l gamma) P(., gamma) with lo = -E
+            rest[psi] = get_rest(psi, 0) - _pack(sol, -E, step, w)
+
+        push(gamma, _UNIT)
         col: dict[str, dict[int, int]] = {}
         for phi in sorted((x for x in self.down[gamma] if x != gamma),
                           key=lambda x: (-lens[x], x)):
-            x = sums.read.get(phi)
+            x = get(phi)
             if not x:
                 continue
-            if sums.top * self.max_row >= half:
+            if top * self.max_row >= half:
                 return None
             f = _unpack(x, -E, step, w)
             n = lg - lens[phi]
@@ -590,65 +619,12 @@ class _PackedDuality:
                     f"no solution under degree bound at P({phi!r}, {gamma!r})")
             if sol:
                 col[phi] = sol
-                sums.push(phi, sol)
-        return col if sums.net() else None
-
-    def _net(self, gamma: str, col: dict[str, dict[int, int]]) -> None:
-        """The self-duality net alone, on column gamma of P found
-        otherwise; the digit width doubles until the sums fit."""
-        while True:
-            sums = _ColumnSums(self, gamma)
-            for phi, sol in col.items():
-                sums.push(phi, sol)
-            if sums.net():
-                return
-            self.width *= 2
-
-
-class _ColumnSums:
-    """v^(2 l gamma) times D applied to column gamma of P, on packed D,
-    with the entries of the column pushed one at a time.  Pushing
-    P(psi, gamma) adds bar(P(psi, gamma)) v^(2(l gamma - l psi)), packed
-    with lo = 0, times every packed D(psi)_phi: the products add up to
-    the coefficient at phi, packed with lo = -E.  Those that the P-solve
-    reads give f(phi) (`read`), the others are kept apart (`rest`).
-    `top` is the largest L1 norm of a pushed entry, and `want` the packed
-    column, v^(-2 l gamma) P(., gamma) with lo = -E."""
-
-    def __init__(self, packed: _PackedDuality, gamma: str):
-        self.packed, self.gamma = packed, gamma
-        self.plain = packed._plain()
-        self.read: dict[str, int] = {}
-        self.rest: dict[str, int] = {}
-        self.want: dict[str, int] = {}
-        self.top = 1
-        self.push(gamma, _UNIT)
-
-    def push(self, psi: str, sol: dict[int, int]) -> None:
-        p = self.packed
-        w, step = p.width, p.step
-        self.top = max(self.top, _l1(sol))
-        n = p.lens[self.gamma] - p.lens[psi]
-        a = _pack({2 * n - k: c for k, c in sol.items()}, 0, step, w)
-        row, k = self.plain[psi], p.reads[psi]
-        for into, part in ((self.read, row[:k]), (self.rest, row[k:])):
-            get = into.get
-            for phi, x in part:
-                into[phi] = get(phi, 0) + a * x
-        self.want[psi] = _pack(sol, -p.margin, step, w)
-
-    def net(self) -> bool:
-        """False if the digit width is too narrow to tell; else the
-        self-duality net: D applied to the column must be
-        v^(-2 l gamma) times it, or PSolveError."""
-        p = self.packed
-        if self.top * (p.max_row + 1) >= 1 << (p.width - 1):
-            return False
-        read, rest, want = self.read, self.rest, self.want
-        for phi in read.keys() | rest.keys() | want.keys():
-            if read.get(phi, 0) + rest.get(phi, 0) != want.get(phi, 0):
-                raise PSolveError(f"column {self.gamma!r} of P is not self-dual")
-        return True
+                push(phi, sol)
+        if top * (self.max_row + 1) >= half:
+            return None
+        if any(get(phi, 0) + get_rest(phi, 0) for phi in acc.keys() | rest.keys()):
+            raise PSolveError(f"column {gamma!r} of P is not self-dual")
+        return col
 
 
 def _generators(b: BlockData, order: tuple[str, ...] | list[str]) -> list[str]:
@@ -668,8 +644,7 @@ def _generators(b: BlockData, order: tuple[str, ...] | list[str]) -> list[str]:
     return [x for x in order if x not in derived]
 
 
-def verify_duality(b: BlockData, block: list[str], r: RMatrix,
-                   packed: _PackedDuality | None = None) -> bool:
+def verify_duality(b: BlockData, block: list[str], r: RMatrix) -> bool:
     """Independent certification of the duality map that R defines.  The
     pass that packs D over the terms of R also checks the diagonal one,
     every entry in its column's down-set, the degree bounds and the
@@ -689,35 +664,35 @@ def verify_duality(b: BlockData, block: list[str], r: RMatrix,
     the nonzero coefficient of gamma in T_s x.  The module is free over
     the domain Z[v, v^-1], so D^2(gamma) = gamma.  By induction on
     length, D^2 is the identity once it fixes every generator."""
-    packed = packed or _PackedDuality(b, r)
+    packed = _PackedDuality(b, r)
     return packed.sound and packed.involutive() and packed.intertwines()
 
 
 # ---------------------------------------------------------------------------
 # Self-dual basis and multiplicities
 
+def _tp1_col(b: BlockData, s: int, x: str,
+             cols: dict[str, dict[str, dict[int, int]]],
+             tp1: dict[str, list]) -> dict[str, dict[int, int]]:
+    """(T_s + 1) C_x as a table; tp1 caches (T_s + 1) phi for this s."""
+    y: dict[str, dict[int, int]] = {}
+    for phi, p in itertools.chain(((x, _UNIT),), cols[x].items()):
+        row = tp1.get(phi)
+        if row is None:
+            row = tp1[phi] = list(_tp1(b, s, phi).items())
+        _add(y, p, row)
+    return y
+
+
 def _recursed(b: BlockData, gamma: str, s: int, x: str, earlier: tuple[str, ...],
               down: frozenset[str], cols: dict[str, dict[str, dict[int, int]]],
               tp1: dict[str, list]) -> dict[str, dict[int, int]]:
     """Column gamma of P as phi -> terms, from (T_s + 1) C_x reduced by
     the columns in `cols` of the labels `earlier` in the order (see
-    `compute_P`).  tp1 caches (T_s + 1) phi as [(mu, terms)] for this s."""
+    `compute_P`)."""
     params = b.params
     lg = params[gamma].length
-    y: dict[str, dict[int, int]] = {}
-    for phi, p in itertools.chain(((x, _UNIT),), cols[x].items()):
-        row_t = tp1.get(phi)
-        if row_t is None:
-            row_t = tp1[phi] = [(mu, t.items()) for mu, t in _tp1(b, s, phi).items()]
-        p = p.items()
-        for mu, t in row_t:
-            row = y.get(mu)
-            if row is None:
-                row = y[mu] = {}
-            get = row.get
-            for k2, c2 in t:
-                for k1, c1 in p:
-                    row[k1 + k2] = get(k1 + k2, 0) + c1 * c2
+    y = _tp1_col(b, s, x, cols, tp1)
     top = {mu: q for mu, t in y.items() if params[mu].length >= lg
            and (q := {k: c for k, c in t.items() if c})}
     if top != {gamma: _UNIT}:
@@ -732,19 +707,9 @@ def _recursed(b: BlockData, gamma: str, s: int, x: str, earlier: tuple[str, ...]
         a = {}
         for k, c in q.items():
             if c and k >= n:
-                a[k] = a[2 * n - k] = c
-        if not a:
-            continue
-        # y -= a C_delta
-        a = a.items()
-        for phi, p in itertools.chain(((delta, _UNIT),), cols[delta].items()):
-            row = y.get(phi)
-            if row is None:
-                row = y[phi] = {}
-            get = row.get
-            for k2, c2 in p.items():
-                for k1, c1 in a:
-                    row[k1 + k2] = get(k1 + k2, 0) - c1 * c2
+                a[k] = a[2 * n - k] = -c
+        if a:  # y -= a C_delta
+            _add(y, a, itertools.chain(((delta, _UNIT),), cols[delta].items()))
     del y[gamma]
     col = {}
     for phi, q in y.items():
@@ -762,8 +727,40 @@ def _recursed(b: BlockData, gamma: str, s: int, x: str, earlier: tuple[str, ...]
     return col
 
 
+def _replay(b: BlockData, gamma: str, s: int, x: str,
+            col: dict[str, dict[int, int]], earlier: tuple[str, ...],
+            down: frozenset[str], cols: dict[str, dict[str, dict[int, int]]],
+            tp1: dict[str, list]) -> None:
+    """Certify col, column gamma of P found by the recursion through s
+    from x, or PSolveError (see `compute_P`).  It must meet the degree
+    bound, and y = (T_s + 1) C_x - C_gamma must reduce to 0 by
+    a_delta C_delta over the earlier labels delta, in decreasing order,
+    each a_delta the whole coefficient left at delta, with
+    n = l gamma - l delta > 0 and a_k = a_(2n-k) in v-exponents."""
+    params = b.params
+    lg = params[gamma].length
+    failed = PSolveError(f"column {gamma!r} of P is not self-dual")
+    for phi, q in col.items():
+        n = lg - params[phi].length
+        if phi == gamma or phi not in down or any(k < 0 or k >= n or k % 2 for k in q):
+            raise failed
+    y = _tp1_col(b, s, x, cols, tp1)
+    _add(y, {0: -1}, itertools.chain(((gamma, _UNIT),), col.items()))
+    for delta in reversed(earlier):
+        # a is -a_delta; the 1 of C_delta at delta goes with the pop
+        a = {k: -c for k, c in y.pop(delta, {}).items() if c}
+        if not a:
+            continue
+        n = lg - params[delta].length
+        if n <= 0 or any(a.get(2 * n - k) != c for k, c in a.items()):
+            raise failed
+        _add(y, a, cols[delta].items())
+    if any(c for t in y.values() for c in t.values()):
+        raise failed
+
+
 def compute_P(b: BlockData, block: list[str], r: RMatrix,
-              packed: _PackedDuality | None = None) -> PMatrix:
+              check: bool = False) -> PMatrix:
     """The P-polynomials of one class, one column at a time in its order.
     Column gamma stands for C_gamma = sum of P(phi, gamma) phi, the one
     element that is self-dual of weight l gamma,
@@ -793,24 +790,24 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix,
     v^(-2 l x) C_x = v^(-2 l gamma) y.  Each a_delta C_delta is self-dual
     of weight l gamma too, as bar(a_delta) = v^(-2n) a_delta.  So the
     reduced y is self-dual of weight l gamma, with top gamma and under the
-    degree bound: it is C_gamma, by induction along the order.
+    degree bound: it is C_gamma, by induction along the order.  With
+    check, `_replay` certifies each recursed column as it is found: it
+    replays that identity on the emitted columns and derives each a_delta
+    itself.  With the certified intertwining and induction along the
+    order, the column is then self-dual, so it is C_gamma.
 
-    Fallback.  A column with only RP2 descents, or none, is solved on
-    packed D (`_PackedDuality._column`): f(phi) = sum over psi of
+    Fallback.  A column with only RP2 descents, or none, is solved on D
+    packed over the down-sets of these columns (on a complex class, the
+    minimal label; `_PackedDuality._column`):
+    f(phi) = sum over psi of
     (-1)^(l psi - l phi) bar(P(psi, gamma)) v^(2(l gamma - l psi)) R(phi, psi)
     must equal P(phi, gamma) - bar(P(phi, gamma)) v^(2(l gamma - l phi)),
     and the column must pass the self-duality net: D applied to it gives
-    v^(-2 l gamma) times it.  Without `packed`, D is packed only over the
-    down-sets of these columns (on a complex class, the minimal label)
-    and recursed columns get no net; the argument above covers them.
-    With `packed`, all of D as `solve_block` passes it under check, every
-    recursed column goes through the same net (`_PackedDuality._net`)."""
+    v^(-2 l gamma) times it."""
     order, down = r.order, r.down
     descents = {gamma: _descent(b.param(gamma)) for gamma in order}
-    net = packed is not None
-    if not net:
-        fallback = [gamma for gamma in order if descents[gamma] is None]
-        packed = _PackedDuality(b, r, frozenset().union(*(down[g] for g in fallback)))
+    fallback = [gamma for gamma in order if descents[gamma] is None]
+    packed = _PackedDuality(b, r, frozenset().union(*(down[g] for g in fallback)))
     cols: dict[str, dict[str, dict[int, int]]] = {}
     tp1: list[dict[str, list]] = [{} for _ in b.simples]
     entries: dict[tuple[str, str], LaurentPoly] = {}
@@ -824,8 +821,8 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix,
         else:
             s, x = descents[gamma]
             col = _recursed(b, gamma, s, x, order[:i], down[gamma], cols, tp1[s])
-            if net:
-                packed._net(gamma, col)
+            if check:
+                _replay(b, gamma, s, x, col, order[:i], down[gamma], cols, tp1[s])
         cols[gamma] = col
         for phi, t in col.items():
             key = tuple(sorted(t.items()))
@@ -901,13 +898,14 @@ class BlockKLV:
 
 
 def solve_block(b: BlockData, block: list[str], check: bool = False) -> BlockKLV:
-    """R, P, M and m of one class; with check, also certify R.  Under
-    check, D is packed once, whole, and shared by the certificate and
-    the P-solve, which then nets every column (see `compute_P`)."""
+    """R, P, M and m of one class.  With check, `verify_duality` also
+    certifies R, on all of D packed, and `compute_P` replays the descent
+    identity on every recursed column.  Replay, certified intertwining and
+    induction along the order make each such column self-dual, so it is
+    C_gamma (see `compute_P`)."""
     r = compute_duality(b, block)
-    packed = _PackedDuality(b, r) if check else None
-    verified = verify_duality(b, block, r, packed) if check else None
-    p = compute_P(b, block, r, packed)
+    verified = verify_duality(b, block, r) if check else None
+    p = compute_P(b, block, r, check)
     mm = multiplicities(b, p)
     return BlockKLV(order=r.order, down=r.down, r=r, p=p, M=mm.M, m=mm.m,
                     verified=verified)

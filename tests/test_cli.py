@@ -652,3 +652,30 @@ def test_klv_report_matches_one_str_per_entry(capsys, tmp_path):
         report = {"command": "klv", "inputs": {path: digest}, **payload}
         assert code == 0
         assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_one_parser_answers_every_call_as_a_first_call(capsys, sl2_path):
+    """`run` builds its parser once per process.  In one process, klv,
+    generic, a usage error and --help, run on that one parser, give the
+    stdout, stderr and exit code that each gives on a parser built for it
+    alone."""
+    argvs = [["klv", "builtin:sl2r", "--check"],
+             ["generic", sl2_path, "--xi-m", "0", "--nu", "3/4"],
+             ["klv", "builtin:sl2r", "--no-such-option"],
+             ["--help"]]
+
+    def outcome(argv):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    first = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        first.append(outcome(argv))
+    cli._build_parser.cache_clear()
+    assert [outcome(argv) for argv in argvs] == first
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in first] == [0, 0, 2, 0]
+    assert "error: unrecognized arguments: --no-such-option" in first[2][2]
+    assert first[3][1].startswith("usage: klvkit")

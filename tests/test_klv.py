@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import json
@@ -435,9 +436,9 @@ def _solved(name):
     return b, [compute_duality(b, blk) for blk in partition_blocks(b)]
 
 
-def _p_outcome(compute, *args):
+def _p_outcome(compute, *args, **kwargs):
     try:
-        return compute(*args)
+        return compute(*args, **kwargs)
     except PSolveError as exc:
         return str(exc)
 
@@ -449,17 +450,31 @@ def _packed(b, r, width=None):
     return packed
 
 
-def _solve_all_columns(b, blk, r, packed):
+@contextlib.contextmanager
+def _packed_from(width=None):
+    """Wherever klv packs D, start from the given digit width if any."""
+    with pytest.MonkeyPatch.context() as mp:
+        if width:
+            class Narrow(klv._PackedDuality):
+                def __init__(self, *args):
+                    super().__init__(*args)
+                    self.width = width
+
+            mp.setattr(klv, "_PackedDuality", Narrow)
+        yield
+
+
+def _solve_all_columns(b, blk, r, check):
     """The P-solve of every column against packed D."""
-    return reference_klv.solve_P(packed)
+    return reference_klv.solve_P(klv._PackedDuality(b, r))
 
 
 def _assert_agrees(b, r, width=None, solve=compute_P):
     blk = list(r.order)
-    assert (verify_duality(b, blk, r, _packed(b, r, width))
-            == reference_klv.verify_duality(b, r))
-    assert (_p_outcome(solve, b, blk, r, _packed(b, r, width))
-            == _p_outcome(reference_klv.compute_P, b, r))
+    with _packed_from(width):
+        assert verify_duality(b, blk, r) == reference_klv.verify_duality(b, r)
+        assert (_p_outcome(solve, b, blk, r, check=True)
+                == _p_outcome(reference_klv.compute_P, b, r))
 
 
 @settings(max_examples=80, deadline=None)
@@ -741,12 +756,14 @@ def test_verify_rejects_a_derived_column_through_intertwining(name):
         assert not reference_klv.verify_duality(b, bad)
 
 
-def _packed_checks_pass(b, r):
-    """Packed D of r with its packed checks taken as passed, so that only
-    the scalar checks of the pass that packs it decide."""
-    packed = klv._PackedDuality(b, r)
-    packed.involutive = packed.intertwines = lambda: True
-    return packed
+@contextlib.contextmanager
+def _packed_checks_pass():
+    """Packed D with its packed checks taken as passed, so that only the
+    scalar checks of the pass that packs it decide."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(klv._PackedDuality, "involutive", lambda self: True)
+        mp.setattr(klv._PackedDuality, "intertwines", lambda self: True)
+        yield
 
 
 @pytest.mark.parametrize("change", [
@@ -757,7 +774,8 @@ def test_each_scalar_check_rejects_on_its_own(change):
     b = _REFERENCE_BLOCKS["A3"]()
     (blk,) = partition_blocks(b)
     r = compute_duality(b, blk)
-    assert verify_duality(b, blk, r, _packed_checks_pass(b, r))
+    with _packed_checks_pass():
+        assert verify_duality(b, blk, r)
     gamma = r.order[-1]
     phi = r.order[0]
     n = b.params[gamma].length - b.params[phi].length
@@ -771,7 +789,8 @@ def test_each_scalar_check_rejects_on_its_own(change):
                  "u = 1": {0: 1}}[change]
         entries[(phi, gamma)] = r.entry(phi, gamma) + LaurentPoly(delta)
     bad = RMatrix(r.order, entries, r.down)
-    assert not verify_duality(b, blk, bad, _packed_checks_pass(b, bad))
+    with _packed_checks_pass():
+        assert not verify_duality(b, blk, bad)
     assert not verify_duality(b, blk, bad)
     assert not reference_klv.verify_duality(b, bad)
 
@@ -781,9 +800,8 @@ def test_each_scalar_check_rejects_on_its_own(change):
 # that have neither a complex nor an RP1 descent.
 
 def _p_both_modes(b, blk, r):
-    """compute_P without packed D and with all of it, as `solve_block`
-    runs it without and with check."""
-    return compute_P(b, blk, r), compute_P(b, blk, r, klv._PackedDuality(b, r))
+    """compute_P without and with check, as `solve_block` runs it."""
+    return compute_P(b, blk, r), compute_P(b, blk, r, check=True)
 
 
 _SIZES = {"sl2r": 3, "nci2": 3, "A1": 2, "A2": 6, "B2": 8}
@@ -876,8 +894,8 @@ def _corrupt_last_recursed_column(monkeypatch, b, blk):
 
 @pytest.mark.parametrize("name", ["A3", "B2xsl2r", "sl2rxnci2xA1"])
 def test_check_nets_a_corrupted_recursed_column(name, monkeypatch, tmp_path, capsys):
-    """With check every column goes through the self-duality net, and
-    klv --check exits 1; without check a recursed column gets no net."""
+    """With check every recursed column is certified by replaying the
+    recursion, and klv --check exits 1; without check it is not."""
     b = _REFERENCE_BLOCKS[name]()
     blk = max(partition_blocks(b), key=len)
     right = klv.solve_block(b, blk).p
@@ -890,6 +908,139 @@ def test_check_nets_a_corrupted_recursed_column(name, monkeypatch, tmp_path, cap
     path.write_text(json.dumps(block_to_json(b)))
     assert cli.run(["klv", str(path), "--check"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# The replay of recursed columns under check, against the check it
+# replaced: the degree bound of the recursion and the self-duality net
+# on all of D packed (`reference_klv.net`).
+
+def _element(cols, z):
+    """C_z as a module element, from the columns of P."""
+    return ModuleElement({z: ONE, **{phi: LaurentPoly(q) for phi, q in cols[z].items()}})
+
+
+def _recursion(b, gamma, t, x, order, cols, skip=None):
+    """(T_t + 1) C_x reduced as the descent recursion reduces it, with
+    none of its checks: for each delta before gamma but skip, in
+    decreasing order, less a C_delta, with a symmetric and equal to the
+    coefficient at delta in each v-exponent k >= n.  Returns the reduced
+    element, and the a taken at each delta."""
+    lg = b.params[gamma].length
+    y = reference_klv.apply_T(b, t, _element(cols, x)) + _element(cols, x)
+    taken = {}
+    for delta in reversed(order[:order.index(gamma)]):
+        n = lg - b.params[delta].length
+        a = {}
+        for k, c in y.coeff(delta).terms.items():
+            if k >= n:
+                a[k] = a[2 * n - k] = c
+        if a and delta != skip:
+            taken[delta] = LaurentPoly(a)
+            y = y - _element(cols, delta).scale(taken[delta])
+    return y, taken
+
+
+def _column_of(m, gamma):
+    return {phi: dict(p.terms) for phi, p in m.coeffs.items() if phi != gamma}
+
+
+def _rejects(certify, *args):
+    try:
+        certify(*args)
+    except PSolveError:
+        return True
+    return False
+
+
+def _replay(b, r, cols, gamma, s, x, col):
+    i = r.order.index(gamma)
+    klv._replay(b, gamma, s, x, col, r.order[:i], r.down[gamma], cols, {})
+
+
+def _corrupted(kind, b, r, cols, gamma, data):
+    """Column gamma of P corrupted as named, and the simple and label
+    that the replay is told it came through; None if b has one simple
+    and the corruption needs another."""
+    s, x = klv._descent(b.params[gamma])
+    right = _element(cols, gamma)
+    below = sorted(r.down[gamma] - {gamma})
+    if kind == "+1 on a constant term":
+        bad = right + ModuleElement({data.draw(st.sampled_from(below)): ONE})
+    elif kind == "non-symmetric a_delta":
+        # the replay finds a_delta - 1 at delta; the degree bound holds
+        bad = right + _element(cols, data.draw(st.sampled_from(below)))
+    elif kind == "dropped delta":
+        taken = _recursion(b, gamma, s, x, r.order, cols)[1]
+        skip = data.draw(st.sampled_from(sorted(taken)))
+        bad = _recursion(b, gamma, s, x, r.order, cols, skip)[0]
+    else:
+        others = [t for t in range(len(b.simples)) if t != s]
+        if not others:
+            return None
+        s = data.draw(st.sampled_from(others))
+        bad = _recursion(b, gamma, s, x, r.order, cols)[0]
+    return _column_of(bad, gamma), s, x
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.sampled_from(["A3", "B2xsl2r", "sl2rxnci2xA1"]).map(
+           lambda name: _REFERENCE_BLOCKS[name]()), _relabelled_products()),
+       st.data())
+def test_replay_agrees_with_the_self_duality_net(b, data):
+    """Both accept every right recursed column, and both reject each
+    corrupted one."""
+    for blk in partition_blocks(b):
+        r = compute_duality(b, blk)
+        cols = {g: {} for g in r.order}
+        for (phi, g), poly in compute_P(b, blk, r).entries.items():
+            cols[g][phi] = dict(poly.terms)
+        packed = klv._PackedDuality(b, r)
+        recursed = [g for g in r.order if klv._descent(b.params[g])]
+        for g in recursed:
+            s, x = klv._descent(b.params[g])
+            assert not _rejects(_replay, b, r, cols, g, s, x, cols[g])
+            assert not _rejects(reference_klv.net, packed, g, cols[g])
+        # the columns whose recursion takes some a_delta away
+        reduced = [g for g in recursed if _recursion(
+            b, g, *klv._descent(b.params[g]), r.order, cols)[1]]
+        for kind in ("+1 on a constant term", "non-symmetric a_delta",
+                     "dropped delta", "column built through the wrong simple"):
+            pool = reduced if kind == "dropped delta" else recursed
+            if not pool:
+                continue
+            gamma = data.draw(st.sampled_from(pool))
+            corrupted = _corrupted(kind, b, r, cols, gamma, data)
+            if corrupted is None or corrupted[0] == cols[gamma]:
+                continue
+            bad, s, x = corrupted
+            assert _rejects(_replay, b, r, cols, gamma, s, x, bad), kind
+            assert _rejects(reference_klv.net, packed, gamma, bad), kind
+
+
+@pytest.mark.parametrize("name", ["A3", "B2xsl2r", "sl2rxnci2xA1"])
+def test_replay_rejects_a_column_through_a_descent_of_x(name):
+    """Through a simple t that is a descent of x, the recursion finds
+    (u + 1) C_x and reduces it to nothing.  The replay of that empty
+    column through t takes (u + 1) C_x away whole and is left with
+    -gamma: only its final test can reject it."""
+    b = _REFERENCE_BLOCKS[name]()
+    found = 0
+    for blk in partition_blocks(b):
+        r = compute_duality(b, blk)
+        cols = {g: {} for g in r.order}
+        for (phi, g), poly in compute_P(b, blk, r).entries.items():
+            cols[g][phi] = dict(poly.terms)
+        for gamma in r.order:
+            if not klv._descent(b.params[gamma]):
+                continue
+            s, x = klv._descent(b.params[gamma])
+            for t in range(len(b.simples)):
+                y, taken = _recursion(b, gamma, t, x, r.order, cols)
+                if (t != s and y.is_zero() and cols[gamma]
+                        and taken == {x: LaurentPoly({0: 1, 2: 1})}):
+                    assert _rejects(_replay, b, r, cols, gamma, t, x, {})
+                    found += 1
+    assert found
 
 
 @pytest.mark.parametrize("check", [False, True])
@@ -916,7 +1067,8 @@ def test_solve_block_runs_each_stage_once_per_class(check, monkeypatch):
 
 def test_default_packing_holds_only_the_fallback_down_sets(monkeypatch):
     """On A3 every label but the minimal one has a complex descent, so
-    without check D is packed at that one column; with check, whole."""
+    compute_P packs D at that one column; with check, verify_duality
+    first packs all of it."""
     made = []
 
     class Recorded(klv._PackedDuality):
@@ -931,4 +1083,4 @@ def test_default_packing_holds_only_the_fallback_down_sets(monkeypatch):
     assert [set(p.cols) for p in made] == [{"e"}]
     made.clear()
     klv.solve_block(b, blk, check=True)
-    assert [set(p.cols) for p in made] == [set(blk)]
+    assert [set(p.cols) for p in made] == [set(blk), {"e"}]
