@@ -21,7 +21,7 @@ from .klv import compute_P, compute_duality, multiplicities  # noqa: F401
 __all__ = [
     "Correspondence", "check_correspondence", "check_image_union_of_blocks",
     "compare_multiplicities", "induced_verdict", "mult_by_block",
-    "correspondence_from_json", "correspondence_to_json", "load_correspondence",
+    "correspondence_from_json", "load_correspondence",
 ]
 
 
@@ -44,13 +44,6 @@ def correspondence_from_json(doc: dict) -> Correspondence:
     if len(pairs) != len(raw):
         raise ValueError("duplicate source labels in correspondence")
     return Correspondence(pairs=pairs, length_shift=shift)
-
-
-def correspondence_to_json(c: Correspondence) -> dict:
-    return {
-        "pairs": [[a, b] for a, b in sorted(c.pairs.items())],
-        "length_shift": c.length_shift,
-    }
 
 
 def load_correspondence(path: str) -> Correspondence:

@@ -113,11 +113,12 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def _pack(terms: dict[int, int], lo: int, step: int, w: int) -> int:
-    """The sum of c * 2^(w (k - lo) / step) over the terms c v^k."""
+def _pack(terms: dict[int, int], w: int) -> int:
+    """The sum of c * 2^(w k/2) over the terms c v^k, every k even and
+    nonnegative: digit i holds the coefficient of u^i."""
     x = 0
     for k, c in terms.items():
-        x += c << w * ((k - lo) // step)
+        x += c << w * (k >> 1)
     return x
 
 
@@ -159,7 +160,7 @@ def check_braid(b: BlockData, s: int, t: int) -> bool:
     labels = b.sorted_labels()
     rows = {x: _T_rows(b, x) for x in (s, t)}
     w = _braid_width(b, s, t)
-    packed = {x: {lab: [(mu, _pack(p, 0, 2, w)) for mu, p in rows[x][lab].items()]
+    packed = {x: {lab: [(mu, _pack(p, w)) for mu, p in rows[x][lab].items()]
                   for lab in labels}
               for x in (s, t)}
     for label in labels:

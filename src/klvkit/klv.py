@@ -20,18 +20,17 @@ are distinct (2 values for the 15,543 entries of P on
 sl2r x nci2 x A3 x A1).
 
 `compute_P` finds most columns of P by the descent recursion of
-Kazhdan-Lusztig on the same T rows, with no R (see its docstring).
-`verify_duality`, and the P-solve of the columns that have no complex
-or RP1 descent, run on D packed by Kronecker substitution
-(`_PackedDuality`, one pass over the terms of R): each entry of D is
-one Python int, so a sum over psi of products of entries is a sum of
-integer products, and each check bounds its sums before it compares or
-decodes them.  `verify_duality` checks D^2 = Id only at the generators
-of a class (see its docstring).  `solve_block` runs the chain for one
-class and returns a `BlockKLV`.  Under check, `verify_duality` packs
-all of D, and `compute_P` replays the descent identity on each recursed
-column: with the intertwining certified and by induction along the
-order, the column is self-dual, so it is C_gamma.
+Kazhdan-Lusztig on the same T rows, with no R, and solves the few
+columns that have no complex or RP1 descent from the term tables of R
+(see its docstring).  `verify_duality` alone runs on D packed by
+Kronecker substitution (`_PackedDuality`): each entry of D is one
+Python int, so a sum over psi of products of entries is a sum of
+integer products, and each check bounds its sums before it compares
+them.  It checks D^2 = Id only at the generators of a class (see its
+docstring).  `solve_block` runs the chain for one class and returns a
+`BlockKLV`.  Under check, `compute_P` replays the descent identity on
+each recursed column: with the intertwining certified and by induction
+along the order, the column is self-dual, so it is C_gamma.
 """
 
 from __future__ import annotations
@@ -399,84 +398,55 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
 
 
 # ---------------------------------------------------------------------------
-# D packed as integers (Kronecker substitution)
-
-def _unpack(x: int, lo: int, step: int, w: int) -> dict[int, int]:
-    """The terms that `_pack` packed into x, every |c| < 2^(w-1)."""
-    out = {}
-    mask, half = (1 << w) - 1, 1 << (w - 1)
-    k = lo
-    while x:
-        c = x & mask
-        if c >= half:
-            c -= mask + 1
-        if c:
-            out[k] = c
-        x = (x - c) >> w
-        k += step
-    return out
-
+# D packed as integers (Kronecker substitution), for verify_duality
 
 def _l1(terms: dict[int, int]) -> int:
     return sum(map(abs, terms.values()))
 
 
 class _PackedDuality:
-    """D of one class, each entry packed once as a Python int: every
-    column of D, or only those named in `columns`.
+    """D of one class, each entry packed once as a Python int.
 
-    Entry D(psi)_phi = sign R(phi, psi) v^(-2 l psi), sign =
-    (-1)^(l psi - l phi), is packed with lo = -2 l psi - E and, barred,
-    with lo = 2 l phi - E.  The margin E is 0 unless some R entry has a
-    term outside 0 <= k <= 2(l psi - l phi).  Then every product added
-    into one coefficient shares its offset, so a sum over psi of
-    polynomial products is a sum of integer products.  The step is 2
-    (digits count powers of u) when every exponent of R is even, else 1.
+    The pass over R that builds it sets `sound`: each diagonal entry is
+    1, and each nonzero entry is in its column's down-set, 0 at u = 1 off
+    the diagonal and a u-polynomial of degree at most
+    n = l psi - l phi: each of its terms c v^k has k even and
+    0 <= k <= 2n.  `involutive` and `intertwines` take R to be sound.
 
-    No coefficient of such a sum exceeds the sum over psi of
-    L1(a) L1(b), which is at most max L1(a) times the L1 norm of a row
-    of D.  Each check bounds its sums so before it compares or decodes
-    a packing, and widens the digit width until the bound fits in
-    w - 1 bits.
+    Entry D(psi)_phi = (-1)^n R(phi, psi) v^(-2 l psi) is packed with
+    lo = -2 l psi and, barred, with lo = 2 l phi, in steps of 2: digits
+    count powers of u.  Then every product added into one coefficient
+    shares its offset, so a sum over psi of polynomial products is a sum
+    of integer products.  No coefficient of such a sum exceeds the sum
+    over psi of L1(a) L1(b), which is at most max L1(a) times the L1
+    norm of a row of D.  Each check bounds its sums so before it
+    compares them, and widens the digit width until the bound fits in
+    w - 1 bits."""
 
-    The same pass over R sets `sound`: each diagonal entry is 1, and each
-    nonzero entry is in its column's down-set, a u-polynomial of degree
-    at most l psi - l phi, and 0 at u = 1 off the diagonal."""
-
-    def __init__(self, b: BlockData, r: RMatrix,
-                 columns: frozenset[str] | None = None):
-        self.b, self.order, self.down = b, r.order, r.down
+    def __init__(self, b: BlockData, r: RMatrix):
+        self.b, self.order = b, r.order
         lens = self.lens = {x: b.params[x].length for x in r.order}
-        keep = [x for x in r.order if columns is None or x in columns]
         # psi -> [(phi, sign, terms of R(phi, psi), l psi - l phi)] over
-        # the nonzero entries of column psi: first those the P-solve
-        # reads (phi in the down-set of psi, phi != psi), then the rest
-        read: dict[str, list] = {x: [] for x in keep}
-        rest: dict[str, list] = {x: [] for x in keep}
+        # the nonzero entries of column psi
+        cols: dict[str, list] = {x: [] for x in r.order}
         row_l1: dict[str, int] = {}
-        low = high = self.max_entry = ones = 0
-        odd, sound = False, True
+        self.max_entry = ones = 0
+        sound = True
         for (phi, psi), poly in r.entries.items():
             t = poly._t
-            if psi not in read or not t:
+            if psi not in cols or not t:
                 continue
             n = lens[psi] - (lens[phi] if phi in lens else b.params[phi].length)
-            below = phi in r.down[psi]
             ones += phi == psi and t == {0: 1}
-            if not below or sum(t.values()) != (phi == psi):
+            if sound and (phi not in r.down[psi] or sum(t.values()) != (phi == psi)
+                          or any(k % 2 or not 0 <= k <= 2 * n for k in t)):
                 sound = False
-            (read if below and phi != psi else rest)[psi].append(
-                (phi, -1 if n % 2 else 1, t, n))
+            cols[psi].append((phi, -1 if n % 2 else 1, t, n))
             l1 = _l1(t)
             row_l1[phi] = row_l1.get(phi, 0) + l1
             self.max_entry = max(self.max_entry, l1)
-            low, high = min(low, min(t)), max(high, max(t) - 2 * n)
-            odd = odd or any(k % 2 for k in t)
-        self.cols = {x: read[x] + rest[x] for x in keep}
-        self.reads = {x: len(read[x]) for x in keep}
-        self.step = 1 if odd else 2
-        self.margin = max(-low, high)
-        self.sound = sound and ones == len(keep) and not odd and not self.margin
+        self.cols = cols
+        self.sound = sound and ones == len(r.order)
         self.max_row = max(row_l1.values(), default=0)
         self.width = _width(self.max_entry * self.max_row + 1)
         self._plain_rows: tuple[int, dict] | None = None
@@ -492,9 +462,8 @@ class _PackedDuality:
         order of `cols`."""
         w = self.width
         if self._plain_rows is None or self._plain_rows[0] != w:
-            E, step = self.margin, self.step
             self._plain_rows = (w, {
-                psi: [(phi, sign * _pack(t, -E, step, w)) for phi, sign, t, _ in col]
+                psi: [(phi, sign * _pack(t, w)) for phi, sign, t, _ in col]
                 for psi, col in self.cols.items()})
         return self._plain_rows[1]
 
@@ -503,18 +472,17 @@ class _PackedDuality:
         With `intertwines` this gives D^2 = Id on the whole class (see
         `verify_duality`).  The coefficient at phi of D(D(gamma)) is the
         sum over psi of bar(D(gamma)_psi) D(psi)_phi; its packing has
-        lo = -2E."""
+        lo = 0."""
         w = self._fit(self.max_entry * self.max_row + 1)
-        E, step, plain = self.margin, self.step, self._plain()
-        one = 1 << w * (2 * E // step)
+        plain = self._plain()
         for gamma in _generators(self.b, self.order):
             acc: dict[str, int] = {}
             get = acc.get
             for psi, sign, t, n in self.cols[gamma]:
-                a = sign * _pack({2 * n - k: c for k, c in t.items()}, -E, step, w)
+                a = sign * _pack({2 * n - k: c for k, c in t.items()}, w)
                 for phi, x in plain[psi]:
                     acc[phi] = get(phi, 0) + a * x
-            if acc.pop(gamma, 0) != one or any(acc.values()):
+            if acc.pop(gamma, 0) != 1 or any(acc.values()):
                 return False
         return True
 
@@ -522,29 +490,28 @@ class _PackedDuality:
         """u D((T_s + 1) gamma) = (T_s + 1) D(gamma) for every simple s
         and every gamma of the class, which is the intertwining of D with
         T_s + 1 and u^(-1)(T_s + 1) multiplied by u."""
-        b, lens, step = self.b, self.lens, self.step
+        b, lens = self.b, self.lens
         # tp1[s][x]: label -> terms of the coefficient of (T_s + 1)x there
         tp1 = [{x: _tp1(b, s, x) for x in self.order} for s in range(len(b.simples))]
         w = self._intertwining_width(tp1)
         plain = self._plain()
         for rows in tp1:
             # the coefficients of (T_s + 1)psi have exponents 0 to 2
-            packed_t = {x: [(lab, _pack(t, 0, step, w)) for lab, t in row.items()]
+            packed_t = {x: [(lab, _pack(t, w)) for lab, t in row.items()]
                         for x, row in rows.items()}
             for gamma in self.order:
                 lg, row = lens[gamma], rows[gamma]
                 top = max([lg] + [lens[lab] for lab in row])
                 # u D((T_s + 1) gamma) - (T_s + 1) D(gamma), both packed
-                # with lo = -2 top - E; the bound fitted above is that of
-                # the difference
+                # with lo = -2 top; the bound fitted above is that of the
+                # difference
                 acc: dict[str, int] = {}
                 get = acc.get
                 for lam, t in row.items():
-                    a = _pack({2 * (1 + top - lens[lam]) - k: c for k, c in t.items()},
-                              0, step, w)
+                    a = _pack({2 * (1 + top - lens[lam]) - k: c for k, c in t.items()}, w)
                     for phi, x in plain[lam]:
                         acc[phi] = get(phi, 0) + a * x
-                shift = w * (2 * (top - lg) // step)
+                shift = w * (top - lg)
                 for psi, x in plain[gamma]:
                     x <<= shift
                     for phi, t in packed_t[psi]:
@@ -566,66 +533,6 @@ class _PackedDuality:
             col_l1 = max([col_l1, *into.values()])
         return self._fit(self.max_entry * (row_l1 + col_l1))
 
-    def _column(self, gamma: str) -> dict[str, dict[int, int]] | None:
-        """Column gamma of P as phi -> terms, solved on packed D, or None
-        if the digit width is too narrow for it.
-
-        Each P(psi, gamma) is pushed once, as soon as it is solved:
-        bar(P(psi, gamma)) v^(2(l gamma - l psi)), packed with lo = 0,
-        times every packed D(psi)_phi.  The products add up to
-        v^(2 l gamma) times the coefficient at phi of D applied to the
-        column (lo = -E).  Those that the solve reads give f(phi), from
-        which P(phi, gamma) is read once every longer entry is pushed; the
-        others are kept apart.  The final check (the self-duality net) is
-        that D applied to the column is v^(-2 l gamma) times it."""
-        w, E, step, lens = self.width, self.margin, self.step, self.lens
-        half = 1 << (w - 1)
-        plain = self._plain()
-        lg = lens[gamma]
-        acc: dict[str, int] = {}
-        rest: dict[str, int] = {}
-        get, get_rest = acc.get, rest.get
-        # the largest L1 norm of a pushed entry
-        top = 1
-
-        def push(psi: str, sol: dict[int, int]) -> None:
-            nonlocal top
-            top = max(top, _l1(sol))
-            n = lg - lens[psi]
-            a = _pack({2 * n - k: c for k, c in sol.items()}, 0, step, w)
-            row, k = plain[psi], self.reads[psi]
-            for phi, x in row[:k]:
-                acc[phi] = get(phi, 0) + a * x
-            for phi, x in row[k:]:
-                rest[phi] = get_rest(phi, 0) + a * x
-            # less the packed column, v^(-2 l gamma) P(., gamma) with lo = -E
-            rest[psi] = get_rest(psi, 0) - _pack(sol, -E, step, w)
-
-        push(gamma, _UNIT)
-        col: dict[str, dict[int, int]] = {}
-        for phi in sorted((x for x in self.down[gamma] if x != gamma),
-                          key=lambda x: (-lens[x], x)):
-            x = get(phi)
-            if not x:
-                continue
-            if top * self.max_row >= half:
-                return None
-            f = _unpack(x, -E, step, w)
-            n = lg - lens[phi]
-            sol = {k: c for k, c in f.items() if k < n}
-            if {k: c for k, c in f.items() if k >= n} != {
-                    2 * n - k: -c for k, c in sol.items()}:
-                raise PSolveError(
-                    f"no solution under degree bound at P({phi!r}, {gamma!r})")
-            if sol:
-                col[phi] = sol
-                push(phi, sol)
-        if top * (self.max_row + 1) >= half:
-            return None
-        if any(get(phi, 0) + get_rest(phi, 0) for phi in acc.keys() | rest.keys()):
-            raise PSolveError(f"column {gamma!r} of P is not self-dual")
-        return col
-
 
 def _generators(b: BlockData, order: tuple[str, ...] | list[str]) -> list[str]:
     """The generators of a class, in its order: the labels gamma that are
@@ -645,12 +552,12 @@ def _generators(b: BlockData, order: tuple[str, ...] | list[str]) -> list[str]:
 
 
 def verify_duality(b: BlockData, block: list[str], r: RMatrix) -> bool:
-    """Independent certification of the duality map that R defines.  The
-    pass that packs D over the terms of R also checks the diagonal one,
-    every entry in its column's down-set, the degree bounds and the
-    u = 1 specialization (`_PackedDuality.sound`).  Packed D is then
-    checked for the involution D^2 = Id at the generators of the class
-    (`_generators`) and for the intertwining
+    """Independent certification of the duality map that R defines.  One
+    pass over the terms of R checks the diagonal one, every entry in its
+    column's down-set, the degree bounds, the even exponents and the
+    u = 1 specialization (`_PackedDuality.sound`).  Only R that passes is
+    packed, and packed D is then checked for the involution D^2 = Id at
+    the generators of the class (`_generators`) and for the intertwining
     u D((T_s + 1)gamma) = (T_s + 1)D(gamma) at every simple s and every
     gamma.
 
@@ -759,6 +666,47 @@ def _replay(b: BlockData, gamma: str, s: int, x: str,
         raise failed
 
 
+def _fallback(b: BlockData, gamma: str, down: frozenset[str],
+              reads: dict[str, tuple[list, list]]) -> dict[str, dict[int, int]]:
+    """Column gamma of P as phi -> terms, solved from R (see `compute_P`).
+    reads[psi] holds the nonzero entries of column psi of R as
+    (phi, (-1)^(l psi - l phi) terms): first the list of those the solve
+    reads (phi in the down-set of psi, phi != psi), then the rest."""
+    params = b.params
+    lg = params[gamma].length
+    # v^(2 l gamma) D(C_gamma) - C_gamma over the columns pushed so far:
+    # f holds the sums f(phi) that the solve reads, rest all the others
+    f: dict[str, dict[int, int]] = {}
+    rest: dict[str, dict[int, int]] = {}
+
+    def push(psi: str, sol: dict[int, int]) -> None:
+        """Add bar(P(psi, gamma)) v^(2 l gamma) D(psi) - P(psi, gamma) psi,
+        with D(psi) read off column psi of R."""
+        a = {2 * (lg - params[psi].length) - k: c for k, c in sol.items()}
+        read, other = reads[psi]
+        _add(f, a, read)
+        _add(rest, a, other)
+        _add(rest, {0: -1}, ((psi, sol),))
+
+    push(gamma, _UNIT)
+    col: dict[str, dict[int, int]] = {}
+    for phi in sorted(down - {gamma}, key=lambda x: (-params[x].length, x)):
+        t = f.get(phi, {})
+        n = lg - params[phi].length
+        sol = {k: c for k, c in t.items() if c and k < n}
+        if {k: c for k, c in t.items() if c and k >= n} != {
+                2 * n - k: -c for k, c in sol.items()}:
+            raise PSolveError(
+                f"no solution under degree bound at P({phi!r}, {gamma!r})")
+        if sol:
+            col[phi] = sol
+            push(phi, sol)
+    _add(rest, _UNIT, f.items())
+    if any(c for t in rest.values() for c in t.values()):
+        raise PSolveError(f"column {gamma!r} of P is not self-dual")
+    return col
+
+
 def compute_P(b: BlockData, block: list[str], r: RMatrix,
               check: bool = False) -> PMatrix:
     """The P-polynomials of one class, one column at a time in its order.
@@ -796,28 +744,36 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix,
     itself.  With the certified intertwining and induction along the
     order, the column is then self-dual, so it is C_gamma.
 
-    Fallback.  A column with only RP2 descents, or none, is solved on D
-    packed over the down-sets of these columns (on a complex class, the
-    minimal label; `_PackedDuality._column`):
+    Fallback.  A column with only RP2 descents, or none, is solved from
+    the term tables of R (`_fallback`), read once for the columns of R in
+    the down-sets of these columns (on a complex class, the minimal
+    label).  With phi in decreasing (length, label) order,
     f(phi) = sum over psi of
-    (-1)^(l psi - l phi) bar(P(psi, gamma)) v^(2(l gamma - l psi)) R(phi, psi)
-    must equal P(phi, gamma) - bar(P(phi, gamma)) v^(2(l gamma - l phi)),
-    and the column must pass the self-duality net: D applied to it gives
-    v^(-2 l gamma) times it."""
-    order, down = r.order, r.down
+    (-1)^(l psi - l phi) bar(P(psi, gamma)) v^(2(l gamma - l psi)) R(phi, psi),
+    over the psi already solved with phi in their down-set, psi != phi,
+    must equal P(phi, gamma) - bar(P(phi, gamma)) v^(2(l gamma - l phi)).
+    Then the column must pass the self-duality net, on every nonzero entry
+    of R in the columns it reads: D applied to it gives v^(-2 l gamma)
+    times it."""
+    order, down, params = r.order, r.down, b.params
     descents = {gamma: _descent(b.param(gamma)) for gamma in order}
     fallback = [gamma for gamma in order if descents[gamma] is None]
-    packed = _PackedDuality(b, r, frozenset().union(*(down[g] for g in fallback)))
+    reads = {x: ([], []) for x in frozenset().union(*(down[g] for g in fallback))}
+    if reads:
+        for (phi, psi), poly in r.entries.items():
+            t = poly._t
+            if psi in reads and t:
+                if (params[psi].length - params[phi].length) % 2:
+                    t = {k: -c for k, c in t.items()}
+                read, rest = reads[psi]
+                (read if phi != psi and phi in down[psi] else rest).append((phi, t))
     cols: dict[str, dict[str, dict[int, int]]] = {}
     tp1: list[dict[str, list]] = [{} for _ in b.simples]
     entries: dict[tuple[str, str], LaurentPoly] = {}
     polys: dict[tuple, LaurentPoly] = {}  # sorted terms -> the one object
     for i, gamma in enumerate(order):
         if descents[gamma] is None:
-            # a column that finds the digits too narrow is solved again at
-            # twice the width
-            while (col := packed._column(gamma)) is None:
-                packed.width *= 2
+            col = _fallback(b, gamma, down[gamma], reads)
         else:
             s, x = descents[gamma]
             col = _recursed(b, gamma, s, x, order[:i], down[gamma], cols, tp1[s])

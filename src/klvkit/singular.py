@@ -1,55 +1,17 @@
-"""Support for singular infinitesimal characters: marked parameters
-with zero-pairing simples, translation data to a nonsingular character,
-and the commutativity check for the translation square."""
+"""Support for singular infinitesimal characters: translation data to a
+nonsingular character, and the commutativity check for the translation
+square."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockdata import Parameter, SimpleStatus
 from .gaussian import GaussRat, ScaledVec, vec_add
 from .rootdata import InfChar, LeviSelection, RootDatum
 
 __all__ = [
-    "SingularParam", "TranslationDatum",
-    "validate_singular_param", "validate_translation_datum",
-    "check_translation_square",
+    "TranslationDatum", "validate_translation_datum", "check_translation_square",
 ]
-
-_IMAGINARY = {
-    SimpleStatus.COMPACT_IMAGINARY, SimpleStatus.NCI1, SimpleStatus.NCI2,
-}
-_NONCOMPACT = {SimpleStatus.NCI1, SimpleStatus.NCI2}
-_REAL = {SimpleStatus.RP1, SimpleStatus.RP2, SimpleStatus.REAL_NONPARITY}
-
-
-@dataclass(frozen=True)
-class SingularParam:
-    base: Parameter
-    zero_pairing_imaginary: tuple[int, ...]
-    zero_pairing_real: tuple[int, ...]
-
-
-def validate_singular_param(p: SingularParam) -> list[str]:
-    out = []
-    n = len(p.base.status)
-    for s in p.zero_pairing_imaginary:
-        if not 0 <= s < n:
-            out.append(f"imaginary marking index {s} out of range")
-        elif p.base.status[s] not in _IMAGINARY:
-            out.append(f"simple {s} marked imaginary but has status "
-                       f"{p.base.status[s].value}")
-        elif p.base.status[s] not in _NONCOMPACT:
-            out.append(f"zero-pairing imaginary simple {s} must be noncompact")
-    for s in p.zero_pairing_real:
-        if not 0 <= s < n:
-            out.append(f"real marking index {s} out of range")
-        elif p.base.status[s] not in _REAL:
-            out.append(f"simple {s} marked real but has status "
-                       f"{p.base.status[s].value}")
-        elif p.base.status[s] is not SimpleStatus.REAL_NONPARITY:
-            out.append(f"zero-pairing real simple {s} must be nonparity")
-    return out
 
 
 @dataclass(frozen=True)

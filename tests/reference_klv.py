@@ -11,17 +11,16 @@ support, `check_quadratic`, `check_braid`, `compute_order` and
 `compute_duality` run on whole module elements, `verify_duality` and
 `compute_P` apply D to whole module elements and sum one `LaurentPoly`
 product per pair, `verify_duality` checks D^2 = Id at every parameter,
-`solve_P` solves every column of P against packed D, `net` is the
-check that `klv.compute_P` made of a recursed column under check before
-it replayed the recursion, and the inverse of M is a dense
-back-substitution.  The library's
-versions must agree with them exactly.
+`net` checks a column of P for self-duality on module elements, as
+`klv.compute_P` did for a recursed column under check before it
+replayed the recursion, and the inverse of M is a dense
+back-substitution.  The library's versions must agree with them
+exactly.
 """
 
 import itertools
 
 from klvkit.blockdata import SimpleStatus
-from klvkit.hecke import _pack
 from klvkit.klv import (DualityError, MultMatrices, PMatrix, PSolveError,
                         RMatrix, _solve_linear, _sort_key)
 from klvkit.laurent import ONE, U, U_INV, ZERO, LaurentPoly
@@ -411,56 +410,20 @@ def compute_P(b, r):
     return PMatrix(order=r.order, entries=entries)
 
 
-def solve_P(packed):
-    """P, one column at a time; a column that finds the digits too
-    narrow is solved again at twice the width.  This is the P-solve of
-    every column against packed D (`klv._PackedDuality`), which
-    `klv.compute_P` keeps only for the columns without a complex or RP1
-    descent."""
-    entries = {}
-    for gamma in packed.order:
-        col = packed._column(gamma)
-        while col is None:
-            packed.width *= 2
-            col = packed._column(gamma)
-        entries.update(((phi, gamma), LaurentPoly._trusted(sol))
-                       for phi, sol in col.items())
-    return PMatrix(order=packed.order, entries=entries)
-
-
-def net(packed, gamma, col):
+def net(b, r, dual, gamma, col):
     """PSolveError unless col, column gamma of P as phi -> terms, meets the
     degree bound that `klv._recursed` enforces (phi in the down-set of
     gamma, a u-polynomial of degree below n/2, n = l gamma - l phi) and
-    passes the self-duality net on packed D (`klv._PackedDuality`, all of
-    D): D applied to the column is v^(-2 l gamma) times it.
-
-    Each entry P(psi, gamma), and 1 at gamma, is pushed as
-    bar(P(psi, gamma)) v^(2(l gamma - l psi)), packed with lo = 0, times
-    every packed D(psi)_phi, less the entry packed with lo = -E; every
-    sum must be 0.  The digit width doubles until the largest L1 norm of
-    a pushed entry times (row L1 of D + 1) fits in w - 1 bits."""
-    lens = packed.lens
+    passes the self-duality net on module elements, with dual the
+    `duality_map` of r: D applied to C_gamma is v^(-2 l gamma) C_gamma."""
+    lens = {x: b.params[x].length for x in r.order}
     for phi, q in col.items():
         p = LaurentPoly(q)
-        if (phi == gamma or phi not in packed.down[gamma] or not p.is_u_polynomial()
+        if (phi == gamma or phi not in r.down[gamma] or not p.is_u_polynomial()
                 or 2 * p.degree_in_u() >= lens[gamma] - lens[phi]):
             raise PSolveError(f"no solution under degree bound at P({phi!r}, {gamma!r})")
-    while True:
-        w, E, step = packed.width, packed.margin, packed.step
-        plain = packed._plain()
-        sums, top = {}, 1
-        for psi, sol in itertools.chain(((gamma, {0: 1}),), col.items()):
-            top = max(top, sum(map(abs, sol.values())))
-            n = lens[gamma] - lens[psi]
-            a = _pack({2 * n - k: c for k, c in sol.items()}, 0, step, w)
-            for phi, x in plain[psi]:
-                sums[phi] = sums.get(phi, 0) + a * x
-            sums[psi] = sums.get(psi, 0) - _pack(sol, -E, step, w)
-        if top * (packed.max_row + 1) < 1 << (w - 1):
-            break
-        packed.width *= 2
-    if any(sums.values()):
+    c = ModuleElement({gamma: ONE, **{phi: LaurentPoly(q) for phi, q in col.items()}})
+    if apply_D(dual, c) != c.scale(LaurentPoly({-2 * lens[gamma]: 1})):
         raise PSolveError(f"column {gamma!r} of P is not self-dual")
 
 

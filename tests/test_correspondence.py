@@ -14,7 +14,6 @@ from klvkit.correspondence import (
     check_image_union_of_blocks,
     compare_multiplicities,
     correspondence_from_json,
-    correspondence_to_json,
     induced_verdict,
     mult_by_block,
 )
@@ -123,7 +122,7 @@ def test_json_round_trip():
     doc = {"pairs": [["D+", "D-"], ["P", "P"]], "length_shift": 2}
     c = correspondence_from_json(doc)
     assert c.length_shift == 2 and c.pairs["D+"] == "D-"
-    assert correspondence_from_json(correspondence_to_json(c)) == c
+    assert c == Correspondence({"D+": "D-", "P": "P"}, 2)
     with pytest.raises(ValueError, match="duplicate"):
         correspondence_from_json(
             {"pairs": [["a", "b"], ["a", "c"]], "length_shift": 0})
@@ -141,6 +140,7 @@ def test_json_round_trip():
 def test_map_values_are_not_coerced(edit, field):
     """A shift 1.9 was read as 1, true as 1 and "3" as 3, and a pair
     [["D+"], "D+"] named the label "['D+']"."""
-    doc = {**correspondence_to_json(IDENT), **edit}
+    doc = {"pairs": [["D+", "D+"], ["D-", "D-"], ["P", "P"]], "length_shift": 0,
+           **edit}
     with pytest.raises(ValueError, match=f"^{field} "):
         correspondence_from_json(doc)

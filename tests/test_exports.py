@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -38,3 +39,35 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     missing = [(m.__name__, attr) for m, attr, _, _ in tracer._PATCHES
                if not hasattr(m, attr)]
     assert missing == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_helper_is_referenced_in_the_package():
+    """Each private top-level function, class and constant of klvkit, and
+    each private method, is read somewhere in the package by name or as
+    an attribute: a helper that only tests reach is dead code."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pathlib.Path(klvkit.__file__).parent.glob("*.py"))}
+    defined = []
+    used = set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(name, t.id) for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(name, f"{node.name}.{m.name}") for m in node.body
+                            if isinstance(m, ast.FunctionDef) and _private(m.name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [(mod, d) for mod, d in defined
+              if _private(d.rpartition(".")[2]) and d.rpartition(".")[2] not in used]
+    assert unused == []

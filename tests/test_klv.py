@@ -428,7 +428,7 @@ def test_module_actions_match_fold_reference(name, data):
 
 
 # ---------------------------------------------------------------------------
-# verify_duality and compute_P on packed D against the references.
+# verify_duality on packed D, and compute_P, against the references.
 
 @functools.lru_cache(maxsize=None)
 def _solved(name):
@@ -465,8 +465,11 @@ def _packed_from(width=None):
 
 
 def _solve_all_columns(b, blk, r, check):
-    """The P-solve of every column against packed D."""
-    return reference_klv.solve_P(klv._PackedDuality(b, r))
+    """compute_P with every column solved from R, as it solves the columns
+    without a complex or RP1 descent."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(klv, "_descent", lambda p: None)
+        return compute_P(b, blk, r, check)
 
 
 def _assert_agrees(b, r, width=None, solve=compute_P):
@@ -481,9 +484,12 @@ def _assert_agrees(b, r, width=None, solve=compute_P):
 @given(st.sampled_from(sorted(_MODULE_BLOCKS)), st.data())
 def test_packed_duality_matches_references(name, data):
     """Valid R, and R with one coefficient changed by +-1 or +-2^k for k
-    across the digit width chosen for it, or with c u^i - c u^j added,
-    which keeps the value at u = 1.  Recursed columns of compute_P do not
-    read R, so the P half runs the P-solve of every column."""
+    across the digit width chosen for it, or with c v^i - c v^j added,
+    which keeps the value at u = 1.  The v-exponents i and j are even and
+    in 0..2n, or else odd, negative or above 2n, which `verify_duality`
+    rejects before it packs D and the solve from R must still handle.
+    Recursed columns of compute_P do not read R, so the P half solves
+    every column from R."""
     b, rs = _solved(name)
     r = data.draw(st.sampled_from(rs))
     w = klv._PackedDuality(b, r).width
@@ -492,10 +498,14 @@ def test_packed_duality_matches_references(name, data):
     n = b.params[gamma].length - b.params[phi].length
     c = data.draw(st.sampled_from([0, 1, -1] + [s << k for k in range(w + 2)
                                                 for s in (1, -1)]))
-    i, j = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
-    delta = {2 * i: c}
+    if data.draw(st.booleans()):
+        exponents = st.integers(0, n).map(lambda i: 2 * i)
+    else:
+        exponents = st.sampled_from([-3, -2, -1, 1, 2 * n + 1, 2 * n + 2, 2 * n + 3])
+    i, j = data.draw(exponents), data.draw(exponents)
+    delta = {i: c}
     if data.draw(st.booleans()) and i != j:
-        delta[2 * j] = -c
+        delta[j] = -c
     entries = dict(r.entries)
     entries[(phi, gamma)] = r.entry(phi, gamma) + LaurentPoly(delta)
     bad = RMatrix(r.order, entries, r.down)
@@ -544,8 +554,9 @@ def _r_from_p(b, p_entries):
 
 
 def test_huge_coefficients_widen_the_digits():
-    """P entries near 2^90 give R entries near 2^180: the P-solve, started
-    from 4-bit digits, must widen until its sums decode exactly."""
+    """P entries near 2^90 give R entries near 2^180: the solve from R
+    finds them, and the packed checks of `verify_duality`, started from
+    4-bit digits, must widen until their sums compare exactly."""
     b = _rank_zero_block({"a": 0, "b": 1, "c": 2, "d": 3, "e": 3})
     big = (1 << 90) + 12345
     p_entries = {
@@ -561,16 +572,32 @@ def test_huge_coefficients_widen_the_digits():
     r = _r_from_p(b, p_entries)
     assert max(abs(c) for q in r.entries.values() for c in q.terms.values()) > big
     want = PMatrix(r.order, p_entries)
+    assert _solve_all_columns(b, list(r.order), r, False) == want
     packed = _packed(b, r, width=4)
-    assert reference_klv.solve_P(packed) == want
+    assert packed.involutive() and packed.intertwines()
     assert packed.width > 4
-    # longest column first: its first decodes come before any widening
+    # longest column first
     rev = RMatrix(tuple(reversed(r.order)), r.entries, r.down)
-    assert reference_klv.solve_P(_packed(b, rev, width=4)) == PMatrix(rev.order, p_entries)
+    assert (_solve_all_columns(b, list(rev.order), rev, False)
+            == PMatrix(rev.order, p_entries))
     assert compute_P(b, list(r.order), r) == want
     assert reference_klv.compute_P(b, r) == want
     _assert_agrees(b, r)
     _assert_agrees(b, r, width=4)
+
+
+def test_solve_reads_no_entry_outside_the_down_set():
+    """Valid R with a down-set made too small: R(a, c) is nonzero, but a
+    is left out of the down-set of c, and P(a, c) = 0 keeps column c
+    self-dual.  f(a) of column d sums only over the psi whose down-set
+    holds a, so it leaves out R(a, c), as the reference does."""
+    b = _rank_zero_block({"a": 0, "b": 1, "c": 2, "d": 3})
+    r = _r_from_p(b, {("a", "b"): ONE, ("b", "c"): ONE, ("c", "d"): ONE})
+    assert r.entry("a", "c")
+    bad = RMatrix(r.order, r.entries, {**r.down, "c": r.down["c"] - {"a"}})
+    message = "no solution under degree bound at P('a', 'd')"
+    assert _p_outcome(compute_P, b, list(r.order), bad) == message
+    assert _p_outcome(reference_klv.compute_P, b, bad) == message
 
 
 def test_verify_rejects_duality_that_is_not_an_involution():
@@ -796,7 +823,7 @@ def test_each_scalar_check_rejects_on_its_own(change):
 
 
 # ---------------------------------------------------------------------------
-# compute_P by descent recursion, with the packed solve only for columns
+# compute_P by descent recursion, with the solve from R only for columns
 # that have neither a complex nor an RP1 descent.
 
 def _p_both_modes(b, blk, r):
@@ -826,7 +853,7 @@ def test_compute_P_matches_the_full_solve_and_the_module_reference(b):
     for blk in partition_blocks(b):
         r = compute_duality(b, blk)
         want = reference_klv.compute_P(b, r)
-        assert reference_klv.solve_P(klv._PackedDuality(b, r)) == want
+        assert _solve_all_columns(b, blk, r, False) == want
         assert _p_both_modes(b, blk, r) == (want, want)
 
 
@@ -912,7 +939,7 @@ def test_check_nets_a_corrupted_recursed_column(name, monkeypatch, tmp_path, cap
 
 # The replay of recursed columns under check, against the check it
 # replaced: the degree bound of the recursion and the self-duality net
-# on all of D packed (`reference_klv.net`).
+# (`reference_klv.net`).
 
 def _element(cols, z):
     """C_z as a module element, from the columns of P."""
@@ -994,12 +1021,12 @@ def test_replay_agrees_with_the_self_duality_net(b, data):
         cols = {g: {} for g in r.order}
         for (phi, g), poly in compute_P(b, blk, r).entries.items():
             cols[g][phi] = dict(poly.terms)
-        packed = klv._PackedDuality(b, r)
+        dual = reference_klv.duality_map(b, r)
         recursed = [g for g in r.order if klv._descent(b.params[g])]
         for g in recursed:
             s, x = klv._descent(b.params[g])
             assert not _rejects(_replay, b, r, cols, g, s, x, cols[g])
-            assert not _rejects(reference_klv.net, packed, g, cols[g])
+            assert not _rejects(reference_klv.net, b, r, dual, g, cols[g])
         # the columns whose recursion takes some a_delta away
         reduced = [g for g in recursed if _recursion(
             b, g, *klv._descent(b.params[g]), r.order, cols)[1]]
@@ -1014,7 +1041,7 @@ def test_replay_agrees_with_the_self_duality_net(b, data):
                 continue
             bad, s, x = corrupted
             assert _rejects(_replay, b, r, cols, gamma, s, x, bad), kind
-            assert _rejects(reference_klv.net, packed, gamma, bad), kind
+            assert _rejects(reference_klv.net, b, r, dual, gamma, bad), kind
 
 
 @pytest.mark.parametrize("name", ["A3", "B2xsl2r", "sl2rxnci2xA1"])
@@ -1066,9 +1093,9 @@ def test_solve_block_runs_each_stage_once_per_class(check, monkeypatch):
 
 
 def test_default_packing_holds_only_the_fallback_down_sets(monkeypatch):
-    """On A3 every label but the minimal one has a complex descent, so
-    compute_P packs D at that one column; with check, verify_duality
-    first packs all of it."""
+    """compute_P packs nothing: it solves the columns without a complex
+    or RP1 descent (on A3, the minimal label) from R.  Only
+    verify_duality packs D, all of it once, under check."""
     made = []
 
     class Recorded(klv._PackedDuality):
@@ -1080,7 +1107,6 @@ def test_default_packing_holds_only_the_fallback_down_sets(monkeypatch):
     b = _REFERENCE_BLOCKS["A3"]()
     (blk,) = partition_blocks(b)
     klv.solve_block(b, blk)
-    assert [set(p.cols) for p in made] == [{"e"}]
-    made.clear()
+    assert made == []
     klv.solve_block(b, blk, check=True)
-    assert [set(p.cols) for p in made] == [set(blk), {"e"}]
+    assert [set(p.cols) for p in made] == [set(blk)]

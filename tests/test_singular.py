@@ -1,60 +1,14 @@
 import pytest
 
-from klvkit.blockdata import builtin_nci2_block, builtin_sl2r_block
 from klvkit.gaussian import gvec
 from klvkit.rootdata import InfChar, rootdatum_from_json
 from klvkit.singular import (
-    SingularParam,
     TranslationDatum,
     check_translation_square,
-    validate_singular_param,
     validate_translation_datum,
 )
 
 from test_rootdata import A2, SL2_SPLIT
-
-
-def test_unmarked_param_is_fine():
-    p = builtin_sl2r_block().params["P"]
-    assert validate_singular_param(SingularParam(p, (), ())) == []
-
-
-def test_noncompact_imaginary_marking_accepted():
-    p = builtin_nci2_block().params["D"]
-    assert validate_singular_param(SingularParam(p, (0,), ())) == []
-
-
-def test_compact_imaginary_marking_rejected():
-    from klvkit.blockdata import block_from_json
-    b = block_from_json({
-        "simples": ["s"], "braid": [[1]], "infchar_tag": "x",
-        "params": [
-            {"label": "c", "length": 0, "cartan_class": "",
-             "status": ["CompactImaginary"], "cross": ["c"], "cayley": [None]},
-            {"label": "n", "length": 0, "cartan_class": "",
-             "status": ["RealNonparity"], "cross": ["n"], "cayley": [None]},
-        ],
-    })
-    out = validate_singular_param(SingularParam(b.params["c"], (0,), ()))
-    assert out == ["zero-pairing imaginary simple 0 must be noncompact"]
-    # real marking on the nonparity parameter is fine
-    assert validate_singular_param(SingularParam(b.params["n"], (), (0,))) == []
-    # but a real marking on an imaginary status is a type error
-    out = validate_singular_param(SingularParam(b.params["c"], (), (0,)))
-    assert len(out) == 1 and "marked real" in out[0]
-
-
-def test_marking_index_out_of_range():
-    p = builtin_sl2r_block().params["P"]
-    out = validate_singular_param(SingularParam(p, (3,), (-1,)))
-    assert len(out) == 2
-    assert all("out of range" in msg for msg in out)
-
-
-def test_parity_real_marking_rejected():
-    p = builtin_sl2r_block().params["P"]  # RealParityI at simple 0
-    out = validate_singular_param(SingularParam(p, (), (0,)))
-    assert out == ["zero-pairing real simple 0 must be nonparity"]
 
 
 def test_translation_datum_valid():
