@@ -1,9 +1,11 @@
 """Command-line front end: file loading, report assembly, exit codes.
 
-Exit codes: 0 success / empty violations, 1 violations or a verdict
-falling short of --require-verdict, 2 malformed input (a root datum
-that breaks an axiom included) or usage error.
-All reports are deterministic JSON (sorted keys, LF line endings).
+Exit codes: 0 success / empty violations, 1 violations, a verdict
+falling short of --require-verdict or a reader that closed stdout, 2
+malformed input (a root datum that breaks an axiom included) or usage
+error.  All reports are deterministic JSON (sorted keys, LF line
+endings), written in pieces; `klv` solves every class first, then
+writes R, P, M and m straight from the solved classes.
 """
 
 from __future__ import annotations
@@ -98,12 +100,16 @@ def _render(x, indent: str = ""):
     """Yield x in pieces whose concatenation is json.dumps(x,
     sort_keys=True, indent=2) when x starts at the given indent.  A piece
     holds at most one list of plain ints or _BATCH entries of str or int
-    values; a container value is rendered in pieces of its own."""
+    values; a container value is rendered in pieces of its own, and a
+    functools.partial x, which stands for its own pieces, by x(indent)."""
     if isinstance(x, str):
         yield _encode_str(x)
         return
     if type(x) is int:
         yield int.__repr__(x)
+        return
+    if type(x) is functools.partial:
+        yield from x(indent)
         return
     if not x or not isinstance(x, (list, tuple, dict)):
         # an empty list or dict, None, a bool or a float; else json's TypeError
@@ -139,6 +145,61 @@ def _render(x, indent: str = ""):
             parts = []
     parts.append(f"\n{indent}{brackets[1]}")
     yield "".join(parts)
+
+
+class _IntTexts(dict):
+    def __missing__(self, k: int) -> str:
+        return int.__repr__(k)
+
+
+# The texts of the small ints, most entries of M and m; others fall back.
+_INT_TEXTS = _IntTexts((i, int.__repr__(i)) for i in range(-16, 17))
+
+
+def _int_matrices(mats: list, indent: str):
+    """What _render yields for mats, a list of square matrices of ints (M
+    or m of each class), one row per piece."""
+    if not mats or not all(mats):
+        yield from _render(mats, indent)
+        return
+    i1, i2 = indent + "  ", indent + "    "
+    sep = ",\n" + i2 + "  "
+    head = f"[\n{i1}[\n{i2}"
+    for mat in mats:
+        for row in mat:
+            yield f"{head}[\n{i2}  {sep.join(map(_INT_TEXTS.__getitem__, row))}\n{i2}]"
+            head = ",\n" + i2
+        head = f"\n{i1}],\n{i1}[\n{i2}"
+    yield f"\n{i1}]\n{indent}]"
+
+
+def _poly_map(mats: list, labels: list[str], indent: str):
+    """What _render yields for the dict {f"{x}|{y}": str(v)} over the
+    entries (x, y): v of mats (R or P of each class), one row x per piece.
+    With no "|" in a label, the keys sort by x + "|", then by y."""
+    if any("|" in x for x in labels):  # keys may collide or interleave rows
+        yield from _render({f"{x}|{y}": str(v) for mat in mats
+                            for (x, y), v in mat.entries.items()}, indent)
+        return
+    # one JSON text per distinct value, keyed by id(): safe only as every
+    # class's R and P, held in mats, live until the write ends
+    texts = {id(v): v for mat in mats for v in mat.entries.values()}
+    texts = {i: _encode_str(str(v)) for i, v in texts.items()}
+    rows: dict[str, list] = {x: [] for x in sorted(labels, key=lambda x: x + "|")}
+    for mat in mats:
+        for (x, y), v in mat.entries.items():
+            rows[x].append((y, texts[id(v)]))
+    # the encoded key of x|y: encoded x, its closing quote dropped, "|",
+    # encoded y, its opening quote dropped (JSON encodes char by char)
+    enc = {x: _encode_str(x) for x in labels}
+    sep, head = f",\n{indent}  ", f"{{\n{indent}  "
+    for x, row in rows.items():
+        if row:
+            row.sort()
+            key = enc[x][:-1] + "|"
+            yield head + sep.join([f"{key}{enc[y][1:]}: {t}" for y, t in row])
+            head = sep
+    yield f"\n{indent}}}" if head is sep else "{}"
 
 
 def _emit(report: dict) -> None:
@@ -211,29 +272,19 @@ def _cmd_klv(args) -> int:
     violations = blockdata.validate_block(b)
     if violations:
         return _emit_violations("klv", args.block, violations)
-    payload: dict = {"blocks": [], "order": [], "R": {}, "P": {}, "M": [], "m": []}
-    # one string per distinct polynomial of the report, keyed by value:
-    # a LaurentPoly hashes its sorted terms and compares its term tables
-    texts: dict = {}
-    ok = True
-    quad_ok, counter = hecke.check_quadratic(b)
-    ok &= quad_ok
-    for cls in klv.partition_blocks(b):
-        res = klv.solve_block(b, cls, check=args.check)
-        if args.check and not res.verified:
-            ok = False
-        payload["blocks"].append(cls)
-        payload["order"].extend(res.order)
-        for name, mat in (("R", res.r), ("P", res.p)):
-            out = payload[name]
-            for (x, y), v in mat.entries.items():
-                text = texts.get(v)
-                if text is None:
-                    text = texts[v] = str(v)
-                out[f"{x}|{y}"] = text
-        payload["M"].append(res.M)
-        payload["m"].append(res.m)
+    ok, _ = hecke.check_quadratic(b)
+    classes = klv.partition_blocks(b)
+    solved = [klv.solve_block(b, cls, check=args.check) for cls in classes]
+    order = [x for res in solved for x in res.order]
+    payload: dict = {
+        "blocks": classes, "order": order,
+        "R": functools.partial(_poly_map, [res.r for res in solved], order),
+        "P": functools.partial(_poly_map, [res.p for res in solved], order),
+        "M": functools.partial(_int_matrices, [res.M for res in solved]),
+        "m": functools.partial(_int_matrices, [res.m for res in solved]),
+    }
     if args.check:
+        ok &= all(res.verified for res in solved)
         for s in range(len(b.simples)):
             for t in range(s + 1, len(b.simples)):
                 ok &= hecke.check_braid(b, s, t)
@@ -436,7 +487,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: exit 1, with stdout on devnull for a quiet shutdown
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -591,15 +591,14 @@ def _tp1_col(b: BlockData, s: int, x: str,
     return y
 
 
-def _recursed(b: BlockData, gamma: str, s: int, x: str, earlier: tuple[str, ...],
-              down: frozenset[str], cols: dict[str, dict[str, dict[int, int]]],
-              tp1: dict[str, list]) -> dict[str, dict[int, int]]:
-    """Column gamma of P as phi -> terms, from (T_s + 1) C_x reduced by
-    the columns in `cols` of the labels `earlier` in the order (see
-    `compute_P`)."""
+def _recursed(b: BlockData, gamma: str, s: int, x: str, y: dict[str, dict[int, int]],
+              earlier: tuple[str, ...], down: frozenset[str],
+              cols: dict[str, dict[str, dict[int, int]]]) -> dict[str, dict[int, int]]:
+    """Column gamma of P as phi -> terms, from y = (T_s + 1) C_x, which
+    this consumes, reduced by the columns in `cols` of the labels
+    `earlier` in the order (see `compute_P`)."""
     params = b.params
     lg = params[gamma].length
-    y = _tp1_col(b, s, x, cols, tp1)
     top = {mu: q for mu, t in y.items() if params[mu].length >= lg
            and (q := {k: c for k, c in t.items() if c})}
     if top != {gamma: _UNIT}:
@@ -634,16 +633,15 @@ def _recursed(b: BlockData, gamma: str, s: int, x: str, earlier: tuple[str, ...]
     return col
 
 
-def _replay(b: BlockData, gamma: str, s: int, x: str,
+def _replay(b: BlockData, gamma: str, y: dict[str, dict[int, int]],
             col: dict[str, dict[int, int]], earlier: tuple[str, ...],
-            down: frozenset[str], cols: dict[str, dict[str, dict[int, int]]],
-            tp1: dict[str, list]) -> None:
-    """Certify col, column gamma of P found by the recursion through s
-    from x, or PSolveError (see `compute_P`).  It must meet the degree
-    bound, and y = (T_s + 1) C_x - C_gamma must reduce to 0 by
-    a_delta C_delta over the earlier labels delta, in decreasing order,
-    each a_delta the whole coefficient left at delta, with
-    n = l gamma - l delta > 0 and a_k = a_(2n-k) in v-exponents."""
+            down: frozenset[str], cols: dict[str, dict[str, dict[int, int]]]) -> None:
+    """Certify col, column gamma of P found by the recursion from
+    y = (T_s + 1) C_x, which this consumes, or PSolveError (see
+    `compute_P`).  It must meet the degree bound, and y - C_gamma must
+    reduce to 0 by a_delta C_delta over the earlier labels delta, in
+    decreasing order, each a_delta the whole coefficient left at delta,
+    with n = l gamma - l delta > 0 and a_k = a_(2n-k) in v-exponents."""
     params = b.params
     lg = params[gamma].length
     failed = PSolveError(f"column {gamma!r} of P is not self-dual")
@@ -651,7 +649,6 @@ def _replay(b: BlockData, gamma: str, s: int, x: str,
         n = lg - params[phi].length
         if phi == gamma or phi not in down or any(k < 0 or k >= n or k % 2 for k in q):
             raise failed
-    y = _tp1_col(b, s, x, cols, tp1)
     _add(y, {0: -1}, itertools.chain(((gamma, _UNIT),), col.items()))
     for delta in reversed(earlier):
         # a is -a_delta; the 1 of C_delta at delta goes with the pop
@@ -740,7 +737,8 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix,
     reduced y is self-dual of weight l gamma, with top gamma and under the
     degree bound: it is C_gamma, by induction along the order.  With
     check, `_replay` certifies each recursed column as it is found: it
-    replays that identity on the emitted columns and derives each a_delta
+    replays that identity on the emitted columns, from the product
+    (T_s + 1) C_x that the recursion built, and derives each a_delta
     itself.  With the certified intertwining and induction along the
     order, the column is then self-dual, so it is C_gamma.
 
@@ -776,9 +774,11 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix,
             col = _fallback(b, gamma, down[gamma], reads)
         else:
             s, x = descents[gamma]
-            col = _recursed(b, gamma, s, x, order[:i], down[gamma], cols, tp1[s])
+            y = _tp1_col(b, s, x, cols, tp1[s])
+            col = _recursed(b, gamma, s, x, {phi: dict(t) for phi, t in y.items()}
+                            if check else y, order[:i], down[gamma], cols)
             if check:
-                _replay(b, gamma, s, x, col, order[:i], down[gamma], cols, tp1[s])
+                _replay(b, gamma, y, col, order[:i], down[gamma], cols)
         cols[gamma] = col
         for phi, t in col.items():
             key = tuple(sorted(t.items()))

@@ -3,6 +3,10 @@ import functools
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -619,9 +623,10 @@ _UNION_PARTS = [("sl2r", "sl2r"), ("sl2r", "nci2"), ("nci2", "nci2"),
 
 def test_klv_report_matches_one_str_per_entry(capsys, tmp_path):
     """A block file of six classes: klv prints the json.dumps of the
-    payload built with str() of every R and P entry.  A table of strings
-    keyed by id() would fail here, as the R and P of a class are freed
-    before a later class reuses their ids."""
+    payload built with str() of every R and P entry.  klv keys its table
+    of strings by id(), which is safe only because it keeps the R and P
+    of every class alive until the write ends: were they freed class by
+    class, a later class could reuse their ids and get the wrong text."""
     params = []
     for i, kinds in enumerate(_UNION_PARTS):
         part = functools.reduce(product_block, [
@@ -652,6 +657,106 @@ def test_klv_report_matches_one_str_per_entry(capsys, tmp_path):
         report = {"command": "klv", "inputs": {path: digest}, **payload}
         assert code == 0
         assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _union_doc(parts, names):
+    """A block file of one class per pair of kinds in parts, each a
+    product over the simples a1 and b1, with the labels renamed in turn
+    from names; no parts make an empty block."""
+    params = []
+    for kinds in parts:
+        part = functools.reduce(product_block, [
+            _FACTORS[k](c) for k, c in zip(kinds, "ab")])
+        n = len(part.params)
+        params += block_to_json(_relabelled(part, names[:n], range(n)))["params"]
+        names = names[n:]
+    return {"simples": ["a1", "b1"], "braid": [[1, 2], [2, 1]],
+            "infchar_tag": "union", "params": params}
+
+
+def _klv_oracle(path, check):
+    """The klv report as it was built before it was written from the
+    solved classes: a payload dict with a str per R and P entry, rendered
+    by json.dumps."""
+    with open(path, encoding="utf-8") as fh:
+        b = block_from_json(json.load(fh))
+    payload = {"blocks": [], "order": [], "R": {}, "P": {}, "M": [], "m": []}
+    for cls in klv.partition_blocks(b):
+        res = klv.solve_block(b, cls, check=check)
+        payload["blocks"].append(cls)
+        payload["order"].extend(res.order)
+        for name, mat in (("R", res.r), ("P", res.p)):
+            payload[name].update({f"{x}|{y}": str(v) for (x, y), v in mat.entries.items()})
+        payload["M"].append(res.M)
+        payload["m"].append(res.m)
+    if check:
+        payload["checks_passed"] = True
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    report = {"command": "klv", "inputs": {path: digest}, **payload}
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+_LABEL_CHARS = ["a", "b", "|", '"', "\\", "\x00", "\n", "\x7f", "é", "日", "\U0001f600"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_UNION_PARTS), max_size=3),
+       st.booleans(), st.data())
+def test_klv_report_matches_the_payload_oracle(tmp_path_factory, parts, bars, data):
+    """Relabelled unions of none to three classes, in both modes: labels
+    with quotes, backslashes, control and non-ASCII characters, labels
+    that are prefixes of one another, and, in half the draws, "|" among
+    the characters, which may make keys of different rows interleave."""
+    chars = _LABEL_CHARS if bars else [c for c in _LABEL_CHARS if c != "|"]
+    labels = st.one_of(st.sampled_from(["a", "ab", "a|", "b"] if bars else ["a", "ab", "b"]),
+                       st.text(st.sampled_from(chars), min_size=1, max_size=3))
+    n = sum(len(_FACTORS[k]("a").params) * len(_FACTORS[l]("b").params) for k, l in parts)
+    names = data.draw(st.lists(labels, min_size=n, max_size=n, unique=True))
+    path = _written(tmp_path_factory.mktemp("union"), "union.json", _union_doc(parts, names))
+    for check in (False, True):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["klv", path] + ["--check"] * check) == 0
+        assert out.getvalue() == _klv_oracle(path, check)
+
+
+def test_klv_prints_nothing_when_a_later_class_fails(capsys, tmp_path, monkeypatch):
+    """Every class is solved before the first byte is written: a solve
+    that fails on the second class leaves stdout empty and exits 1."""
+    path = _written(tmp_path, "union.json", _union_doc(
+        _UNION_PARTS[:3], [f"q{i}" for i in range(27)]))
+    solve, calls = klv.solve_block, []
+
+    def failing(b, cls, check=False):
+        calls.append(cls)
+        if len(calls) == 2:
+            raise klv.PSolveError("column 'q9' of P is not self-dual")
+        return solve(b, cls, check)
+
+    monkeypatch.setattr(klv, "solve_block", failing)
+    for check in (False, True):
+        calls.clear()
+        assert run(["klv", path] + ["--check"] * check) == 1
+        assert capsys.readouterr() == ("", "error: column 'q9' of P is not self-dual\n")
+        assert len(calls) == 2
+
+
+def test_klv_into_a_closed_pipe_exits_1_quietly(tmp_path):
+    """A reader that takes a few bytes of the D4 report and closes the
+    pipe ends klvkit with exit 1 and nothing on stderr."""
+    b = generate_complex_block(("s1", "s2", "s3", "s4"), _COXETER["D4"])
+    path = _written(tmp_path, "d4.json", block_to_json(b))
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen([sys.executable, "-m", "klvkit.cli", "klv", path],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        for _ in range(10):
+            assert proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_one_parser_answers_every_call_as_a_first_call(capsys, sl2_path):

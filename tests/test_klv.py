@@ -981,7 +981,8 @@ def _rejects(certify, *args):
 
 def _replay(b, r, cols, gamma, s, x, col):
     i = r.order.index(gamma)
-    klv._replay(b, gamma, s, x, col, r.order[:i], r.down[gamma], cols, {})
+    y = klv._tp1_col(b, s, x, cols, {})
+    klv._replay(b, gamma, y, col, r.order[:i], r.down[gamma], cols)
 
 
 def _corrupted(kind, b, r, cols, gamma, data):
