@@ -3,9 +3,10 @@
 Exit codes: 0 success / empty violations, 1 violations, a verdict
 falling short of --require-verdict or a reader that closed stdout, 2
 malformed input (a root datum that breaks an axiom included) or usage
-error.  All reports are deterministic JSON (sorted keys, LF line
-endings), written in pieces; `klv` solves every class first, then
-writes R, P, M and m straight from the solved classes.
+error.  Every report is the text of json.dumps(report, sort_keys=True,
+indent=2) and a newline, and json.dumps writes each of its values but
+four: `klv` solves every class first, then writes R, P, M and m one row
+per piece straight from the solved classes.
 """
 
 from __future__ import annotations
@@ -80,71 +81,11 @@ def _parse_vector(text: str):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _key(k) -> str:
-    """A dict key as json renders it: str as is, int, float, bool and
-    None by their JSON text, quoted."""
-    if isinstance(k, str):
-        return _encode_str(k)
-    if k is None or isinstance(k, (int, float)):
-        return _encode_str(json.dumps(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
-
-
-# Entries of a dict or list, of the str or int values inline, that one
-# piece holds at most; a list of plain ints (a row of M or m) is one piece.
-_BATCH = 1024
-
-
-def _render(x, indent: str = ""):
-    """Yield x in pieces whose concatenation is json.dumps(x,
-    sort_keys=True, indent=2) when x starts at the given indent.  A piece
-    holds at most one list of plain ints or _BATCH entries of str or int
-    values; a container value is rendered in pieces of its own, and a
-    functools.partial x, which stands for its own pieces, by x(indent)."""
-    if isinstance(x, str):
-        yield _encode_str(x)
-        return
-    if type(x) is int:
-        yield int.__repr__(x)
-        return
-    if type(x) is functools.partial:
-        yield from x(indent)
-        return
-    if not x or not isinstance(x, (list, tuple, dict)):
-        # an empty list or dict, None, a bool or a float; else json's TypeError
-        yield json.dumps(x)
-        return
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(x, dict):
-        items, brackets = ((f"{_key(k)}: ", v) for k, v in sorted(x.items())), "{}"
-    elif set(map(type, x)) == {int}:
-        yield f"[\n{inner}{sep.join(map(int.__repr__, x))}\n{indent}]"
-        return
-    else:
-        items, brackets = (("", v) for v in x), "[]"
-    parts = [f"{brackets[0]}\n{inner}"]
-    n = 0
-    for head, v in items:
-        if n:
-            parts.append(sep)
-        n += 1
-        if isinstance(v, str):
-            parts.append(head + _encode_str(v))
-        elif type(v) is int:
-            parts.append(head + int.__repr__(v))
-        else:
-            parts.append(head)
-            yield "".join(parts)
-            parts = []
-            yield from _render(v, inner)
-            continue
-        if n % _BATCH == 0:
-            yield "".join(parts)
-            parts = []
-    parts.append(f"\n{indent}{brackets[1]}")
-    yield "".join(parts)
+def _dumps(x, indent: str) -> str:
+    """json.dumps(x, sort_keys=True, indent=2) for x that starts at the
+    given indent.  Indenting every line break is exact: JSON escapes each
+    newline inside a string, so each raw newline is one of the layout."""
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
 class _IntTexts(dict):
@@ -157,10 +98,10 @@ _INT_TEXTS = _IntTexts((i, int.__repr__(i)) for i in range(-16, 17))
 
 
 def _int_matrices(mats: list, indent: str):
-    """What _render yields for mats, a list of square matrices of ints (M
-    or m of each class), one row per piece."""
+    """The pieces of _dumps(mats, indent) for mats, a list of square
+    matrices of ints (M or m of each class), one row per piece."""
     if not mats or not all(mats):
-        yield from _render(mats, indent)
+        yield _dumps(mats, indent)
         return
     i1, i2 = indent + "  ", indent + "    "
     sep = ",\n" + i2 + "  "
@@ -174,12 +115,13 @@ def _int_matrices(mats: list, indent: str):
 
 
 def _poly_map(mats: list, labels: list[str], indent: str):
-    """What _render yields for the dict {f"{x}|{y}": str(v)} over the
-    entries (x, y): v of mats (R or P of each class), one row x per piece.
-    With no "|" in a label, the keys sort by x + "|", then by y."""
+    """The pieces of _dumps(d, indent) for the dict d = {f"{x}|{y}":
+    str(v)} over the entries (x, y): v of mats (R or P of each class), one
+    row x per piece.  With no "|" in a label, the keys sort by x + "|",
+    then by y."""
     if any("|" in x for x in labels):  # keys may collide or interleave rows
-        yield from _render({f"{x}|{y}": str(v) for mat in mats
-                            for (x, y), v in mat.entries.items()}, indent)
+        yield _dumps({f"{x}|{y}": str(v) for mat in mats
+                      for (x, y), v in mat.entries.items()}, indent)
         return
     # one JSON text per distinct value, keyed by id(): safe only as every
     # class's R and P, held in mats, live until the write ends
@@ -204,11 +146,20 @@ def _poly_map(mats: list, labels: list[str], indent: str):
 
 def _emit(report: dict) -> None:
     """Write report exactly as json.dumps(report, sort_keys=True,
-    indent=2) renders it, plus a newline, piece by piece."""
+    indent=2) renders it, plus a newline: each value by _dumps, but a
+    functools.partial value (R, P, M and m of klv) by the pieces it
+    yields."""
     write = sys.stdout.write
-    for piece in _render(report):
-        write(piece)
-    write("\n")
+    head = "{\n  "
+    for key, value in sorted(report.items()):
+        write(f"{head}{_encode_str(key)}: ")
+        if type(value) is functools.partial:
+            for piece in value("  "):
+                write(piece)
+        else:
+            write(_dumps(value, "  "))
+        head = ",\n  "
+    write("\n}\n")
 
 
 def _report(command: str, inputs: list[str], payload: dict) -> dict:

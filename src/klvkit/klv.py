@@ -277,25 +277,22 @@ def _solve_level(b, down, dual, hard: list[str]):
                 unknowns.append((g, phi, k))
             equations.append(({j: 1 for j in range(first, len(unknowns))}, 0))
 
-    def add(into: dict, x: dict[str, dict[int, int]], terms) -> dict:
-        """into += x * sum of c v^k over terms, keyed (label, exponent)."""
-        for lab, t in x.items():
-            for k1, c1 in t.items():
-                for k2, c2 in terms:
-                    key = (lab, k1 + k2)
-                    into[key] = into.get(key, 0) + c1 * c2
+    def lowered(rows: dict, x: dict[str, dict[int, int]]) -> dict:
+        """-(E_s + 1) x, for rows the T rows of s."""
+        into: dict = {}
+        _add(into, {0: -1}, [*_step(rows, x).items(), *x.items()])
         return into
-
-    def lowered(into: dict, rows: dict, x: dict[str, dict[int, int]]) -> dict:
-        """into -= (E_s + 1) x, for rows the T rows of s."""
-        return add(add(into, _step(rows, x), ((0, -1),)), x, ((0, -1),))
 
     def unit(j: int) -> dict[str, dict[int, int]]:
         _, phi, k = unknowns[j]
         return {phi: {k: 1}}
 
     def add_rows(const: dict, columns: dict[int, dict]):
-        """The rows const + sum_j x_j columns[j] = 0, one per (label, k)."""
+        """The rows const + sum_j x_j columns[j] = 0, for label -> {k: c}
+        tables, one per (label, k)."""
+        const, *flat = [{(lab, k): c for lab, row in t.items() for k, c in row.items()}
+                        for t in (const, *columns.values())]
+        columns = dict(zip(columns, flat))
         for key in sorted(set(const).union(*columns.values())):
             f = {j: c for j, col in columns.items() if (c := col.get(key))}
             rhs = -const.get(key, 0)
@@ -309,22 +306,24 @@ def _solve_level(b, down, dual, hard: list[str]):
             if st is not SimpleStatus.RP2:
                 continue
             rows = _T_rows(b, s)
-            const = lowered({}, rows, top[g])
-            columns = {j: lowered({}, rows, unit(j)) for j in owned[g]}
+            const = lowered(rows, top[g])
+            columns = {j: lowered(rows, unit(j)) for j in owned[g]}
             for lab, t in _tp1(b, s, g).items():
-                c = [(-k, x) for k, x in t.items()]
+                c = {-k: x for k, x in t.items()}
                 if lab not in owned:
-                    add(const, dual[lab], c)
+                    _add(const, c, dual[lab].items())
                     continue
-                add(const, top[lab], c)
+                _add(const, c, top[lab].items())
                 for j in owned[lab]:
-                    add(columns.setdefault(j, {}), unit(j), c)
+                    _add(columns.setdefault(j, {}), c, unit(j).items())
             add_rows(const, columns)
         # D(D(g)) - g = 0; u^l D(top) = g, so only the unknowns remain.
-        add_rows({}, {
-            j: add(add({}, unit(j), ((2 * l, 1),)),
-                   dual[unknowns[j][1]], ((-unknowns[j][2], 1),))
-            for j in owned[g]})
+        columns = {}
+        for j in owned[g]:
+            _, phi, k = unknowns[j]
+            columns[j] = {phi: {k + 2 * l: 1}}
+            _add(columns[j], {-k: 1}, dual[phi].items())
+        add_rows({}, columns)
 
     try:
         sol = _solve_linear(equations, len(unknowns))

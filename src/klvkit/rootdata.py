@@ -139,13 +139,15 @@ class LeviSelection:
     coefficients over the base, aligned with the datum's roots (None
     where there are none); `levi` holds the roots supported on the
     Levi simples, of both signs, and `nilradical` the positive roots
-    outside the Levi, both sorted."""
+    outside the Levi, both sorted; `base_rank` is the rank of the base
+    vectors, the number of pivots their elimination found."""
     simple_base: tuple[IntVec, ...]
     levi_simples: tuple[int, ...]
     a_coordinates: tuple[int, ...]
     coefficients: tuple[IntVec | None, ...]
     levi: tuple[IntVec, ...]
     nilradical: tuple[IntVec, ...]
+    base_rank: int
 
     def validate(self, d: RootDatum) -> list[str]:
         """Checks against the datum the selection was loaded with."""
@@ -159,6 +161,9 @@ class LeviSelection:
             cr = d.coroot(a)
             if any(cr[j] != 0 for j in self.a_coordinates):
                 out.append(f"Levi root {a} does not pair to zero with a-coordinates")
+        if self.base_rank < len(self.simple_base):
+            out.append(f"simple_base of {len(self.simple_base)} vectors has rank "
+                       f"{self.base_rank}: it is linearly dependent")
         return out
 
 
@@ -176,7 +181,7 @@ def _split(d: RootDatum, simple_base, levi_simples, a_coordinates) -> LeviSelect
         elif all(c >= 0 for c in coeffs):
             nilradical.append(a)
     return LeviSelection(simple_base, levi_simples, a_coordinates, coefficients,
-                         tuple(sorted(levi)), tuple(sorted(nilradical)))
+                         tuple(sorted(levi)), tuple(sorted(nilradical)), len(elim[0]))
 
 
 def _eliminator(base: tuple[IntVec, ...], rank: int):

@@ -334,11 +334,15 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, sl2_path):
     # Root data of the right shape that break an axiom once got a verdict.
     mixed = {"simple_base": [[1, 0], [0, 1]], "levi_simples": [0],
              "a_coordinates": [1]}
+    dependent = {"simple_base": [[1, -1], [0, 1], [1, 0]], "levi_simples": [0],
+                 "a_coordinates": [0]}
     for i, (base, edit, rank, message) in enumerate([
             (SL2_SPLIT, {"coroots": [[2], [-1]]}, 1,
              "<coroot,root> != 2 at (2,)"),
             (B2, {"levi": mixed}, 2,
-             "root (2, -1) has mixed signs over the base")]):
+             "root (2, -1) has mixed signs over the base"),
+            (B2, {"levi": dependent}, 2,
+             "simple_base of 3 vectors has rank 2: it is linearly dependent")]):
         path = _written(tmp_path, f"axiom{i}.json", {**base, **edit})
         halves, ones = ",".join(["1/2"] * rank), ",".join(["1"] * rank)
         for argv in (["generic", path, "--xi-m", halves, "--nu", halves],
@@ -528,71 +532,55 @@ def test_generic_beyond_weyl_cap(capsys, tmp_path):
     assert all(rep[h] == {"holds": True} for h in ("hypB", "hypC", "hypD"))
 
 
-def test_reports_are_deterministic(capsys):
-    _run(capsys, "klv", "builtin:nci2")
-    first = run(["klv", "builtin:nci2"])
+def _report_inputs(tmp_path, sl2_path):
+    """The files that the argvs of test_reports_are_deterministic name."""
+    odd = _relabelled(builtin_sl2r_block(), ['D\n"+', "D\\-é", "P"], range(3))
+    return {
+        "sl2": sl2_path,
+        "odd": _written(tmp_path, "odd.json", block_to_json(odd)),
+        "bad": _written(tmp_path, "bad.json", _doc_with(
+            block_to_json(builtin_sl2r_block()), "D+", cross=["X"])),
+        "map": _written(tmp_path, "ident.json", _MAP_BASE),
+        "square": _written(tmp_path, "square.json", {
+            "iota_xi": [["a", "A"]], "iota_xi_prime": [["a'", "X"]],
+            "tL": [["a", "a'"]], "tG": [["A", "A'"]]}),
+    }
+
+
+# The exit code and argv of each subcommand, by test id; {name} stands
+# for a file of _report_inputs.
+_REPORT_ARGVS = {
+    "validate": (0, ["validate", "builtin:sl2r"]),
+    "validate-violations": (1, ["validate", "{bad}"]),
+    "blocks": (0, ["blocks", "builtin:nci2"]),
+    "blocks-odd-labels": (0, ["blocks", "{odd}"]),
+    "hecke-apply-odd-labels": (0, ["hecke-apply", "{odd}", "--simple", "0", "--label", "P"]),
+    "klv": (0, ["klv", "builtin:nci2"]),
+    "klv-check-odd-labels": (0, ["klv", "{odd}", "--check"]),
+    "induce": (0, ["induce", "builtin:sl2r", "builtin:sl2r", "{map}"]),
+    "induce-violations": (1, ["induce", "{bad}", "builtin:sl2r", "{map}"]),
+    "generic": (0, ["generic", "{sl2}", "--xi-m", "0", "--nu", "3/4"]),
+    "arrangement": (0, ["arrangement", "{sl2}", "--xi-m", "0"]),
+    "translate-check-witness": (1, ["translate-check", "{sl2}", "--xi", "1/2", "--mu", "1",
+                                    "--square", "{square}"]),
+}
+
+
+@pytest.mark.parametrize("code, argv", list(_REPORT_ARGVS.values()), ids=list(_REPORT_ARGVS))
+def test_reports_are_deterministic(capsys, tmp_path, sl2_path, code, argv):
+    """Every subcommand prints the same report twice, and the report is
+    its own json.dumps(sort_keys=True, indent=2) plus a newline: reports
+    with and without violations, with an empty list value, and with
+    labels that hold a newline, a quote, a backslash and an é."""
+    files = _report_inputs(tmp_path, sl2_path)
+    argv = [a.format(**files) for a in argv]
+    first = run(argv)
     out1 = capsys.readouterr().out
-    second = run(["klv", "builtin:nci2"])
+    second = run(argv)
     out2 = capsys.readouterr().out
-    assert first == second == 0 and out1 == out2
+    assert first == second == code and out1 == out2
     assert out1.endswith("\n")
     assert json.dumps(json.loads(out1), sort_keys=True, indent=2) + "\n" == out1
-
-
-# ---------------------------------------------------------------------------
-# The report renderer against json.dumps(x, sort_keys=True, indent=2).
-
-_odd_strings = st.sampled_from(
-    ["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "ü|ß", " ",
-     "日本", "\U0001f600", "\ud800", "a|b"])
-_strings = st.one_of(st.text(max_size=8), _odd_strings)
-_leaves = st.one_of(
-    st.none(), st.booleans(), _strings,
-    st.integers(), st.integers(-(1 << 200), 1 << 200),
-    st.floats(allow_nan=True, allow_infinity=True))
-_int_lists = st.lists(st.integers(-(1 << 70), 1 << 70))
-_trees = st.recursive(
-    st.one_of(_leaves, _int_lists, _int_lists.map(tuple),
-              st.lists(_int_lists.map(tuple)).map(tuple)),
-    lambda kids: st.one_of(
-        st.lists(kids, max_size=5),
-        st.lists(kids, max_size=5).map(tuple),
-        st.dictionaries(_strings, kids, max_size=5),
-        st.dictionaries(st.integers(), kids, max_size=3),
-        st.dictionaries(st.booleans(), kids, max_size=2),
-        st.dictionaries(st.floats(), kids, max_size=2)),
-    max_leaves=30)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_trees)
-def test_render_matches_json_dumps(x):
-    pieces = list(cli._render(x, ""))
-    assert all(isinstance(piece, str) and piece for piece in pieces)
-    assert "".join(pieces) == json.dumps(x, sort_keys=True, indent=2)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(_strings, min_size=1, max_size=8),
-       st.integers(cli._BATCH - 1, 3 * cli._BATCH + 1), st.integers(0, 3))
-def test_render_matches_json_dumps_across_batches(pool, n, depth):
-    """Lists and dicts of more entries than one piece holds, with str,
-    int and list values mixed, nested so that every batch starts at an
-    indent."""
-    labels = [f"{pool[i % len(pool)]}{i}" for i in range(n)]
-    values = [[x, i, [i]][i % 3] if i % 7 else [] for i, x in enumerate(labels)]
-    for x in (labels, dict(zip(labels, values)), {"a": labels, "b": [values]}):
-        for _ in range(depth):
-            x = {"k": x}
-        assert "".join(cli._render(x)) == json.dumps(x, sort_keys=True, indent=2)
-
-
-def test_render_rejects_what_json_rejects():
-    for bad in ({"a": {1, 2}}, [object()], {(1, 2): 0}, {"a": 1, 2: 0}):
-        with pytest.raises(TypeError):
-            json.dumps(bad, sort_keys=True, indent=2)
-        with pytest.raises(TypeError):
-            "".join(cli._render(bad, ""))
 
 
 class _Pieces(list):

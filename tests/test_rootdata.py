@@ -194,6 +194,20 @@ def test_levi_selection_violations():
     assert lv.validate(d)[0] == "root (2,) not an integer combination of the base"
 
 
+def test_levi_selection_rejects_a_dependent_base():
+    # every B2 root has coefficients of one sign over these three vectors,
+    # with 0 on the third, but three vectors in rank 2 are no base
+    doc = {**B2, "levi": {"simple_base": [[1, -1], [0, 1], [1, 0]],
+                          "levi_simples": [0], "a_coordinates": [0]}}
+    d, lv = rootdatum_from_json(doc)
+    assert d.validate() == []
+    assert lv.validate(d) == [
+        "simple_base of 3 vectors has rank 2: it is linearly dependent"]
+    doc["levi"]["simple_base"] = [[1, -1], [0, 1]]
+    d, lv = rootdatum_from_json(doc)
+    assert lv.validate(d) == []
+
+
 def test_infchar_split():
     xi = InfChar.from_coords(gvec(["1", "1/2"]), a_coordinates=(1,))
     assert xi.m_part == gvec([1, 0])
