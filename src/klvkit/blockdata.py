@@ -99,7 +99,25 @@ def _v(out: list, axiom: str, label, simple, message: str) -> None:
 
 
 def validate_block(b: BlockData) -> list[Violation]:
-    """Check every block axiom; an empty list means the block is valid."""
+    """Check every block axiom; an empty list means the block is valid.
+
+    Lemma: a valid block satisfies the quadratic relation
+    (T_s - u)(T_s + 1) = 0 at every simple s, so `hecke.check_quadratic`
+    cannot fail after it.  The checks of each status (the cross
+    involution, the partner statuses, the Cayley set sizes and the links
+    back) make each orbit of s, under cross and the Cayley links, one of
+    five shapes, and T_s (`hecke._T_row`) keeps the span of each:
+    - a complex pair x, y = s x, ascent and descent: T x = y,
+      T y = u x + (u - 1) y;
+    - a compact imaginary x, with T x = u x;
+    - a real nonparity x, with T x = -x;
+    - an NCI1 pair a, b = s a over its RP1 label c: T a = b + c,
+      T b = a + c, T c = (u - 2) c + (u - 1)(a + b);
+    - an NCI2 label d under its RP2 pair g, h = s g: T d = d + g + h,
+      T g = (u - 1)(g + d) - h, T h = (u - 1)(h + d) - g.
+    On each, T^2 = (u - 1) T + u by expanding T^2 once, e.g.
+    T^2 a = T b + T c = u a + (u - 1)(b + c) and
+    T^2 d = T d + T g + T h = (2u - 1) d + (u - 1)(g + h)."""
     out: list[Violation] = []
     n = len(b.simples)
     _check_braid_matrix(b.braid, n, out)

@@ -7,25 +7,26 @@ type-I parity descents give direct recursions, and the parameters whose
 descents are all type-II real parity solve one integer linear system
 per length, pinned by intertwining with T_s + 1, D^2 = Id and the u = 1
 specialization.  Its solution is asserted unique and integral, so blocks
-with several type-II factors are solved as well.
+with several type-II factors are solved as well, by sparse exact
+elimination (`_solve_linear`).
 
 The block's T rows (`hecke._T_rows`) are the only table derived from
 it: the classes are the components of their supports, the order reads
 its descents off them, and the recursions apply the step
-E_s = u^(-1)(T_s + 1) - 1 straight from them.  Each D(gamma) is a table
-label -> {v-exponent: coefficient}; `LaurentPoly` objects are made only
-for the entries of the `RMatrix` and the `PMatrix`, one per distinct
-value in a class: the entries with that value share it.  Few of them
-are distinct (2 values for the 15,543 entries of P on
+E_s = u^(-1)(T_s + 1) - 1 straight from them.  Each entry D(gamma)_phi
+is one Python int during the recursion, its polynomial packed by
+Kronecker substitution (see `compute_duality`); `LaurentPoly` objects
+are made only for the entries of the `RMatrix` and the `PMatrix`, one
+per distinct value in a class: the entries with that value share it.
+Few of them are distinct (2 values for the 15,543 entries of P on
 sl2r x nci2 x A3 x A1).
 
 `compute_P` finds most columns of P by the descent recursion of
 Kazhdan-Lusztig on the same T rows, with no R, and solves the few
 columns that have no complex or RP1 descent from the term tables of R
-(see its docstring).  `verify_duality` alone runs on D packed by
-Kronecker substitution (`_PackedDuality`): each entry of D is one
-Python int, so a sum over psi of products of entries is a sum of
-integer products, and each check bounds its sums before it compares
+(see its docstring).  `verify_duality` packs D from R again
+(`_PackedDuality`), so a sum over psi of products of entries is a sum
+of integer products, and each check bounds its sums before it compares
 them.  It checks D^2 = Id only at the generators of a class (see its
 docstring).  `solve_block` runs the chain for one class and returns a
 `BlockKLV`.  Under check, `compute_P` replays the descent identity on
@@ -153,54 +154,16 @@ class MultMatrices:
     m: tuple[tuple[int, ...], ...]
 
 
-# D(gamma) is held as a table label -> {v-exponent: coefficient}.
-
 _UNIT = {0: 1}
 
 
-def _nonzero(x: dict[str, dict[int, int]]) -> dict[str, dict[int, int]]:
-    """x without its zero coefficients and the labels left empty."""
-    return {lab: q for lab, t in x.items()
-            if (q := {k: c for k, c in t.items() if c})}
-
-
 def _tp1(b: BlockData, s: int, x: str) -> dict[str, dict[int, int]]:
-    """(T_s + 1) x as a table, from the block's T rows."""
+    """(T_s + 1) x as a table, from the block's T rows, with no zero
+    coefficient and no empty label."""
     out = {mu: dict(t) for mu, t in _T_rows(b, s)[x].items()}
     own = out.setdefault(x, {})
     own[0] = own.get(0, 0) + 1
-    return _nonzero(out)
-
-
-def _step(rows: dict, x: dict[str, dict[int, int]]) -> dict[str, dict[int, int]]:
-    """E_s x = u^(-1)(T_s + 1 - u) x for a table x, read straight from
-    the T rows of s; the zeros it creates are kept.  E_s is the step of
-    the direct recursions: D(gamma) = E_s D(s gamma)."""
-    out: dict[str, dict[int, int]] = {}
-    for lam, t1 in x.items():
-        t1 = t1.items()
-        # E_s lam at lam: u^(-1)(a0 + a2 u), as T rows have exponents 0, 2
-        a0, a2 = 1, -1
-        for mu, t2 in rows[lam].items():
-            if mu == lam:
-                a0, a2 = a0 + t2.get(0, 0), a2 + t2.get(2, 0)
-                continue
-            row = out.get(mu)
-            if row is None:
-                row = out[mu] = {}
-            get = row.get
-            for k2, c2 in t2.items():
-                k2 -= 2
-                for k1, c1 in t1:
-                    k = k1 + k2
-                    row[k] = get(k, 0) + c1 * c2
-        if a0 or a2:
-            row = out.setdefault(lam, {})
-            get = row.get
-            for k1, c1 in t1:
-                row[k1 - 2] = get(k1 - 2, 0) + a0 * c1
-                row[k1] = get(k1, 0) + a2 * c1
-    return out
+    return {lab: q for lab, t in out.items() if (q := {k: c for k, c in t.items() if c})}
 
 
 def _add(y: dict[str, dict[int, int]], a: dict[int, int], column) -> None:
@@ -216,47 +179,66 @@ def _add(y: dict[str, dict[int, int]], a: dict[int, int], column) -> None:
                 row[k1 + k2] = get(k1 + k2, 0) + c1 * c2
 
 
+def _quotient(x, c):
+    """x / c, an int when c divides x."""
+    q, m = divmod(x, c)
+    return Fraction(x) / c if m else q
+
+
 def _solve_linear(equations, nvars):
-    """Gaussian elimination over Fraction.  equations: list of
-    (dict var->coeff, rhs).  Returns the unique solution vector;
-    DualityError, with the unknown count and rank, if there is none."""
-    rows = [({v: c for v, c in f.items() if c}, r) for f, r in equations]
-    sol = [None] * nvars
-    pivot_rows = []
-    for var in range(nvars):
-        piv = next((i for i, (f, _) in enumerate(rows) if f.get(var)), None)
-        if piv is None:
-            continue
-        f, r = rows.pop(piv)
-        inv = Fraction(1) / f[var]
-        f = {v: c * inv for v, c in f.items()}
-        r = r * inv
-        pivot_rows.append((var, f, r))
-        nrows = []
-        for g, rr in rows:
-            c = g.get(var)
-            if c:
-                g = {v: g.get(v, Fraction(0)) - c * f.get(v, Fraction(0))
-                     for v in set(g) | set(f)}
-                g = {v: x for v, x in g.items() if x}
-                rr = rr - c * r
-            nrows.append((g, rr))
-        rows = nrows
-    size = f"{nvars} unknowns, rank {len(pivot_rows)}"
-    if any(not g and rr for g, rr in rows):
-        raise DualityError(f"duality system inconsistent: {size}")
-    if len(pivot_rows) < nvars:
+    """The unique solution of a linear system over Q, as a list of ints
+    and Fractions; equations is a list of (dict var -> coeff, rhs).
+
+    Sparse Gaussian elimination: the rows go sparsest first, which keeps
+    the fill-in small, and each is reduced by the pivot rows found so
+    far, one per leading (least) unknown, and becomes one if anything is
+    left of it.  A pivot row is divided by its leading coefficient with
+    `_quotient`, so the integer systems of the duality levels stay in
+    ints.  Once the rank is full the rows left are not reduced: each is
+    checked against the solution instead.  DualityError, with the
+    unknown count and the rank, if there is no solution or more than
+    one."""
+    pivots: dict[int, tuple[dict, object]] = {}  # var -> later terms, rhs
+    rows = sorted(equations, key=lambda row: len(row[0]))
+    consistent, left = True, []
+    for i, (f, r) in enumerate(rows):
+        if len(pivots) == nvars:
+            left = rows[i:]
+            break
+        g = {v: c for v, c in f.items() if c}
+        while g:
+            var = min(g)
+            c = g.pop(var)
+            pivot = pivots.get(var)
+            if pivot is None:
+                pivots[var] = ({v: _quotient(x, c) for v, x in g.items()}, _quotient(r, c))
+                break
+            rest, pr = pivot
+            for v, x in rest.items():
+                if y := g.get(v, 0) - c * x:
+                    g[v] = y
+                else:
+                    del g[v]
+            r -= c * pr
+        else:
+            consistent = consistent and not r
+    size = f"{nvars} unknowns, rank {len(pivots)}"
+    if consistent and len(pivots) < nvars:
         raise DualityError(f"duality system non-unique: {size}")
-    # Back substitution: a pivot row holds its own and later variables.
-    for var, f, r in reversed(pivot_rows):
-        sol[var] = r - sum(c * sol[v] for v, c in f.items() if v != var)
+    sol = [0] * nvars
+    for var in sorted(pivots, reverse=True):
+        rest, r = pivots[var]
+        sol[var] = r - sum(c * sol[v] for v, c in rest.items())
+    if not consistent or any(sum(c * sol[v] for v, c in f.items()) != r for f, r in left):
+        raise DualityError(f"duality system inconsistent: {size}")
     return sol
 
 
-def _solve_level(b, down, dual, hard: list[str]):
-    """Determine D on the hard parameters of one length: those whose
-    descents are all type-II real.  D is known below this length and on
-    its other parameters.
+def _solve_level(b, down, dual, hard: list[str]) -> dict[str, dict[str, dict[int, int]]]:
+    """D on the hard parameters of one length, those whose descents are
+    all type-II real, as label -> table: gamma -> {v-exponent: coefficient}.
+    D is known below this length and on its other parameters, and dual
+    gives its tables there (`_Tables`).
 
     The unknowns are the integer coefficients of v^k phi in D(gamma), for
     each hard gamma, each phi below it and each even k from -2l(gamma) to
@@ -277,10 +259,13 @@ def _solve_level(b, down, dual, hard: list[str]):
                 unknowns.append((g, phi, k))
             equations.append(({j: 1 for j in range(first, len(unknowns))}, 0))
 
-    def lowered(rows: dict, x: dict[str, dict[int, int]]) -> dict:
-        """-(E_s + 1) x, for rows the T rows of s."""
-        into: dict = {}
-        _add(into, {0: -1}, [*_step(rows, x).items(), *x.items()])
+    def lowered(s: int, lam: str, k: int) -> dict:
+        """-(E_s + 1) v^k lam as a table."""
+        into = {lam: {k: -1}}
+        for mu, a0, a2 in _step_row(_T_rows(b, s)[lam], lam):
+            row = into.setdefault(mu, {})
+            row[k - 2] = row.get(k - 2, 0) - a0
+            row[k] = row.get(k, 0) - a2
         return into
 
     def unit(j: int) -> dict[str, dict[int, int]]:
@@ -290,12 +275,16 @@ def _solve_level(b, down, dual, hard: list[str]):
     def add_rows(const: dict, columns: dict[int, dict]):
         """The rows const + sum_j x_j columns[j] = 0, for label -> {k: c}
         tables, one per (label, k)."""
-        const, *flat = [{(lab, k): c for lab, row in t.items() for k, c in row.items()}
-                        for t in (const, *columns.values())]
-        columns = dict(zip(columns, flat))
-        for key in sorted(set(const).union(*columns.values())):
-            f = {j: c for j, col in columns.items() if (c := col.get(key))}
-            rhs = -const.get(key, 0)
+        rows: dict[tuple[str, int], dict[int, int]] = {
+            (lab, k): {} for lab, row in const.items() for k in row}
+        for j, col in columns.items():
+            for lab, row in col.items():
+                for k, c in row.items():
+                    if c:
+                        rows.setdefault((lab, k), {})[j] = c
+        for key in sorted(rows):
+            f = rows[key]
+            rhs = -const.get(key[0], {}).get(key[1], 0)
             if f or rhs:
                 equations.append((f, rhs))
 
@@ -305,9 +294,8 @@ def _solve_level(b, down, dual, hard: list[str]):
         for s, st in enumerate(b.param(g).status):
             if st is not SimpleStatus.RP2:
                 continue
-            rows = _T_rows(b, s)
-            const = lowered(rows, top[g])
-            columns = {j: lowered(rows, unit(j)) for j in owned[g]}
+            const = lowered(s, g, -2 * l)
+            columns = {j: lowered(s, *unknowns[j][1:]) for j in owned[g]}
             for lab, t in _tp1(b, s, g).items():
                 c = {-k: x for k, x in t.items()}
                 if lab not in owned:
@@ -333,10 +321,10 @@ def _solve_level(b, down, dual, hard: list[str]):
         raise DualityError(
             f"duality system non-integral: {len(unknowns)} unknowns, "
             f"rank {len(unknowns)} {where}")
-    dual.update(top)
     for (g, phi, k), x in zip(unknowns, sol):
         if x:
-            dual[g].setdefault(phi, {})[k] = int(x)
+            top[g].setdefault(phi, {})[k] = int(x)
+    return top
 
 
 def _descent(p: Parameter) -> tuple[int, str] | None:
@@ -353,45 +341,186 @@ def _descent(p: Parameter) -> tuple[int, str] | None:
     return None
 
 
+def _digits(x: int, w: int) -> list[int]:
+    """The balanced base-2^w digits of x, lowest first, and none for 0:
+    the coefficients of a packing at width w whose coefficients c all
+    have |c| < 2^(w-1)."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = []
+    while x:
+        c = ((x + half) & mask) - half
+        out.append(c)
+        x = (x - c) >> w
+    return out
+
+
+class _Tables(dict):
+    """label -> D(label) as a table phi -> {v-exponent: coefficient},
+    decoded on first use from packed D at width w."""
+
+    def __init__(self, packed: dict[str, dict[str, int]], w: int, b: BlockData):
+        super().__init__()
+        self.packed, self.w, self.params = packed, w, b.params
+
+    def __missing__(self, x: str) -> dict[str, dict[int, int]]:
+        lo = -2 * self.params[x].length
+        t = self[x] = {phi: {lo + 2 * i: c for i, c in enumerate(_digits(y, self.w)) if c}
+                       for phi, y in self.packed[x].items()}
+        return t
+
+
+def _step_row(row: dict[str, dict[int, int]], lam: str) -> list[tuple[str, int, int]]:
+    """[(mu, a0, a2)]: the coefficients a0 + a2 u of T_s + 1 - u from lam,
+    so that E_s lam = u^(-1) sum of (a0 + a2 u) mu, read from row, the T
+    row of lam (exponents 0 and 2 only).  The other labels come first, in the
+    order of the T row, and lam last, unless its coefficient is 0: the
+    order in which D(gamma) first meets its labels, which R's entries
+    keep."""
+    a0, a2 = 1, -1
+    out = []
+    for mu, t in row.items():
+        if mu == lam:
+            a0, a2 = a0 + t.get(0, 0), a2 + t.get(2, 0)
+        else:
+            out.append((mu, t.get(0, 0), t.get(2, 0)))
+    if a0 or a2:
+        out.append((lam, a0, a2))
+    return out
+
+
+def _start_width(k: int, depth: int) -> int:
+    """The digit width that packed D starts from: that of the bound
+    (k + 1)^depth, which holds every direct recursion over depth lengths
+    with row norm k (see `compute_duality`)."""
+    return _width((k + 1) ** depth)
+
+
+def _widen(packed: dict[str, dict[str, int]], w: int, bound: int) -> int:
+    """Repack every entry of packed D from width w to the least width
+    whose digits hold bound, and return that width."""
+    new = _width(bound)
+    for col in packed.values():
+        for phi, y in col.items():
+            col[phi] = sum(c << new * i for i, c in enumerate(_digits(y, w)))
+    return new
+
+
+def _packed_dual(b: BlockData, order: tuple[str, ...], down: dict[str, frozenset[str]]):
+    """D of one class, packed, by induction on length (see
+    `compute_duality`): (packed, w, bound), with packed[gamma] the table
+    phi -> packed D(gamma)_phi of the nonzero entries, w the width of
+    them all and bound[gamma] the bound B(gamma) on the L1 norm of
+    D(gamma)."""
+    params = b.params
+    lens = {x: params[x].length for x in order}
+    steps = [{lam: _step_row(rows[lam], lam) for lam in order}
+             for rows in (_T_rows(b, s) for s in range(len(b.simples)))]
+    norms = [max((sum(abs(a0) + abs(a2) for _, a0, a2 in row) for row in rows.values()),
+                 default=0) for rows in steps]
+    norm, top = max(norms, default=0), lens[order[-1]] if order else 0
+    w = _start_width(norm, top - lens[order[0]] if order else 0)
+    packed_steps: list[tuple[int, dict]] = [(0, {})] * len(steps)
+    packed: dict[str, dict[str, int]] = {}
+    bound: dict[str, int] = {}
+    for _, level in itertools.groupby(order, key=lens.__getitem__):
+        hard = []
+        for gamma in level:
+            p = params[gamma]
+            descent = _descent(p)
+            if descent is None:
+                if SimpleStatus.RP2 in p.status:
+                    hard.append(gamma)
+                else:
+                    packed[gamma], bound[gamma] = {gamma: 1}, 1
+                continue
+            s, x = descent
+            c2 = sorted(p.cayley[s])[1] if p.status[s] is SimpleStatus.RP1 else None
+            bound[gamma] = norms[s] * bound[x] + (0 if c2 is None else bound[c2])
+            if bound[gamma] >> (w - 1):
+                # room for the labels above too: a bound grows at most
+                # norm + 1 times per length
+                w = _widen(packed, w, bound[gamma] * (norm + 1) ** (top - p.length))
+            if packed_steps[s][0] != w:
+                packed_steps[s] = (w, {lam: [(mu, a0 + (a2 << w)) for mu, a0, a2 in row]
+                                       for lam, row in steps[s].items()})
+            rows = packed_steps[s][1]
+            # D(gamma) = E_s D(x), less D(c2) at RP1.  D(x) is packed from
+            # v^(-2 l x) = u v^(-2 l gamma): the u^(-1) of E_s takes it to
+            # the packing of D(gamma), from v^(-2 l gamma), with no shift.
+            d: dict[str, int] = {}
+            get = d.get
+            for lam, y in packed[x].items():
+                for mu, c in rows[lam]:
+                    d[mu] = get(mu, 0) + y * c
+            if c2 is not None:
+                for phi, y in packed[c2].items():
+                    d[phi] = get(phi, 0) - (y << w)
+            packed[gamma] = {mu: y for mu, y in d.items() if y}
+        if hard:
+            l = lens[hard[0]]
+            for g, t in _solve_level(b, down, _Tables(packed, w, b), hard).items():
+                bound[g] = sum(abs(c) for q in t.values() for c in q.values())
+                if bound[g] >> (w - 1):
+                    w = _widen(packed, w, bound[g] * (norm + 1) ** (top - l))
+                packed[g] = {phi: sum(c << w * ((k >> 1) + l) for k, c in q.items())
+                             for phi, q in t.items()}
+    return packed, w, bound
+
+
 def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
     """R-polynomials of one block, by induction on length.  At each
     length the direct recursions come first; one system then solves the
-    parameters whose descents are all type-II real."""
+    parameters whose descents are all type-II real (`_solve_level`).
+
+    D runs on integers (`_packed_dual`): entry D(gamma)_phi, a sum of
+    c_k v^k, is held as the sum of c_k 2^(w (k + 2 l gamma)/2), digits
+    counting powers of u.  Every k is at least -2 l gamma: the base
+    entry is v^(-2 l gamma) gamma, the level unknowns run from
+    -2 l gamma, and E_s lowers the least exponent by 2 while the length
+    rises by 1.  Then (-1)^(l gamma - l phi) times the packing is
+    exactly R(phi, gamma) packed from exponent 0: R keys its store of
+    distinct values by that int and decodes each once, into the one
+    `LaurentPoly` that its entries share.
+
+    Width.  B(gamma) bounds the L1 norm of D(gamma), the sum of |c| over
+    all its entries and terms: 1 at a base parameter, the exact L1 norm
+    of the solution at a type-II one, and k_s B(x), plus B(c2) at an RP1
+    descent, for D(gamma) = E_s D(x) - D(c2), with k_s the largest L1
+    norm of a row lam -> [(mu, a0 + a2 u)] of T_s + 1 - u: each entry of
+    D(x) times one coefficient of such a row adds at most
+    L1(entry) L1(coefficient) to D(gamma), and summing over the row and
+    over the entries of D(x) gives at most k_s B(x).  No coefficient
+    exceeds B(gamma), so with B(gamma) < 2^(w-1) each is one balanced
+    base-2^w digit: the packing is exact, it decodes uniquely and it is
+    0 only if the entry is.  Packing is a ring map from Z[u] to Z, so
+    the sums and products on packed entries are those of the
+    polynomials.
+
+    The start width is that of (k + 1)^depth, with k the largest k_s and
+    depth the class's range of lengths (`_start_width`): that holds every
+    direct recursion from the bases.  Before a bound reaches 2^(w-1),
+    every held entry is decoded and repacked (`_widen`) at the width of
+    that bound times (k + 1)^n, n the lengths left above it, so that the
+    labels over it fit too."""
     down = compute_order(b, block)
     order = tuple(sorted(block, key=_sort_key(b)))
-    dual: dict[str, dict[str, dict[int, int]]] = {}
-    for _, level in itertools.groupby(order, key=lambda g: b.params[g].length):
-        hard = []
-        for gamma in level:
-            p = b.param(gamma)
-            descent = _descent(p)
-            if descent is not None:
-                s, x = descent
-                d = _step(_T_rows(b, s), dual[x])
-                if p.status[s] is SimpleStatus.RP1:
-                    _add(d, {0: -1}, dual[sorted(p.cayley[s])[1]].items())
-                dual[gamma] = _nonzero(d)
-            elif SimpleStatus.RP2 in p.status:
-                hard.append(gamma)
-            else:
-                dual[gamma] = {gamma: {-2 * p.length: 1}}
-        if hard:
-            _solve_level(b, down, dual, hard)
-
+    packed, w, _ = _packed_dual(b, order, down)
+    odd = {x: b.params[x].length % 2 for x in order}
     entries: dict[tuple[str, str], LaurentPoly] = {}
-    polys: dict[tuple, LaurentPoly] = {}  # sorted terms -> the one object
+    polys: dict[int, LaurentPoly] = {}  # packed R value -> the one object
     for gamma in order:
-        lg = b.params[gamma].length
-        for phi, t in dual[gamma].items():
-            if phi not in down[gamma]:
+        dg, og = down[gamma], odd[gamma]
+        for phi, x in packed.pop(gamma).items():
+            if phi not in dg:
                 raise DualityError(
                     "duality system inconsistent or non-unique: "
                     f"D({gamma!r}) has a term at {phi!r} outside its down-set")
-            sign = -1 if (lg - b.params[phi].length) % 2 else 1
-            key = tuple(sorted([(k + 2 * lg, sign * c) for k, c in t.items()]))
-            poly = polys.get(key)
+            if odd[phi] != og:
+                x = -x
+            poly = polys.get(x)
             if poly is None:
-                poly = polys[key] = LaurentPoly._trusted(dict(key))
+                poly = polys[x] = LaurentPoly._trusted(
+                    {2 * i: c for i, c in enumerate(_digits(x, w)) if c})
             entries[(phi, gamma)] = poly
     return RMatrix(order=order, entries=entries, down=down)
 

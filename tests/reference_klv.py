@@ -13,16 +13,18 @@ support, `check_quadratic`, `check_braid`, `compute_order` and
 product per pair, `verify_duality` checks D^2 = Id at every parameter,
 `net` checks a column of P for self-duality on module elements, as
 `klv.compute_P` did for a recursed column under check before it
-replayed the recursion, and the inverse of M is a dense
-back-substitution.  The library's versions must agree with them
-exactly.
+replayed the recursion, `solve_linear` solves the level systems of
+the duality by dense `Fraction` elimination, one unknown at a time,
+and the inverse of M is a dense back-substitution.  The library's versions
+must agree with them exactly.
 """
 
 import itertools
+from fractions import Fraction
 
 from klvkit.blockdata import SimpleStatus
 from klvkit.klv import (DualityError, MultMatrices, PMatrix, PSolveError,
-                        RMatrix, _solve_linear, _sort_key)
+                        RMatrix, _sort_key)
 from klvkit.laurent import ONE, U, U_INV, ZERO, LaurentPoly
 
 
@@ -228,6 +230,43 @@ def _terms(m):
             for k, c in poly.terms.items()}
 
 
+def solve_linear(equations, nvars):
+    """Gaussian elimination over Fraction.  equations: list of
+    (dict var->coeff, rhs).  Returns the unique solution vector;
+    DualityError, with the unknown count and rank, if there is none."""
+    rows = [({v: c for v, c in f.items() if c}, r) for f, r in equations]
+    sol = [None] * nvars
+    pivot_rows = []
+    for var in range(nvars):
+        piv = next((i for i, (f, _) in enumerate(rows) if f.get(var)), None)
+        if piv is None:
+            continue
+        f, r = rows.pop(piv)
+        inv = Fraction(1) / f[var]
+        f = {v: c * inv for v, c in f.items()}
+        r = r * inv
+        pivot_rows.append((var, f, r))
+        nrows = []
+        for g, rr in rows:
+            c = g.get(var)
+            if c:
+                g = {v: g.get(v, Fraction(0)) - c * f.get(v, Fraction(0))
+                     for v in set(g) | set(f)}
+                g = {v: x for v, x in g.items() if x}
+                rr = rr - c * r
+            nrows.append((g, rr))
+        rows = nrows
+    size = f"{nvars} unknowns, rank {len(pivot_rows)}"
+    if any(not g and rr for g, rr in rows):
+        raise DualityError(f"duality system inconsistent: {size}")
+    if len(pivot_rows) < nvars:
+        raise DualityError(f"duality system non-unique: {size}")
+    # Back substitution: a pivot row holds its own and later variables.
+    for var, f, r in reversed(pivot_rows):
+        sol[var] = r - sum(c * sol[v] for v, c in f.items() if v != var)
+    return sol
+
+
 def _solve_level(b, down, dual, hard):
     """D on the parameters of one length whose descents are all type-II
     real, as one linear system over module elements."""
@@ -278,7 +317,7 @@ def _solve_level(b, down, dual, hard):
             for j in owned[g]})
 
     try:
-        sol = _solve_linear(equations, len(unknowns))
+        sol = solve_linear(equations, len(unknowns))
     except DualityError as exc:
         raise DualityError(f"{exc} {where}") from None
     if any(x.denominator != 1 for x in sol):

@@ -2,7 +2,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from klvkit import cli, hecke, klv
@@ -14,6 +14,7 @@ from klvkit.blockdata import (
     builtin_sl2r_block,
     generate_complex_block,
     product_block,
+    validate_block,
 )
 from klvkit.hecke import apply_T, check_braid, check_quadratic
 from klvkit.klv import partition_blocks
@@ -219,6 +220,82 @@ def test_quadratic_matches_module_reference(i, data):
             ["CompactImaginary", "RealNonparity", "ComplexAscent", "ComplexDescent"]))
     b = block_from_json(doc)
     assert check_quadratic(b) == reference_klv.check_quadratic(b)
+
+
+# Bases of the mutations below, each with its simples named apart.
+_MUTATION_BASES = {
+    "sl2r": lambda: _FACTORS["sl2r"]("a"),
+    "nci2": lambda: _FACTORS["nci2"]("a"),
+    "A2": lambda: _FACTORS["A2"]("a"),
+    "sl2rxsl2r": lambda: product_block(_FACTORS["sl2r"]("a"), _FACTORS["sl2r"]("b")),
+    "sl2rxnci2": lambda: product_block(_FACTORS["sl2r"]("a"), _FACTORS["nci2"]("b")),
+    "nci2xnci2": lambda: product_block(_FACTORS["nci2"]("a"), _FACTORS["nci2"]("b")),
+    "nci2xA1": lambda: product_block(_FACTORS["nci2"]("a"), _FACTORS["A1"]("b")),
+}
+
+# Label and simple indices are taken modulo the counts of the base.
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("status"), st.integers(0, 99), st.integers(0, 9),
+              st.sampled_from([x.value for x in SimpleStatus])),
+    st.tuples(st.just("cross"), st.integers(0, 99), st.integers(0, 9), st.integers(0, 99)),
+    st.tuples(st.just("cayley"), st.integers(0, 99), st.integers(0, 9),
+              st.lists(st.integers(0, 99), max_size=2)),
+    st.tuples(st.just("length"), st.integers(0, 99), st.integers(0, 3)),
+    st.tuples(st.just("copy"), st.integers(0, 99)),
+)
+
+
+def _mutated(base, mutations):
+    """The block document of base with the mutations applied in turn.
+    ("copy", i) adds a copy of the smallest set of labels that holds
+    label i and is closed under every cross action, under new names, its
+    links inside the set renamed and those outside it kept: nothing links
+    to the copy, so the copy is the one that a link-back check finds."""
+    doc = block_to_json(base)
+    n = len(doc["simples"])
+    for step, (kind, i, *rest) in enumerate(mutations):
+        recs = sorted(doc["params"], key=lambda rec: rec["label"])
+        rec = recs[i % len(recs)]
+        if kind == "length":
+            rec["length"] = rest[0]
+            continue
+        if kind == "copy":
+            by_label = {r["label"]: r for r in recs}
+            closed = [rec["label"]]
+            for x in closed:
+                closed += sorted(set(by_label[x]["cross"]) - set(closed))
+            new = {x: f"{x}#{step}" for x in closed}
+            for x in closed:
+                twin = json.loads(json.dumps(by_label[x]))
+                twin["label"] = new[x]
+                twin["cross"] = [new[y] for y in twin["cross"]]
+                twin["cayley"] = [c and [new.get(y, y) for y in c] for c in twin["cayley"]]
+                doc["params"].append(twin)
+            continue
+        s = rest[0] % n
+        if kind == "status":
+            rec["status"][s] = rest[1]
+        elif kind == "cross":
+            rec["cross"][s] = recs[rest[1] % len(recs)]["label"]
+        else:
+            rec["cayley"][s] = sorted({recs[j % len(recs)]["label"] for j in rest[1]}) or None
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_MUTATION_BASES)), st.lists(_MUTATIONS, min_size=1, max_size=3))
+# A copy of the RP1 label, of the NCI2 label and of the NCI1 pair: each
+# breaks only the link back of its own status.
+@example("sl2r", [("copy", 2)])
+@example("nci2", [("copy", 0)])
+@example("sl2r", [("copy", 0)])
+def test_valid_blocks_satisfy_the_quadratic_relation(name, mutations):
+    """The lemma of `validate_block`: on blocks mutated in statuses,
+    cross actions, Cayley sets, lengths and copies of labels, whenever it
+    finds nothing, the quadratic relation holds."""
+    b = block_from_json(_mutated(_MUTATION_BASES[name](), mutations))
+    if validate_block(b) == []:
+        assert reference_klv.check_quadratic(b) == (True, None)
 
 
 def _with_braid_order(b, i, j, m):

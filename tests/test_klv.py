@@ -247,6 +247,58 @@ def test_solve_linear_failure_states_size_and_rank():
                        ({0: Fraction(1), 1: Fraction(1)}, Fraction(3))], 2)
 
 
+def test_solve_linear_keeps_exact_quotients_in_ints():
+    """A pivot that divides its row gives ints; one that does not gives
+    the exact Fraction."""
+    sol = _solve_linear([({0: 2, 1: 4}, 6), ({1: 3}, 3)], 2)
+    assert sol == [1, 1] and all(type(x) is int for x in sol)
+    assert _solve_linear([({0: 2}, 1)], 1) == [Fraction(1, 2)]
+
+
+_COEFFICIENTS = st.one_of(st.integers(-3, 3), st.sampled_from([7, -12, 1 << 70]))
+
+
+@st.composite
+def _systems(draw):
+    """(equations, unknowns): one to three components on unknowns drawn
+    apart from each other.  Each has the solution x / d for a random
+    integer vector x and d in 1, 2, 3 (its rows scaled by d), with rows
+    whose right side may be off by one, and as many rows as unknowns,
+    one fewer or up to two more: unique, singular, inconsistent and
+    non-integral systems all occur."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    names = draw(st.permutations(range(sum(sizes))))
+    equations = []
+    for k in sizes:
+        unknowns, names = names[:k], names[k:]
+        x = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+        d = draw(st.sampled_from([1, 1, 2, 3]))
+        for _ in range(draw(st.integers(k - 1, k + 2))):
+            a = draw(st.lists(_COEFFICIENTS, min_size=k, max_size=k))
+            rhs = sum(c * y for c, y in zip(a, x)) + draw(st.sampled_from([0, 0, 0, 1]))
+            equations.append(({v: d * c for v, c in zip(unknowns, a)}, rhs))
+    draw(st.randoms()).shuffle(equations)
+    return equations, sum(sizes)
+
+
+def _solve_outcome(solve, equations, n):
+    try:
+        return solve(equations, n)
+    except DualityError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_sparse_solve_agrees_with_dense_elimination(system):
+    """The sparse solve gives the solution of the reference's dense
+    `Fraction` elimination, or its error with the same unknown count and
+    rank."""
+    equations, n = system
+    assert (_solve_outcome(_solve_linear, equations, n)
+            == _solve_outcome(reference_klv.solve_linear, equations, n))
+
+
 def test_level_failures_name_parameters_size_and_rank(monkeypatch):
     """A level solve that is non-unique or non-integral names the
     parameters of its length, the unknown count and the rank."""
@@ -727,6 +779,59 @@ def test_duality_and_order_match_module_references(name, data):
         blk = data.draw(st.permutations(blk))
         assert compute_order(b, blk) == reference_klv.compute_order(b, blk)
         assert compute_duality(b, blk) == reference_klv.compute_duality(b, blk)
+
+
+def _rp1_bound_block():
+    """A block that `validate_block` accepts, though not a real one: the
+    RP1 label g over c1 and c2, with c1 a base and c2 above the base d
+    through a complex descent t.  Then D(g) = E_s D(c1) - D(c2) has L1
+    norm 7, while k_s B(c1) is 5: the bound holds D(g) only with its
+    B(c2) term, 3."""
+    def rec(label, length, status, cross, cayley):
+        return {"label": label, "length": length, "cartan_class": "",
+                "status": status, "cross": cross, "cayley": cayley}
+
+    return block_from_json({
+        "simples": ["s", "t"], "braid": [[1, 2], [2, 1]], "infchar_tag": "x",
+        "params": [
+            rec("d", 0, ["CompactImaginary", "ComplexAscent"], ["d", "c2"], [None, None]),
+            rec("c1", 1, ["NoncompactImaginaryI", "CompactImaginary"], ["c2", "c1"],
+                [["g"], None]),
+            rec("c2", 1, ["NoncompactImaginaryI", "ComplexDescent"], ["c1", "d"],
+                [["g"], None]),
+            rec("g", 2, ["RealParityI", "CompactImaginary"], ["g", "g"],
+                [["c1", "c2"], None]),
+        ],
+    })
+
+
+_WIDENING_BLOCKS = {
+    **_REFERENCE_BLOCKS,
+    "nci2^3": lambda: functools.reduce(product_block, [
+        _FACTORS["nci2"](c) for c in "abc"]),
+    "RP1 bound": _rp1_bound_block,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDENING_BLOCKS))
+def test_packed_duality_widens_from_two_bit_digits(name, monkeypatch):
+    """Packed D started from 2-bit digits: every label's bound holds the
+    L1 norm of its D, the digits widen, and R is that of the module
+    reference."""
+    monkeypatch.setattr(klv, "_start_width", lambda k, depth: 2)
+    b = _WIDENING_BLOCKS[name]()
+    assert validate_block(b) == []
+    widths = []
+    for blk in partition_blocks(b):
+        r = reference_klv.compute_duality(b, blk)
+        _, w, bound = klv._packed_dual(b, r.order, r.down)
+        widths.append(w)
+        dual = reference_klv.duality_map(b, r)
+        for gamma in r.order:
+            l1 = sum(abs(c) for p in dual[gamma].coeffs.values() for c in p.terms.values())
+            assert bound[gamma] >= l1, gamma
+        assert compute_duality(b, blk) == r
+    assert max(widths) > 2
 
 
 # ---------------------------------------------------------------------------
