@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from . import blockdata, correspondence, genericity, hecke, klv, rootdata, singular
 from .gaussian import gvec
-from .rootdata import InfChar
 
 __all__ = ["InputError", "run", "main"]
 
@@ -46,13 +45,16 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _load_block(path: str) -> blockdata.BlockData:
     if path in _BUILTIN_BLOCKS:
         return _BUILTIN_BLOCKS[path]()
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return blockdata.block_from_json(doc)
+        return blockdata.block_from_json(_read_json(path))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError,
             blockdata.BlockFormatError) as exc:
         raise InputError(str(exc)) from exc
@@ -60,7 +62,7 @@ def _load_block(path: str) -> blockdata.BlockData:
 
 def _load_rootdatum(path: str):
     try:
-        d, lv = rootdata.load_rootdatum(path)
+        d, lv = rootdata.rootdatum_from_json(_read_json(path))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed root-datum file: {exc}") from exc
     if lv is None:
@@ -183,8 +185,7 @@ def _cmd_validate(args) -> int:
         violations = blockdata.validate_block(_BUILTIN_BLOCKS[args.block]())
     else:
         try:
-            with open(args.block, encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = _read_json(args.block)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(str(exc)) from exc
         violations = blockdata.validate_block_doc(doc)
@@ -250,7 +251,7 @@ def _cmd_induce(args) -> int:
     L = _load_block(args.source)
     G = _load_block(args.target)
     try:
-        c = correspondence.load_correspondence(args.map)
+        c = correspondence.correspondence_from_json(_read_json(args.map))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed correspondence file: {exc}") from exc
     inputs = [args.source, args.target, args.map]
@@ -306,20 +307,19 @@ def _cmd_arrangement(args) -> int:
 
 def _cmd_translate_check(args) -> int:
     d, lv = _load_rootdatum(args.rootdatum)
-    xi = InfChar.from_coords(_parse_vector(args.xi), lv.a_coordinates)
+    xi = _parse_vector(args.xi)
     try:
         mu = tuple(int(x.strip()) for x in args.mu.split(","))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if len(xi.coords) != d.rank or len(mu) != d.rank:
+    if len(xi) != d.rank or len(mu) != d.rank:
         raise InputError("vector length must equal the rank")
     t = singular.TranslationDatum(xi=xi, mu=mu)
     violations = singular.validate_translation_datum(d, lv, t)
     payload: dict = {"violations": violations}
     if args.square:
         try:
-            with open(args.square, encoding="utf-8") as fh:
-                sq = json.load(fh)
+            sq = _read_json(args.square)
             maps = [
                 {str(a): str(b) for a, b in sq[key]}
                 for key in ("iota_xi", "iota_xi_prime", "tL", "tG")

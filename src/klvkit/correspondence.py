@@ -10,7 +10,6 @@ agree through it.  Only then is "Irreducible" reported.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .blockdata import BlockData
@@ -21,7 +20,7 @@ from .klv import compute_P, compute_duality, multiplicities  # noqa: F401
 __all__ = [
     "Correspondence", "check_correspondence", "check_image_union_of_blocks",
     "compare_multiplicities", "induced_verdict", "mult_by_block",
-    "correspondence_from_json", "load_correspondence",
+    "correspondence_from_json",
 ]
 
 
@@ -44,11 +43,6 @@ def correspondence_from_json(doc: dict) -> Correspondence:
     if len(pairs) != len(raw):
         raise ValueError("duplicate source labels in correspondence")
     return Correspondence(pairs=pairs, length_shift=shift)
-
-
-def load_correspondence(path: str) -> Correspondence:
-    with open(path, encoding="utf-8") as fh:
-        return correspondence_from_json(json.load(fh))
 
 
 def check_correspondence(L: BlockData, G: BlockData, c: Correspondence) -> list[str]:

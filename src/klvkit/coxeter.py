@@ -1,11 +1,14 @@
 """Finite Coxeter groups presented by pairwise braid orders in {2, 3, 4, 6},
-realized by integer reflection matrices on the root lattice."""
+realized by integer reflection matrices on the root lattice, and
+`reflection_group`, the one breadth-first enumeration of a finite group
+of integer matrices from its generators, which `rootdata` uses for Weyl
+groups."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["CoxeterGroup", "CoxeterCapExceeded"]
+__all__ = ["CoxeterGroup", "CoxeterCapExceeded", "reflection_group"]
 
 # Off-diagonal Cartan entry pairs giving product order 2, 3, 4, 6.
 _CARTAN_PAIR = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3)}
@@ -26,6 +29,38 @@ def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def reflection_group(gens: list[IntMat], n: int, cap: int):
+    """The group generated by the n x n integer matrices gens: its
+    elements in breadth-first order from the identity, and the word of
+    each, shortest and then lexicographically least, as a dict.  Raises
+    CoxeterCapExceeded once the group would exceed cap elements."""
+    ident = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+    elements = [ident]
+    word = {ident: ()}
+    # Breadth-first by length.  Every left descent i of x one level up
+    # has s_i x on the current level, whose words are final, so the
+    # lex-min reduced word of x is the least (i,) + word(s_i x).
+    level = [ident]
+    while level:
+        above: dict[IntMat, tuple[int, ...]] = {}
+        for w in level:
+            for i, g in enumerate(gens):
+                sw = _mat_mul(g, w)
+                if sw in word:
+                    continue
+                cand = (i,) + word[w]
+                if sw not in above:
+                    if len(word) + len(above) >= cap:
+                        raise CoxeterCapExceeded(f"group exceeds cap {cap}")
+                    above[sw] = cand
+                elif cand < above[sw]:
+                    above[sw] = cand
+        word.update(above)
+        elements.extend(above)
+        level = list(above)
+    return elements, word
 
 
 @dataclass
@@ -68,33 +103,8 @@ class CoxeterGroup:
             )
             for i in range(n)
         ]
-        ident = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-        self.elements = [ident]
-        self.length = {ident: 0}
-        self.word = {ident: ()}
-        # Breadth-first by length.  Every left descent i of x one level up
-        # has s_i x on the current level, whose words are final, so the
-        # lex-min reduced word of x is the least (i,) + word(s_i x).
-        level = [ident]
-        while level:
-            above: dict[IntMat, tuple[int, ...]] = {}
-            for w in level:
-                for i, g in enumerate(self.gens):
-                    sw = _mat_mul(g, w)
-                    if sw in self.length:
-                        continue
-                    cand = (i,) + self.word[w]
-                    if sw not in above:
-                        if len(self.length) + len(above) >= _CAP:
-                            raise CoxeterCapExceeded(f"group exceeds cap {_CAP}")
-                        above[sw] = cand
-                    elif cand < above[sw]:
-                        above[sw] = cand
-            for x, wd in above.items():
-                self.length[x] = len(wd)
-                self.word[x] = wd
-            self.elements.extend(above)
-            level = list(above)
+        self.elements, self.word = reflection_group(self.gens, n, _CAP)
+        self.length = {x: len(wd) for x, wd in self.word.items()}
 
     def label(self, w: IntMat) -> str:
         wd = self.word[w]

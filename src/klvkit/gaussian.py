@@ -9,8 +9,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-__all__ = ["GaussRat", "GVec", "ScaledVec", "gvec", "vec_add", "vec_sub",
-           "mat_apply", "pair"]
+__all__ = ["GaussRat", "GVec", "ScaledVec", "gvec", "vec_add", "mat_apply"]
 
 # The imaginary term must carry an explicit sign when a real part is
 # present, so that "1/10*i" cannot split as real 1/1 plus imaginary 0.
@@ -142,21 +141,9 @@ def vec_add(a: GVec, b: GVec) -> GVec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def vec_sub(a: GVec, b: GVec) -> GVec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def mat_apply(mat, vec: GVec) -> GVec:
     """Apply an integer matrix (rows) to a Gaussian-rational vector."""
     return tuple(
         sum((GaussRat.of(mij) * vec[j] for j, mij in enumerate(row)), GZERO)
         for row in mat
     )
-
-
-def pair(int_vec, vec: GVec) -> GaussRat:
-    """Integer functional applied to a Gaussian-rational vector."""
-    if len(int_vec) != len(vec):
-        raise ValueError(f"functional of length {len(int_vec)} on a vector "
-                         f"of length {len(vec)}")
-    return ScaledVec(vec).value(int_vec)

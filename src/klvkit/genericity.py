@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussian import GaussRat, GVec, ScaledVec, gvec, vec_add
-from .rootdata import InfChar, LeviSelection, RootDatum, reflection_matrix
+from .rootdata import LeviSelection, RootDatum, reflection_matrix
 # Not called here: bench/tracer.py wraps these names in this module to
 # count Weyl elements enumerated.
 from .rootdata import weyl_enumerate, weyl_stabilizer, weyl_subgroup  # noqa: F401
@@ -43,11 +43,11 @@ class HyperplaneFamily:
 
 
 def _coords(xi) -> GVec:
-    return xi.coords if isinstance(xi, (InfChar, ScaledVec)) else gvec(xi)
+    return xi.coords if isinstance(xi, ScaledVec) else gvec(xi)
 
 
 def _scaled(xi) -> ScaledVec:
-    """xi, given as a vector, an InfChar or a ScaledVec, as a ScaledVec."""
+    """xi, given as a vector or a ScaledVec, as a ScaledVec."""
     return xi if isinstance(xi, ScaledVec) else ScaledVec(_coords(xi))
 
 

@@ -969,11 +969,11 @@ def multiplicities(b: BlockData, p: PMatrix) -> MultMatrices:
 
 @dataclass(frozen=True)
 class BlockKLV:
-    """Everything the KLV pipeline derives for one class: its order and
-    down-sets, R, P, and the multiplicity matrices M and m.  `verified`
-    is `verify_duality`'s answer when the solve was checked, else None."""
+    """Everything the KLV pipeline derives for one class: its order, R
+    (which holds the down-sets), P, and the multiplicity matrices M and
+    m.  `verified` is `verify_duality`'s answer when the solve was
+    checked, else None."""
     order: tuple[str, ...]
-    down: dict[str, frozenset[str]]
     r: RMatrix
     p: PMatrix
     M: tuple[tuple[int, ...], ...]
@@ -991,5 +991,4 @@ def solve_block(b: BlockData, block: list[str], check: bool = False) -> BlockKLV
     verified = verify_duality(b, block, r) if check else None
     p = compute_P(b, block, r, check)
     mm = multiplicities(b, p)
-    return BlockKLV(order=r.order, down=r.down, r=r, p=p, M=mm.M, m=mm.m,
-                    verified=verified)
+    return BlockKLV(order=r.order, r=r, p=p, M=mm.M, m=mm.m, verified=verified)

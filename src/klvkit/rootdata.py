@@ -1,6 +1,8 @@
 """Root data with coroots and a Cartan involution theta, the
 Levi/nilradical split of a Levi selection, and Weyl group enumeration,
-the brute-force reference for the root tests of `genericity`.
+the brute-force reference for the root tests of `genericity`: the group
+generated by the reflections of all roots, enumerated by
+`coxeter.reflection_group`.
 
 The split is computed once, when `rootdatum_from_json` reads a file: it
 eliminates the selection's `simple_base` once, over the integers, then
@@ -12,28 +14,22 @@ on every root datum it loads."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
 
-from .coxeter import _mat_mul
-from .gaussian import GaussRat, GVec, gvec, mat_apply, pair
+from .coxeter import _mat_mul, reflection_group
+from .gaussian import GVec, mat_apply
 
 __all__ = [
-    "RootDatum", "LeviSelection", "InfChar", "weyl_enumerate",
-    "weyl_subgroup", "weyl_stabilizer", "reflection_matrix",
-    "WeylCapExceeded", "rootdatum_from_json", "load_rootdatum",
+    "RootDatum", "LeviSelection", "weyl_enumerate", "weyl_subgroup",
+    "weyl_stabilizer", "reflection_matrix", "rootdatum_from_json",
 ]
 
 DEFAULT_WEYL_CAP = 10080
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
-
-
-class WeylCapExceeded(RuntimeError):
-    pass
 
 
 def _identity(n: int) -> IntMat:
@@ -56,10 +52,6 @@ class RootDatum:
             return self.coroots[alpha]
         except KeyError:
             raise ValueError(f"not a root: {alpha}") from None
-
-    def pairing(self, alpha: IntVec, x: GVec) -> GaussRat:
-        """<coroot(alpha), x> for a Gaussian-rational vector x."""
-        return pair(self.coroot(alpha), x)
 
     def theta_apply(self, v: IntVec) -> IntVec:
         return _mat_vec(self.theta, v)
@@ -94,31 +86,6 @@ class RootDatum:
                     out.append(f"reflection in {a} does not permute roots")
                     break
         return out
-
-    def canonical_base(self) -> tuple[IntVec, ...]:
-        """Simple roots of a deterministic positive system, sorted
-        lexicographically.  Uses the first generic integer functional
-        (1, t, t^2, ...) with no vanishing root pairing."""
-        if not self.roots:
-            return ()
-        t = 1
-        while True:
-            f = tuple(t**i for i in range(self.rank))
-            vals = {a: sum(c * x for c, x in zip(f, a)) for a in self.roots}
-            if all(v != 0 for v in vals.values()):
-                break
-            t += 1
-        pos = [a for a in self.roots if vals[a] > 0]
-        return tuple(sorted(a for a in pos if not _is_sum_of_two(a, pos)))
-
-
-def _is_sum_of_two(alpha: IntVec, pos) -> bool:
-    ps = set(pos)
-    return any(
-        tuple(x - y for x, y in zip(alpha, b)) in ps
-        for b in ps
-        if b != alpha
-    )
 
 
 def reflection_matrix(d: RootDatum, alpha: IntVec) -> IntMat:
@@ -240,58 +207,22 @@ def _decompose(alpha: IntVec, base: tuple[IntVec, ...], elim):
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class InfChar:
-    coords: GVec
-    m_part: GVec
-    nu_part: GVec
-
-    @classmethod
-    def from_coords(cls, coords, a_coordinates=()) -> "InfChar":
-        coords = gvec(coords)
-        a = set(a_coordinates)
-        m = tuple(x if i not in a else GaussRat() for i, x in enumerate(coords))
-        nu = tuple(x if i in a else GaussRat() for i, x in enumerate(coords))
-        return cls(coords, m, nu)
-
-
-def _weyl_bfs(d: RootDatum, roots, cap: int) -> list[IntMat]:
-    """Group generated by the reflections in roots, in BFS order from
-    the identity; WeylCapExceeded once it would exceed cap elements."""
-    gens = [reflection_matrix(d, a) for a in roots]
-    ident = _identity(d.rank)
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                gw = _mat_mul(g, w)
-                if gw not in seen:
-                    if len(seen) + 1 > cap:
-                        raise WeylCapExceeded(f"Weyl group exceeds cap {cap}")
-                    seen.add(gw)
-                    order.append(gw)
-                    nxt.append(gw)
-        frontier = nxt
-    return order
-
-
 def weyl_enumerate(d: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> list[IntMat]:
-    """All Weyl group elements as lattice matrices, by BFS over the
-    canonical simple reflections.  Deterministic order."""
-    return _weyl_bfs(d, d.canonical_base(), cap)
+    """All Weyl group elements as lattice matrices, in breadth-first
+    order over the reflections of all roots, which generate the group
+    (CoxeterCapExceeded past cap elements)."""
+    gens = list(dict.fromkeys(reflection_matrix(d, a) for a in d.roots))
+    return reflection_group(gens, d.rank, cap)[0]
 
 
 def weyl_subgroup(d: RootDatum, simples, cap: int = DEFAULT_WEYL_CAP) -> list[IntMat]:
     """Subgroup generated by the reflections in the given roots, sorted."""
-    return sorted(_weyl_bfs(d, simples, cap))
+    gens = [reflection_matrix(d, a) for a in simples]
+    return sorted(reflection_group(gens, d.rank, cap)[0])
 
 
-def weyl_stabilizer(d: RootDatum, xi: InfChar, cap: int = DEFAULT_WEYL_CAP) -> list[IntMat]:
-    coords = xi.coords
-    return [w for w in weyl_enumerate(d, cap) if mat_apply(w, coords) == coords]
+def weyl_stabilizer(d: RootDatum, xi: GVec, cap: int = DEFAULT_WEYL_CAP) -> list[IntMat]:
+    return [w for w in weyl_enumerate(d, cap) if mat_apply(w, xi) == xi]
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +248,8 @@ def _indices(values, field: str, bound: int) -> IntVec:
     out = _ints(values, field)
     if any(not 0 <= i < bound for i in out):
         raise ValueError(f"{field} has an index outside 0..{bound - 1}")
+    if len(set(out)) != len(out):
+        raise ValueError(f"{field} repeats an index")
     return out
 
 
@@ -347,8 +280,3 @@ def rootdatum_from_json(doc: dict) -> tuple[RootDatum, LeviSelection | None]:
                     _indices(l["levi_simples"], "levi_simples", len(base)),
                     _indices(l["a_coordinates"], "a_coordinates", rank))
     return d, lv
-
-
-def load_rootdatum(path: str) -> tuple[RootDatum, LeviSelection | None]:
-    with open(path, encoding="utf-8") as fh:
-        return rootdatum_from_json(json.load(fh))

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gaussian import GaussRat, ScaledVec, vec_add
-from .rootdata import InfChar, LeviSelection, RootDatum
+from .gaussian import GVec, ScaledVec, gvec, vec_add
+from .rootdata import LeviSelection, RootDatum
 
 __all__ = [
     "TranslationDatum", "validate_translation_datum", "check_translation_square",
@@ -16,13 +16,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TranslationDatum:
-    xi: InfChar
+    xi: GVec
     mu: tuple[int, ...]
 
-    def xi_prime(self) -> InfChar:
-        shifted = vec_add(self.xi.coords,
-                          tuple(GaussRat.of(m) for m in self.mu))
-        return InfChar.from_coords(shifted)
+    def xi_prime(self) -> GVec:
+        return vec_add(self.xi, gvec(self.mu))
 
 
 def validate_translation_datum(d: RootDatum, lv: LeviSelection,
@@ -30,7 +28,7 @@ def validate_translation_datum(d: RootDatum, lv: LeviSelection,
     """xi + mu must be nonsingular on the Levi and preserve every
     positive-integer pairing of xi."""
     out = []
-    xi, xip = ScaledVec(t.xi.coords), ScaledVec(t.xi_prime().coords)
+    xi, xip = ScaledVec(t.xi), ScaledVec(t.xi_prime())
     for alpha in lv.levi:
         if xip.is_zero(d.coroot(alpha)):
             out.append(f"shifted character still singular at Levi root {list(alpha)}")

@@ -319,10 +319,16 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, sl2_path):
     # Root-datum files of the wrong shape once ended in a TypeError or a
     # ValueError from zip(), or (arrangement) in a report; a root 2.5 was
     # read as 2.
+    # A repeated Levi index once passed: a_coordinates [0, 0] made
+    # arrangement print the functional [1, 1] on a one-dimensional a*.
+    repeated_a = {"simple_base": [[2]], "levi_simples": [], "a_coordinates": [0, 0]}
+    repeated_levi = {"simple_base": [[2]], "levi_simples": [0, 0], "a_coordinates": []}
     for i, (edit, field) in enumerate([({"roots": 5}, "roots"),
                                        ({"levi": 5}, "levi"),
                                        ({"roots": [[2, 0], [-2, 0]]}, "roots"),
-                                       ({"roots": [[2.5], [-2]]}, "roots")]):
+                                       ({"roots": [[2.5], [-2]]}, "roots"),
+                                       ({"levi": repeated_a}, "a_coordinates"),
+                                       ({"levi": repeated_levi}, "levi_simples")]):
         path = _written(tmp_path, f"datum{i}.json", {**SL2_SPLIT, **edit})
         for argv in (["generic", path, "--xi-m", "0", "--nu", "1/2"],
                      ["arrangement", path, "--xi-m", "0"],

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from klvkit.coxeter import CoxeterGroup
+from klvkit.coxeter import CoxeterCapExceeded, CoxeterGroup, reflection_group
 
+A2 = ((1, 3), (3, 1))
 A3 = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
 B3 = ((1, 3, 2), (3, 1, 4), (2, 4, 1))
 
@@ -38,3 +39,15 @@ def test_words_are_least_reduced_words(braid, order):
     # breadth-first: lengths never decrease along the element list
     lengths = [w.length[x] for x in w.elements]
     assert lengths == sorted(lengths)
+
+
+@pytest.mark.parametrize("braid,order", [(A2, 6), (B3, 48)])
+def test_reflection_group_cap(braid, order):
+    """The whole group fits a cap of its order, and one element fewer
+    is refused."""
+    w = CoxeterGroup(tuple(f"s{i}" for i in range(len(braid))), braid)
+    elements, word = reflection_group(w.gens, len(braid), order)
+    assert len(elements) == order
+    assert (elements, word) == (w.elements, w.word)
+    with pytest.raises(CoxeterCapExceeded):
+        reflection_group(w.gens, len(braid), order - 1)

@@ -41,6 +41,39 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     assert missing == []
 
 
+def _reads(paths) -> set:
+    """Every name the files read: loaded names, attributes, and names
+    imported from a module."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_export_is_read_outside_its_definition():
+    """Each function and class in a module's `__all__` is read by name
+    in the package, in bench/, in tools/ or in the acceptance suite: an
+    export that only its own tests reach is dead code."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    used = _reads([*pathlib.Path(klvkit.__file__).parent.glob("*.py"),
+                   *root.glob("bench/*.py"), *root.glob("tools/*.py"),
+                   root / "tests" / "test_acceptance.py"])
+    unread = []
+    for name in _MODULES:
+        mod = importlib.import_module(f"klvkit.{name}")
+        for n in mod.__all__:
+            obj = getattr(mod, n)
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and n not in used:
+                unread.append((name, n))
+    assert unread == []
+
+
 def _private(name):
     return name.startswith("_") and not name.startswith("__")
 

@@ -11,9 +11,7 @@ from klvkit.gaussian import (
     ScaledVec,
     gvec,
     mat_apply,
-    pair,
     vec_add,
-    vec_sub,
 )
 
 from test_rootdata import A2, B2, B3, SL2_SPLIT
@@ -68,8 +66,6 @@ def test_vectors():
     a = gvec(["1", "1/2"])
     b = gvec([1, 2])
     assert vec_add(a, b) == gvec(["2", "5/2"])
-    assert vec_sub(b, a) == gvec(["0", "3/2"])
-    assert pair((2, -1), a) == GaussRat(Fraction(3, 2))
     assert mat_apply(((0, 1), (1, 0)), a) == gvec(["1/2", "1"])
 
 
@@ -124,12 +120,7 @@ def test_scaled_pairings_match_gaussrat_arithmetic(case):
     assert s.coords == x and s.q >= 1
     for c in coroots:
         want = _pair_by_gaussrat(c, x)
-        assert s.value(c) == want and pair(c, x) == want
+        assert s.value(c) == want
         assert s.is_zero(c) is want.is_zero()
         assert s.is_integer(c) is want.is_integer()
         assert s.is_positive_integer(c) is want.is_positive_integer()
-
-
-def test_pair_rejects_a_length_mismatch():
-    with pytest.raises(ValueError, match="length 2 on a vector of length 1"):
-        pair((1, 1), gvec([1]))

@@ -701,7 +701,7 @@ def test_solve_block_shares_one_solve():
         res = klv.solve_block(b, blk, check=True)
         blk, r, p, mm = _pipeline(b, blk)
         assert res.verified is True
-        assert (res.order, res.down, res.r, res.p) == (r.order, r.down, r, p)
+        assert (res.order, res.r, res.p) == (r.order, r, p)
         assert (res.M, res.m) == (mm.M, mm.m)
         assert klv.solve_block(b, blk).verified is None
 

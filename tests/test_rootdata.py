@@ -3,10 +3,9 @@ import itertools
 import pytest
 
 from klvkit import rootdata
-from klvkit.gaussian import GaussRat, gvec
+from klvkit.coxeter import CoxeterCapExceeded
+from klvkit.gaussian import gvec
 from klvkit.rootdata import (
-    InfChar,
-    WeylCapExceeded,
     reflection_matrix,
     rootdatum_from_json,
     weyl_enumerate,
@@ -129,13 +128,6 @@ def test_reflection_matrix_involution():
         assert sq == ((1, 0), (0, 1))
 
 
-def test_canonical_base():
-    d, _ = rootdatum_from_json(A2)
-    assert d.canonical_base() == ((0, 1), (1, 0))
-    d, _ = rootdatum_from_json(SL2_SPLIT)
-    assert d.canonical_base() == ((2,),)
-
-
 def test_weyl_enumerate_orders():
     d, _ = rootdatum_from_json(SL2_SPLIT)
     assert len(weyl_enumerate(d)) == 2
@@ -143,18 +135,19 @@ def test_weyl_enumerate_orders():
     assert len(weyl_enumerate(d)) == 6
     d, _ = rootdatum_from_json(A1xA1)
     assert len(weyl_enumerate(d)) == 4
-    with pytest.raises(WeylCapExceeded):
+    with pytest.raises(CoxeterCapExceeded):
         weyl_enumerate(d, cap=3)
+    d, _ = rootdatum_from_json(B3)
+    assert len(weyl_enumerate(d)) == 48
 
 
 def test_weyl_stabilizer_sizes():
     d, _ = rootdatum_from_json(A2)
     # pairings (0, 1): fixed exactly by the first simple reflection
-    xi = InfChar.from_coords(gvec(["1/3", "2/3"]))
-    assert len(weyl_stabilizer(d, xi)) == 2
-    assert len(weyl_stabilizer(d, InfChar.from_coords(gvec([0, 0])))) == 6
+    assert len(weyl_stabilizer(d, gvec(["1/3", "2/3"]))) == 2
+    assert len(weyl_stabilizer(d, gvec([0, 0]))) == 6
     # regular element (both simple pairings nonzero): trivial stabilizer
-    assert len(weyl_stabilizer(d, InfChar.from_coords(gvec([1, 3])))) == 1
+    assert len(weyl_stabilizer(d, gvec([1, 3]))) == 1
 
 
 def test_weyl_subgroup():
@@ -208,16 +201,8 @@ def test_levi_selection_rejects_a_dependent_base():
     assert lv.validate(d) == []
 
 
-def test_infchar_split():
-    xi = InfChar.from_coords(gvec(["1", "1/2"]), a_coordinates=(1,))
-    assert xi.m_part == gvec([1, 0])
-    assert xi.nu_part == gvec([0, "1/2"])
-    assert xi.coords == gvec(["1", "1/2"])
-
-
-def test_pairing_typing():
+def test_coroot_rejects_a_non_root():
     d, _ = rootdatum_from_json(SL2_SPLIT)
-    assert d.pairing((2,), gvec(["3/2"])) == GaussRat.parse("3/2")
     with pytest.raises(ValueError):
         d.coroot((3,))
 

@@ -1,7 +1,7 @@
 import pytest
 
 from klvkit.gaussian import gvec
-from klvkit.rootdata import InfChar, rootdatum_from_json
+from klvkit.rootdata import rootdatum_from_json
 from klvkit.singular import (
     TranslationDatum,
     check_translation_square,
@@ -18,9 +18,9 @@ def test_translation_datum_valid():
            "levi": {"simple_base": [[1]], "levi_simples": [0],
                     "a_coordinates": []}}
     d, lv = rootdatum_from_json(doc)
-    t = TranslationDatum(InfChar.from_coords(gvec([0])), (1,))
+    t = TranslationDatum(gvec([0]), (1,))
     assert validate_translation_datum(d, lv, t) == []
-    assert t.xi_prime().coords == gvec([1])
+    assert t.xi_prime() == gvec([1])
 
 
 def test_translation_datum_still_singular():
@@ -28,7 +28,7 @@ def test_translation_datum_still_singular():
            "levi": {"simple_base": [[1]], "levi_simples": [0],
                     "a_coordinates": []}}
     d, lv = rootdatum_from_json(doc)
-    t = TranslationDatum(InfChar.from_coords(gvec([0])), (0,))
+    t = TranslationDatum(gvec([0]), (0,))
     out = validate_translation_datum(d, lv, t)
     assert out and "still singular" in out[0]
 
@@ -37,11 +37,11 @@ def test_translation_datum_breaks_integral_wall():
     d, lv = rootdatum_from_json(A2)
     # <alpha1^, (1,1)> = 1 is a positive integer; mu = (-1, 1) sends the
     # pairing to -2, breaking the condition
-    t = TranslationDatum(InfChar.from_coords(gvec([1, 1])), (-1, 1))
+    t = TranslationDatum(gvec([1, 1]), (-1, 1))
     out = validate_translation_datum(d, lv, t)
     assert any("positive-integer pairing broken" in msg for msg in out)
     # a Weyl-chamber-preserving shift is fine
-    t2 = TranslationDatum(InfChar.from_coords(gvec([1, 1])), (1, 1))
+    t2 = TranslationDatum(gvec([1, 1]), (1, 1))
     assert validate_translation_datum(d, lv, t2) == []
 
 
