@@ -428,6 +428,8 @@ def block_from_json(doc: dict) -> BlockData:
         params = {}
         for rec in _list(doc["params"], "params"):
             label = _str(rec["label"], "label")
+            if "|" in label:  # the klv report keys R and P entries as x|y
+                raise BlockFormatError(f"label {label!r} contains '|'")
             if label in params:
                 raise BlockFormatError(f"duplicate label {label!r}")
             if type(rec["length"]) is not int:

@@ -119,12 +119,8 @@ def _int_matrices(mats: list, indent: str):
 def _poly_map(mats: list, labels: list[str], indent: str):
     """The pieces of _dumps(d, indent) for the dict d = {f"{x}|{y}":
     str(v)} over the entries (x, y): v of mats (R or P of each class), one
-    row x per piece.  With no "|" in a label, the keys sort by x + "|",
-    then by y."""
-    if any("|" in x for x in labels):  # keys may collide or interleave rows
-        yield _dumps({f"{x}|{y}": str(v) for mat in mats
-                      for (x, y), v in mat.entries.items()}, indent)
-        return
+    row x per piece.  No label holds a "|" (`block_from_json` rejects
+    one), so the keys are distinct and sort by x + "|", then by y."""
     # one JSON text per distinct value, keyed by id(): safe only as every
     # class's R and P, held in mats, live until the write ends
     texts = {id(v): v for mat in mats for v in mat.entries.values()}
@@ -320,10 +316,8 @@ def _cmd_translate_check(args) -> int:
     if args.square:
         try:
             sq = _read_json(args.square)
-            maps = [
-                {str(a): str(b) for a, b in sq[key]}
-                for key in ("iota_xi", "iota_xi_prime", "tL", "tG")
-            ]
+            maps = [correspondence._label_map(sq[key], key)
+                    for key in ("iota_xi", "iota_xi_prime", "tL", "tG")]
         except (OSError, json.JSONDecodeError, KeyError, TypeError,
                 ValueError) as exc:
             raise InputError(f"malformed square file: {exc}") from exc

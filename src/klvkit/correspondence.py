@@ -30,18 +30,25 @@ class Correspondence:
     length_shift: int
 
 
-def correspondence_from_json(doc: dict) -> Correspondence:
-    """The map of a JSON document; a ValueError names a malformed field."""
-    raw, shift = doc["pairs"], doc["length_shift"]
+def _label_map(raw, what: str) -> dict[str, str]:
+    """raw, a JSON list of [source, target] pairs of strings with no
+    repeated source, as a dict; a ValueError names the field, what."""
     if type(raw) is not list or not all(
             type(p) is list and len(p) == 2 and all(type(x) is str for x in p)
             for p in raw):
-        raise ValueError("pairs must be a list of [source, target] label lists")
-    if type(shift) is not int:
-        raise ValueError("length_shift is not an integer")
+        raise ValueError(f"{what} must be a list of [source, target] label lists")
     pairs = dict(raw)
     if len(pairs) != len(raw):
-        raise ValueError("duplicate source labels in correspondence")
+        raise ValueError(f"duplicate source labels in {what}")
+    return pairs
+
+
+def correspondence_from_json(doc: dict) -> Correspondence:
+    """The map of a JSON document; a ValueError names a malformed field."""
+    raw, shift = doc["pairs"], doc["length_shift"]
+    pairs = _label_map(raw, "pairs")
+    if type(shift) is not int:
+        raise ValueError("length_shift is not an integer")
     return Correspondence(pairs=pairs, length_shift=shift)
 
 

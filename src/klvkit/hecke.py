@@ -4,9 +4,10 @@ basis a block, plus the quadratic- and braid-relation validators.
 T_s of a basis label is one integer row, label -> {v-exponent:
 coefficient}, built on first use by `_T_row` and kept in the block's
 `derived` table, so every caller shares one row per (s, label): the
-validators, `apply_T` (and so `hecke-apply`), and the classes, order,
-generators and duality steps of `klv`, which also shares the packing
-of `check_braid` (`_width`, `_pack`)."""
+validators, `apply_T` (and so `hecke-apply`), and the classes, order
+and duality steps of `klv`.  `klv` also shares the packing of
+`check_braid`: `_width`, the codec `_pack` and `_unpack`, and `_times`,
+which applies packed rows."""
 
 from __future__ import annotations
 
@@ -113,13 +114,28 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def _pack(terms: dict[int, int], w: int) -> int:
-    """The sum of c * 2^(w k/2) over the terms c v^k, every k even and
-    nonnegative: digit i holds the coefficient of u^i."""
+def _pack(terms: dict[int, int], w: int, lo: int = 0) -> int:
+    """The sum of c * 2^(w (k - lo)/2) over the terms c v^k, every k - lo
+    even and nonnegative: digit i holds the coefficient of v^(lo + 2i)."""
     x = 0
     for k, c in terms.items():
-        x += c << w * (k >> 1)
+        x += c << w * ((k - lo) >> 1)
     return x
+
+
+def _unpack(x: int, w: int, lo: int = 0) -> dict[int, int]:
+    """The terms that `_pack(terms, w, lo)` packs into x, with no zero
+    coefficient, for coefficients c with |c| < 2^(w-1): the balanced
+    base-2^w digits of x, lowest first."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = {}
+    while x:
+        c = ((x + half) & mask) - half
+        if c:
+            out[lo] = c
+        x = (x - c) >> w
+        lo += 2
+    return out
 
 
 def _times(rows: dict[str, list[tuple[str, int]]], x: dict[str, int]) -> dict[str, int]:

@@ -13,7 +13,8 @@ elimination (`_solve_linear`).
 The block's T rows (`hecke._T_rows`) are the only table derived from
 it: the classes are the components of their supports, the order reads
 its descents off them, and the recursions apply the step
-E_s = u^(-1)(T_s + 1) - 1 straight from them.  Each entry D(gamma)_phi
+E_s = u^(-1)(T_s + 1) - 1 straight from them, through `_tp1`, the one
+table of T_s plus a multiple of the identity.  Each entry D(gamma)_phi
 is one Python int during the recursion, its polynomial packed by
 Kronecker substitution (see `compute_duality`); `LaurentPoly` objects
 are made only for the entries of the `RMatrix` and the `PMatrix`, one
@@ -27,11 +28,12 @@ columns that have no complex or RP1 descent from the term tables of R
 (see its docstring).  `verify_duality` packs D from R again
 (`_PackedDuality`), so a sum over psi of products of entries is a sum
 of integer products, and each check bounds its sums before it compares
-them.  It checks D^2 = Id only at the generators of a class (see its
-docstring).  `solve_block` runs the chain for one class and returns a
-`BlockKLV`.  Under check, `compute_P` replays the descent identity on
-each recursed column: with the intertwining certified and by induction
-along the order, the column is self-dual, so it is C_gamma.
+them.  It checks D^2 = Id only at the generators of a class, the labels
+with no complex or RP1 descent (see its docstring).  `solve_block` runs
+the chain for one class and returns a `BlockKLV`.  Under check,
+`compute_P` replays the descent identity on each recursed column: with
+the intertwining certified and by induction along the order, the column
+is self-dual, so it is C_gamma.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blockdata import BlockData, Parameter, SimpleStatus
-from .hecke import _T_rows, _pack, _width
+from .hecke import _T_rows, _pack, _times, _unpack, _width
 from .laurent import ONE, ZERO, LaurentPoly
 
 __all__ = [
@@ -157,13 +159,22 @@ class MultMatrices:
 _UNIT = {0: 1}
 
 
-def _tp1(b: BlockData, s: int, x: str) -> dict[str, dict[int, int]]:
-    """(T_s + 1) x as a table, from the block's T rows, with no zero
-    coefficient and no empty label."""
-    out = {mu: dict(t) for mu, t in _T_rows(b, s)[x].items()}
-    own = out.setdefault(x, {})
-    own[0] = own.get(0, 0) + 1
-    return {lab: q for lab, t in out.items() if (q := {k: c for k, c in t.items() if c})}
+def _tp1(b: BlockData, s: int, x: str, a: dict[int, int] = _UNIT) -> dict[str, dict[int, int]]:
+    """(T_s + a) x as a table, a the identity's coefficient (T_s + 1 by
+    default), with no zero coefficient and no empty label.  Its tables may
+    be the T row's own, or a: read them only.  The other labels keep the
+    T row's order and x comes last: the order in which D(gamma) meets its
+    labels, which R's entries keep."""
+    out = dict(_T_rows(b, s)[x])
+    own = out.pop(x, None)
+    if own is not None:
+        own = dict(own)
+        for k, c in a.items():
+            own[k] = own.get(k, 0) + c
+        a = {k: c for k, c in own.items() if c}
+    if a:
+        out[x] = a
+    return out
 
 
 def _add(y: dict[str, dict[int, int]], a: dict[int, int], column) -> None:
@@ -260,12 +271,12 @@ def _solve_level(b, down, dual, hard: list[str]) -> dict[str, dict[str, dict[int
             equations.append(({j: 1 for j in range(first, len(unknowns))}, 0))
 
     def lowered(s: int, lam: str, k: int) -> dict:
-        """-(E_s + 1) v^k lam as a table."""
-        into = {lam: {k: -1}}
-        for mu, a0, a2 in _step_row(_T_rows(b, s)[lam], lam):
-            row = into.setdefault(mu, {})
-            row[k - 2] = row.get(k - 2, 0) - a0
-            row[k] = row.get(k, 0) - a2
+        """-(E_s + 1) v^k lam = -v^(k-2) (T_s + 1) lam as a table."""
+        into = {}
+        for mu, t in _tp1(b, s, lam).items():
+            into[mu] = row = {}
+            for e, c in t.items():
+                row[k - 2 + e] = -c
         return into
 
     def unit(j: int) -> dict[str, dict[int, int]]:
@@ -341,19 +352,6 @@ def _descent(p: Parameter) -> tuple[int, str] | None:
     return None
 
 
-def _digits(x: int, w: int) -> list[int]:
-    """The balanced base-2^w digits of x, lowest first, and none for 0:
-    the coefficients of a packing at width w whose coefficients c all
-    have |c| < 2^(w-1)."""
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    out = []
-    while x:
-        c = ((x + half) & mask) - half
-        out.append(c)
-        x = (x - c) >> w
-    return out
-
-
 class _Tables(dict):
     """label -> D(label) as a table phi -> {v-exponent: coefficient},
     decoded on first use from packed D at width w."""
@@ -363,36 +361,9 @@ class _Tables(dict):
         self.packed, self.w, self.params = packed, w, b.params
 
     def __missing__(self, x: str) -> dict[str, dict[int, int]]:
-        lo = -2 * self.params[x].length
-        t = self[x] = {phi: {lo + 2 * i: c for i, c in enumerate(_digits(y, self.w)) if c}
-                       for phi, y in self.packed[x].items()}
+        lo, w = -2 * self.params[x].length, self.w
+        t = self[x] = {phi: _unpack(y, w, lo) for phi, y in self.packed[x].items()}
         return t
-
-
-def _step_row(row: dict[str, dict[int, int]], lam: str) -> list[tuple[str, int, int]]:
-    """[(mu, a0, a2)]: the coefficients a0 + a2 u of T_s + 1 - u from lam,
-    so that E_s lam = u^(-1) sum of (a0 + a2 u) mu, read from row, the T
-    row of lam (exponents 0 and 2 only).  The other labels come first, in the
-    order of the T row, and lam last, unless its coefficient is 0: the
-    order in which D(gamma) first meets its labels, which R's entries
-    keep."""
-    a0, a2 = 1, -1
-    out = []
-    for mu, t in row.items():
-        if mu == lam:
-            a0, a2 = a0 + t.get(0, 0), a2 + t.get(2, 0)
-        else:
-            out.append((mu, t.get(0, 0), t.get(2, 0)))
-    if a0 or a2:
-        out.append((lam, a0, a2))
-    return out
-
-
-def _start_width(k: int, depth: int) -> int:
-    """The digit width that packed D starts from: that of the bound
-    (k + 1)^depth, which holds every direct recursion over depth lengths
-    with row norm k (see `compute_duality`)."""
-    return _width((k + 1) ** depth)
 
 
 def _widen(packed: dict[str, dict[str, int]], w: int, bound: int) -> int:
@@ -401,7 +372,7 @@ def _widen(packed: dict[str, dict[str, int]], w: int, bound: int) -> int:
     new = _width(bound)
     for col in packed.values():
         for phi, y in col.items():
-            col[phi] = sum(c << new * i for i, c in enumerate(_digits(y, w)))
+            col[phi] = _pack(_unpack(y, w), new)
     return new
 
 
@@ -410,15 +381,15 @@ def _packed_dual(b: BlockData, order: tuple[str, ...], down: dict[str, frozenset
     `compute_duality`): (packed, w, bound), with packed[gamma] the table
     phi -> packed D(gamma)_phi of the nonzero entries, w the width of
     them all and bound[gamma] the bound B(gamma) on the L1 norm of
-    D(gamma)."""
+    D(gamma).  A step applies packed rows of T_s + 1 - u (`_tp1`) to D(x)."""
     params = b.params
     lens = {x: params[x].length for x in order}
-    steps = [{lam: _step_row(rows[lam], lam) for lam in order}
-             for rows in (_T_rows(b, s) for s in range(len(b.simples)))]
-    norms = [max((sum(abs(a0) + abs(a2) for _, a0, a2 in row) for row in rows.values()),
-                 default=0) for rows in steps]
-    norm, top = max(norms, default=0), lens[order[-1]] if order else 0
-    w = _start_width(norm, top - lens[order[0]] if order else 0)
+    # rows of T_s + 1 - u: E_s = u^(-1)(T_s + 1 - u)
+    steps = [{lam: _tp1(b, s, lam, {0: 1, 2: -1}) for lam in order}
+             for s in range(len(b.simples))]
+    norms = [max((sum(abs(c) for t in row.values() for c in t.values())
+                  for row in rows.values()), default=0) for rows in steps]
+    norm, top, w = max(norms, default=0), lens[order[-1]] if order else 0, 2
     packed_steps: list[tuple[int, dict]] = [(0, {})] * len(steps)
     packed: dict[str, dict[str, int]] = {}
     bound: dict[str, int] = {}
@@ -441,29 +412,24 @@ def _packed_dual(b: BlockData, order: tuple[str, ...], down: dict[str, frozenset
                 # norm + 1 times per length
                 w = _widen(packed, w, bound[gamma] * (norm + 1) ** (top - p.length))
             if packed_steps[s][0] != w:
-                packed_steps[s] = (w, {lam: [(mu, a0 + (a2 << w)) for mu, a0, a2 in row]
+                packed_steps[s] = (w, {lam: [(mu, _pack(t, w)) for mu, t in row.items()]
                                        for lam, row in steps[s].items()})
-            rows = packed_steps[s][1]
             # D(gamma) = E_s D(x), less D(c2) at RP1.  D(x) is packed from
             # v^(-2 l x) = u v^(-2 l gamma): the u^(-1) of E_s takes it to
             # the packing of D(gamma), from v^(-2 l gamma), with no shift.
-            d: dict[str, int] = {}
-            get = d.get
-            for lam, y in packed[x].items():
-                for mu, c in rows[lam]:
-                    d[mu] = get(mu, 0) + y * c
+            d = _times(packed_steps[s][1], packed[x])
             if c2 is not None:
+                get = d.get
                 for phi, y in packed[c2].items():
                     d[phi] = get(phi, 0) - (y << w)
             packed[gamma] = {mu: y for mu, y in d.items() if y}
         if hard:
             l = lens[hard[0]]
             for g, t in _solve_level(b, down, _Tables(packed, w, b), hard).items():
-                bound[g] = sum(abs(c) for q in t.values() for c in q.values())
+                bound[g] = sum(map(_l1, t.values()))
                 if bound[g] >> (w - 1):
                     w = _widen(packed, w, bound[g] * (norm + 1) ** (top - l))
-                packed[g] = {phi: sum(c << w * ((k >> 1) + l) for k, c in q.items())
-                             for phi, q in t.items()}
+                packed[g] = {phi: _pack(q, w, -2 * l) for phi, q in t.items()}
     return packed, w, bound
 
 
@@ -486,7 +452,7 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
     all its entries and terms: 1 at a base parameter, the exact L1 norm
     of the solution at a type-II one, and k_s B(x), plus B(c2) at an RP1
     descent, for D(gamma) = E_s D(x) - D(c2), with k_s the largest L1
-    norm of a row lam -> [(mu, a0 + a2 u)] of T_s + 1 - u: each entry of
+    norm of a row lam -> {mu: a0 + a2 u} of T_s + 1 - u: each entry of
     D(x) times one coefficient of such a row adds at most
     L1(entry) L1(coefficient) to D(gamma), and summing over the row and
     over the entries of D(x) gives at most k_s B(x).  No coefficient
@@ -494,13 +460,10 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
     base-2^w digit: the packing is exact, it decodes uniquely and it is
     0 only if the entry is.  Packing is a ring map from Z[u] to Z, so
     the sums and products on packed entries are those of the
-    polynomials.
-
-    The start width is that of (k + 1)^depth, with k the largest k_s and
-    depth the class's range of lengths (`_start_width`): that holds every
-    direct recursion from the bases.  Before a bound reaches 2^(w-1),
-    every held entry is decoded and repacked (`_widen`) at the width of
-    that bound times (k + 1)^n, n the lengths left above it, so that the
+    polynomials.  Packed D starts from 2-bit digits, which hold the
+    bases.  Before a bound reaches 2^(w-1), every held entry is decoded
+    and repacked (`_widen`) at the width of that bound times (k + 1)^n,
+    k the largest k_s and n the lengths left above it, so that the
     labels over it fit too."""
     down = compute_order(b, block)
     order = tuple(sorted(block, key=_sort_key(b)))
@@ -519,8 +482,7 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
                 x = -x
             poly = polys.get(x)
             if poly is None:
-                poly = polys[x] = LaurentPoly._trusted(
-                    {2 * i: c for i, c in enumerate(_digits(x, w)) if c})
+                poly = polys[x] = LaurentPoly._trusted(_unpack(x, w))
             entries[(phi, gamma)] = poly
     return RMatrix(order=order, entries=entries, down=down)
 
@@ -604,12 +566,8 @@ class _PackedDuality:
         w = self._fit(self.max_entry * self.max_row + 1)
         plain = self._plain()
         for gamma in _generators(self.b, self.order):
-            acc: dict[str, int] = {}
-            get = acc.get
-            for psi, sign, t, n in self.cols[gamma]:
-                a = sign * _pack({2 * n - k: c for k, c in t.items()}, w)
-                for phi, x in plain[psi]:
-                    acc[phi] = get(phi, 0) + a * x
+            acc = _times(plain, {psi: sign * _pack({2 * n - k: c for k, c in t.items()}, w)
+                                 for psi, sign, t, n in self.cols[gamma]})
             if acc.pop(gamma, 0) != 1 or any(acc.values()):
                 return False
         return True
@@ -633,12 +591,10 @@ class _PackedDuality:
                 # u D((T_s + 1) gamma) - (T_s + 1) D(gamma), both packed
                 # with lo = -2 top; the bound fitted above is that of the
                 # difference
-                acc: dict[str, int] = {}
+                acc = _times(plain, {
+                    lam: _pack({2 * (1 + top - lens[lam]) - k: c for k, c in t.items()}, w)
+                    for lam, t in row.items()})
                 get = acc.get
-                for lam, t in row.items():
-                    a = _pack({2 * (1 + top - lens[lam]) - k: c for k, c in t.items()}, w)
-                    for phi, x in plain[lam]:
-                        acc[phi] = get(phi, 0) + a * x
                 shift = w * (top - lg)
                 for psi, x in plain[gamma]:
                     x <<= shift
@@ -663,20 +619,11 @@ class _PackedDuality:
 
 
 def _generators(b: BlockData, order: tuple[str, ...] | list[str]) -> list[str]:
-    """The generators of a class, in its order: the labels gamma that are
-    not derived.  gamma is derived when some T_s x with l(x) < l(gamma)
-    has gamma in its support and every other label of it shorter than
-    gamma."""
+    """The generators of a class, in its order: the labels with no complex
+    or RP1 descent, for which `_descent` gives None.  Every other label
+    is derived through the T_s x of its `_descent` (see `verify_duality`)."""
     params = b.params
-    derived = set()
-    for s in range(len(b.simples)):
-        rows = _T_rows(b, s)
-        for x in order:
-            ranked = sorted((params[mu].length, mu) for mu in rows[x])
-            (l_top, top), rest = ranked[-1], ranked[:-1]
-            if l_top > params[x].length and (not rest or rest[-1][0] < l_top):
-                derived.add(top)
-    return [x for x in order if x not in derived]
+    return [x for x in order if _descent(params[x]) is None]
 
 
 def verify_duality(b: BlockData, block: list[str], r: RMatrix) -> bool:
@@ -689,15 +636,17 @@ def verify_duality(b: BlockData, block: list[str], r: RMatrix) -> bool:
     u D((T_s + 1)gamma) = (T_s + 1)D(gamma) at every simple s and every
     gamma.
 
-    That is the same answer as checking D^2 = Id at every gamma, as
+    On a valid block (validate first, as every caller does) that is the
+    answer of checking D^2 = Id at every gamma, as
     `tests/reference_klv.verify_duality` does.  D is bar-semilinear, so
     intertwining on the basis extends to the whole module, and D^2,
-    which is linear, then commutes with every T_s + 1, so with every
-    T_s.  Let gamma be derived through T_s x, and let D^2 fix every
-    label shorter than gamma.  Then D^2(T_s x) = T_s D^2(x) = T_s x, and
-    taking away the shorter labels leaves c D^2(gamma) = c gamma, with c
-    the nonzero coefficient of gamma in T_s x.  The module is free over
-    the domain Z[v, v^-1], so D^2(gamma) = gamma.  By induction on
+    which is linear, then commutes with every T_s.  Let gamma be no
+    generator, with s and x from `_descent`.  At a complex descent x is
+    the cross target, a complex ascent, and T_s x = gamma; at an RP1
+    descent x is the smaller Cayley target, and T_s x = x' + gamma, x'
+    the other one, as long as x.  So gamma is the only label of T_s x
+    longer than x, with coefficient 1.  If D^2 fixes every label
+    shorter than gamma, it fixes T_s x, and so gamma.  By induction on
     length, D^2 is the identity once it fixes every generator."""
     packed = _PackedDuality(b, r)
     return packed.sound and packed.involutive() and packed.intertwines()
@@ -882,9 +831,7 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix,
     of R in the columns it reads: D applied to it gives v^(-2 l gamma)
     times it."""
     order, down, params = r.order, r.down, b.params
-    descents = {gamma: _descent(b.param(gamma)) for gamma in order}
-    fallback = [gamma for gamma in order if descents[gamma] is None]
-    reads = {x: ([], []) for x in frozenset().union(*(down[g] for g in fallback))}
+    reads = {x: ([], []) for x in frozenset().union(*(down[g] for g in _generators(b, order)))}
     if reads:
         for (phi, psi), poly in r.entries.items():
             t = poly._t
@@ -898,10 +845,11 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix,
     entries: dict[tuple[str, str], LaurentPoly] = {}
     polys: dict[tuple, LaurentPoly] = {}  # sorted terms -> the one object
     for i, gamma in enumerate(order):
-        if descents[gamma] is None:
+        descent = _descent(params[gamma])
+        if descent is None:
             col = _fallback(b, gamma, down[gamma], reads)
         else:
-            s, x = descents[gamma]
+            s, x = descent
             y = _tp1_col(b, s, x, cols, tp1[s])
             col = _recursed(b, gamma, s, x, {phi: dict(t) for phi, t in y.items()}
                             if check else y, order[:i], down[gamma], cols)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "V", "U", "U_INV", "MINUS_INF"]
+__all__ = ["LaurentPoly", "ZERO", "ONE", "U", "MINUS_INF"]
 
 MINUS_INF = float("-inf")
 
@@ -150,6 +150,4 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
-V = LaurentPoly({1: 1})
 U = LaurentPoly({2: 1})
-U_INV = LaurentPoly({-2: 1})

@@ -25,7 +25,9 @@ from fractions import Fraction
 from klvkit.blockdata import SimpleStatus
 from klvkit.klv import (DualityError, MultMatrices, PMatrix, PSolveError,
                         RMatrix, _sort_key)
-from klvkit.laurent import ONE, U, U_INV, ZERO, LaurentPoly
+from klvkit.laurent import ONE, U, ZERO, LaurentPoly
+
+U_INV = LaurentPoly({-2: 1})
 
 
 class ModuleElement:
@@ -384,6 +386,23 @@ def duality_map(b, r):
         sign = -1 if (lg - b.params[phi].length) % 2 else 1
         coeffs[gamma][phi] = (poly * sign).shifted(-2 * lg)
     return {gamma: ModuleElement(c) for gamma, c in coeffs.items()}
+
+
+def generators(b, order):
+    """The generators of a class, in its order, by ranking T rows: the
+    labels gamma that are not derived.  gamma is derived when some T_s x
+    with l(x) < l(gamma) has gamma in its support and every other label
+    of it shorter than gamma.  On a valid block these are the labels with
+    no complex or RP1 descent (see `klv.verify_duality`)."""
+    params = b.params
+    derived = set()
+    for s in range(len(b.simples)):
+        for x in order:
+            ranked = sorted((params[mu].length, mu) for mu in T_basis(b, s, x).coeffs)
+            (l_top, top), rest = ranked[-1], ranked[:-1]
+            if l_top > params[x].length and (not rest or rest[-1][0] < l_top):
+                derived.add(top)
+    return [x for x in order if x not in derived]
 
 
 def verify_duality(b, r):

@@ -57,9 +57,9 @@ def _reads(paths) -> set:
 
 
 def test_every_export_is_read_outside_its_definition():
-    """Each function and class in a module's `__all__` is read by name
-    in the package, in bench/, in tools/ or in the acceptance suite: an
-    export that only its own tests reach is dead code."""
+    """Each name in a module's `__all__`, constants included, is read by
+    name in the package, in bench/, in tools/ or in the acceptance suite:
+    an export that only its own tests reach is dead code."""
     root = pathlib.Path(__file__).resolve().parents[1]
     used = _reads([*pathlib.Path(klvkit.__file__).parent.glob("*.py"),
                    *root.glob("bench/*.py"), *root.glob("tools/*.py"),
@@ -67,10 +67,7 @@ def test_every_export_is_read_outside_its_definition():
     unread = []
     for name in _MODULES:
         mod = importlib.import_module(f"klvkit.{name}")
-        for n in mod.__all__:
-            obj = getattr(mod, n)
-            if (inspect.isfunction(obj) or inspect.isclass(obj)) and n not in used:
-                unread.append((name, n))
+        unread += [(name, n) for n in mod.__all__ if n not in used]
     assert unread == []
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -18,13 +19,15 @@ from klvkit.blockdata import (
 )
 from klvkit.hecke import apply_T, check_braid, check_quadratic
 from klvkit.klv import partition_blocks
-from klvkit.laurent import ONE, U, U_INV
+from klvkit.laurent import ONE, U, LaurentPoly
 
 import reference_klv
+import test_klv
 from reference_klv import ModuleElement, basis
 from test_klv import _FACTORS, _REFERENCE_BLOCKS, _compact_and_nonparity_block
 
 U1 = U - ONE
+U_INV = LaurentPoly({-2: 1})
 
 
 def test_sl2r_action_table():
@@ -335,3 +338,43 @@ def test_braid_relation_fails_with_a_wrong_order():
     assert not check_braid(nci2, 0, 1)
     assert not reference_klv.check_braid(nci2, 0, 1)
 
+
+# ---------------------------------------------------------------------------
+# The generators of a class, from `klv._descent`, against the T-row
+# ranking of the reference.
+
+def _named_blocks():
+    """Every valid block that test_klv and this module build by name."""
+    yield from (f() for f in test_klv._WIDENING_BLOCKS.values())
+    yield from (f() for f in test_klv._INTERNED.values())
+    yield from (f("a") for f in test_klv._PARTITION_FACTORS.values())
+    for ka, kb in itertools.product(test_klv._KINDS, repeat=2):
+        yield product_block(_FACTORS[ka]("a"), _FACTORS[kb]("b"))
+    for kinds in test_klv._TWO_TYPE2:
+        yield functools.reduce(product_block, [_FACTORS[k](c) for k, c in zip(kinds, "abc")])
+    for braid in test_klv._COXETER.values():
+        yield generate_complex_block(tuple(f"s{i + 1}" for i in range(len(braid))), braid)
+    yield test_klv._rank_zero_block({"a": 0, "b": 1, "c": 2, "d": 2})
+    yield from (f() for f in _WIDTH_BLOCKS.values())
+    yield from _QUADRATIC_BLOCKS
+    yield from (f() for f in _MUTATION_BASES.values())
+
+
+def _assert_generators_agree(b):
+    for blk in partition_blocks(b):
+        assert klv._generators(b, blk) == reference_klv.generators(b, blk), blk
+
+
+def test_generators_match_the_t_row_ranking_on_every_named_block():
+    for b in _named_blocks():
+        assert validate_block(b) == []
+        _assert_generators_agree(b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_MUTATION_BASES)), st.lists(_MUTATIONS, min_size=1, max_size=3))
+def test_generators_match_the_t_row_ranking_on_mutated_blocks(name, mutations):
+    """Mutated sl2r, nci2 and A2 products that `validate_block` accepts."""
+    b = block_from_json(_mutated(_MUTATION_BASES[name](), mutations))
+    if validate_block(b) == []:
+        _assert_generators_agree(b)

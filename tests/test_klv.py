@@ -814,11 +814,10 @@ _WIDENING_BLOCKS = {
 
 
 @pytest.mark.parametrize("name", sorted(_WIDENING_BLOCKS))
-def test_packed_duality_widens_from_two_bit_digits(name, monkeypatch):
-    """Packed D started from 2-bit digits: every label's bound holds the
+def test_packed_duality_widens_from_two_bit_digits(name):
+    """Packed D starts from 2-bit digits: every label's bound holds the
     L1 norm of its D, the digits widen, and R is that of the module
     reference."""
-    monkeypatch.setattr(klv, "_start_width", lambda k, depth: 2)
     b = _WIDENING_BLOCKS[name]()
     assert validate_block(b) == []
     widths = []

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from klvkit.laurent import MINUS_INF, ONE, U, U_INV, V, ZERO, LaurentPoly
+from klvkit.laurent import MINUS_INF, ONE, U, ZERO, LaurentPoly
 
 polys = st.builds(
     LaurentPoly,
     st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6),
 )
+V, U_INV = LaurentPoly({1: 1}), LaurentPoly({-2: 1})
 
 
 def test_basic_constants():

@@ -1,11 +1,13 @@
 """Stage times of the KLV pipeline on one large block, in this process.
 
-    python tools/ladder.py --block F4 [--src DIR]
+    python tools/ladder.py --block F4 [--check] [--src DIR]
 
 builds the block inline (F4 from its Coxeter matrix with
 `generate_complex_block`, nci2xN as the product of N copies of the
-builtin nci2 block), runs the stages of `klv solve_block` (without
-check) on each class and prints one JSON line: the time of each stage
+builtin nci2 block), runs the stages of `klv solve_block` on each class
+and prints one JSON line.  --check runs them as `klv --check` does: it
+adds a `verify` stage (`verify_duality`, which must pass) and runs
+`compute_P` with check=True.  The line holds the time of each stage
 summed over the classes, the peak RSS after each stage and at the end,
 and a sha256 of R (its entries in order, with their terms) that two
 checkouts can compare.  Run it once per measurement, so that each
@@ -47,6 +49,7 @@ def _rss_mb() -> float:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--block", required=True, choices=BLOCKS)
+    ap.add_argument("--check", action="store_true")
     ap.add_argument("--src", default=os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
     args = ap.parse_args(argv)
@@ -69,11 +72,14 @@ def main(argv: list[str] | None = None) -> int:
         r = stage("duality", klv.compute_duality, b, cls)
         for key, poly in r.entries.items():
             digest.update(repr((key, tuple(poly.terms.items()))).encode())
-        p = stage("P", klv.compute_P, b, cls, r)
+        if args.check and not stage("verify", klv.verify_duality, b, cls, r):
+            sys.exit(f"verify_duality failed on the class of {cls[0]!r}")
+        p = stage("P", klv.compute_P, b, cls, r, args.check)
         stage("mult", klv.multiplicities, b, p)
         del r, p
     print(json.dumps({
-        "block": args.block, "params": len(b.params), "python": platform.python_version(),
+        "block": args.block, "check": args.check, "params": len(b.params),
+        "python": platform.python_version(),
         "stages_s": {k: round(v, 4) for k, v in times.items()},
         "rss_mb_after": {k: round(v, 1) for k, v in rss.items()},
         "peak_rss_mb": round(_rss_mb(), 1), "r_sha256": digest.hexdigest(),
