@@ -298,8 +298,21 @@ def is_minimal(b: BlockData, label: str) -> bool:
 
 def generate_complex_block(names, braid) -> BlockData:
     """Block of a complex group: parameters are the Weyl elements, every
-    simple is complex, cross is left multiplication."""
+    simple is complex, cross is left multiplication.  A label is the
+    reduced word of its element, its simples' names joined, and `e` the
+    identity, so the names must be nonempty, none may be `e` and none a
+    prefix of another (or equal to it): else two elements could share a
+    label, and ValueError names the offending simples."""
     names = tuple(names)
+    bad = {x for x in names if x in ("", "e")}
+    for i, x in enumerate(names):
+        for j, y in enumerate(names):
+            if x and i != j and y.startswith(x):
+                bad |= {x, y}
+    if bad:
+        raise ValueError(
+            "simple names must be nonempty, not 'e' and none a prefix of "
+            f"another: {', '.join(map(repr, sorted(bad)))}")
     braid = tuple(tuple(row) for row in braid)
     w = CoxeterGroup(names, braid)
     labels = {g: w.label(g) for g in w.elements}

@@ -16,6 +16,10 @@ from .laurent import LaurentPoly
 
 __all__ = ["apply_T", "check_quadratic", "check_braid"]
 
+# Statuses at which `check_braid` skips a label: it lies in the span of
+# T_s applied to shorter labels.
+_DERIVED = frozenset({SimpleStatus.COMPLEX_DESCENT, SimpleStatus.RP1})
+
 
 def _T_row(b: BlockData, s: int, label: str) -> dict[str, dict[int, int]]:
     """T_s label as label -> {v-exponent: coefficient}, with no zero
@@ -160,7 +164,23 @@ def _braid_width(b: BlockData, s: int, t: int) -> int:
 
 def check_braid(b: BlockData, s: int, t: int) -> bool:
     """Alternating products T_s T_t ... of length m(s,t) agree on every
-    basis label.
+    basis label.  Precondition: the quadratic relation holds at s and t.
+    `klv --check` checks it first, and on a block that `validate_block`
+    accepts it holds (see its lemma).
+
+    Only the <T_s, T_t>-generators are tried: every label with a complex
+    or RP1 descent at s or at t is skipped.  Let X and Y be the products
+    that start with T_s and with T_t.  From T_s^2 = (u - 1)T_s + u:
+    for m even, T_s Y = X T_s and T_s X = (u - 1)(X - Y) + Y T_s, so
+    (X - Y)T_s = (u - 1)(X - Y) - T_s(X - Y); for m odd, T_t X = Y T_s
+    and X T_s - T_t Y = (u - 1)(X - Y), so
+    (X - Y)T_s = (u - 1)(X - Y) - T_t(X - Y).  Either way, and with s
+    and t exchanged, ker(X - Y) is a submodule stable under T_s and T_t.
+    A skipped label lies in the span of that algebra applied to shorter
+    labels: gamma = T_s x at a complex descent, x its cross target, and
+    gamma = T_s x - x' at an RP1 descent, x and x' its Cayley targets.
+    By induction on length, the kernel holds every label once it holds
+    the labels tried.
 
     The products run on the integer T rows with each coefficient packed
     as one Python int in powers of u: c_0 + c_1 u + ... becomes
@@ -180,6 +200,9 @@ def check_braid(b: BlockData, s: int, t: int) -> bool:
                   for lab in labels}
               for x in (s, t)}
     for label in labels:
+        status = b.params[label].status
+        if status[s] in _DERIVED or status[t] in _DERIVED:
+            continue
         lhs = rhs = {label: 1}
         for i in range(m):
             lhs = _times(packed[(s, t)[i % 2]], lhs)

@@ -29,8 +29,12 @@ columns that have no complex or RP1 descent from the term tables of R
 (`_PackedDuality`), so a sum over psi of products of entries is a sum
 of integer products, and each check bounds its sums before it compares
 them.  It checks D^2 = Id only at the generators of a class, the labels
-with no complex or RP1 descent (see its docstring).  `solve_block` runs
-the chain for one class and returns a `BlockKLV`.  Under check,
+with no complex or RP1 descent, and the intertwining with T_s + 1 only
+at the T_s-generators (see its docstring).  `multiplicities` reads m
+off M on a class isomorphic to its Vogan dual, by the inversion
+formula, and inverts M by back-substitution on the others (see its
+docstring).  `solve_block` runs the chain for one class and returns a
+`BlockKLV`.  Under check,
 `compute_P` replays the descent identity on each recursed column: with
 the intertwining certified and by induction along the order, the column
 is self-dual, so it is C_gamma.
@@ -39,6 +43,7 @@ is self-dual, so it is C_gamma.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -520,21 +525,31 @@ class _PackedDuality:
         # the nonzero entries of column psi
         cols: dict[str, list] = {x: [] for x in r.order}
         row_l1: dict[str, int] = {}
-        self.max_entry = ones = 0
-        sound = True
+        # id of a term table -> its L1 norm, its sum (the value at u = 1),
+        # its least and greatest exponent and whether one is odd: once per
+        # distinct value, as the entries of one value share its table
+        facts: dict[int, tuple[int, int, int, int, bool]] = {}
+        ones, sound, down = 0, True, r.down
         for (phi, psi), poly in r.entries.items():
             t = poly._t
-            if psi not in cols or not t:
+            col = cols.get(psi)
+            if col is None or not t:
                 continue
-            n = lens[psi] - (lens[phi] if phi in lens else b.params[phi].length)
-            ones += phi == psi and t == {0: 1}
-            if sound and (phi not in r.down[psi] or sum(t.values()) != (phi == psi)
-                          or any(k % 2 or not 0 <= k <= 2 * n for k in t)):
+            l_phi = lens.get(phi)
+            n = lens[psi] - (b.params[phi].length if l_phi is None else l_phi)
+            f = facts.get(id(t))
+            if f is None:
+                f = facts[id(t)] = (_l1(t), sum(t.values()), min(t), max(t),
+                                    any(k % 2 for k in t))
+            l1, total, lo, hi, odd = f
+            diagonal = phi == psi
+            ones += diagonal and total == 1 and lo == hi == 0
+            if sound and (odd or lo < 0 or hi > 2 * n or total != diagonal
+                          or phi not in down[psi]):
                 sound = False
-            cols[psi].append((phi, -1 if n % 2 else 1, t, n))
-            l1 = _l1(t)
+            col.append((phi, -1 if n % 2 else 1, t, n))
             row_l1[phi] = row_l1.get(phi, 0) + l1
-            self.max_entry = max(self.max_entry, l1)
+        self.max_entry = max((f[0] for f in facts.values()), default=0)
         self.cols = cols
         self.sound = sound and ones == len(r.order)
         self.max_row = max(row_l1.values(), default=0)
@@ -549,12 +564,19 @@ class _PackedDuality:
 
     def _plain(self) -> dict[str, list[tuple[str, int]]]:
         """psi -> [(phi, packed D(psi)_phi)] at the current width, in the
-        order of `cols`."""
+        order of `cols`.  Each distinct term table is packed once."""
         w = self.width
         if self._plain_rows is None or self._plain_rows[0] != w:
-            self._plain_rows = (w, {
-                psi: [(phi, sign * _pack(t, w)) for phi, sign, t, _ in col]
-                for psi, col in self.cols.items()})
+            packed: dict[int, int] = {}  # id of a term table -> its packing
+            rows = {}
+            for psi, col in self.cols.items():
+                rows[psi] = row = []
+                for phi, sign, t, _ in col:
+                    x = packed.get(id(t))
+                    if x is None:
+                        x = packed[id(t)] = _pack(t, w)
+                    row.append((phi, x if sign > 0 else -x))
+            self._plain_rows = (w, rows)
         return self._plain_rows[1]
 
     def involutive(self) -> bool:
@@ -574,18 +596,21 @@ class _PackedDuality:
 
     def intertwines(self) -> bool:
         """u D((T_s + 1) gamma) = (T_s + 1) D(gamma) for every simple s
-        and every gamma of the class, which is the intertwining of D with
-        T_s + 1 and u^(-1)(T_s + 1) multiplied by u."""
-        b, lens = self.b, self.lens
+        and every T_s-generator gamma (`_t_generator`), which is the
+        intertwining of D with T_s + 1 and u^(-1)(T_s + 1) multiplied by
+        u.  At the other labels it follows (see `verify_duality`)."""
+        b, lens, params = self.b, self.lens, self.b.params
         # tp1[s][x]: label -> terms of the coefficient of (T_s + 1)x there
         tp1 = [{x: _tp1(b, s, x) for x in self.order} for s in range(len(b.simples))]
         w = self._intertwining_width(tp1)
         plain = self._plain()
-        for rows in tp1:
+        for s, rows in enumerate(tp1):
             # the coefficients of (T_s + 1)psi have exponents 0 to 2
             packed_t = {x: [(lab, _pack(t, w)) for lab, t in row.items()]
                         for x, row in rows.items()}
             for gamma in self.order:
+                if not _t_generator(params[gamma], s):
+                    continue
                 lg, row = lens[gamma], rows[gamma]
                 top = max([lg] + [lens[lab] for lab in row])
                 # u D((T_s + 1) gamma) - (T_s + 1) D(gamma), both packed
@@ -618,6 +643,18 @@ class _PackedDuality:
         return self._fit(self.max_entry * (row_l1 + col_l1))
 
 
+def _t_generator(p: Parameter, s: int) -> bool:
+    """Whether p is a T_s-generator, one of the labels at which
+    `intertwines` checks simple s: False when p has a complex or RP1
+    descent at s, or an RP2 descent whose cross partner is the smaller
+    label; such a label lies in the T_s-span of the others (see
+    `verify_duality`)."""
+    st = p.status[s]
+    if st is SimpleStatus.COMPLEX_DESCENT or st is SimpleStatus.RP1:
+        return False
+    return st is not SimpleStatus.RP2 or not p.cross[s] < p.label
+
+
 def _generators(b: BlockData, order: tuple[str, ...] | list[str]) -> list[str]:
     """The generators of a class, in its order: the labels with no complex
     or RP1 descent, for which `_descent` gives None.  Every other label
@@ -634,20 +671,38 @@ def verify_duality(b: BlockData, block: list[str], r: RMatrix) -> bool:
     packed, and packed D is then checked for the involution D^2 = Id at
     the generators of the class (`_generators`) and for the intertwining
     u D((T_s + 1)gamma) = (T_s + 1)D(gamma) at every simple s and every
-    gamma.
+    T_s-generator gamma (`_t_generator`).
 
     On a valid block (validate first, as every caller does) that is the
-    answer of checking D^2 = Id at every gamma, as
-    `tests/reference_klv.verify_duality` does.  D is bar-semilinear, so
-    intertwining on the basis extends to the whole module, and D^2,
-    which is linear, then commutes with every T_s.  Let gamma be no
-    generator, with s and x from `_descent`.  At a complex descent x is
-    the cross target, a complex ascent, and T_s x = gamma; at an RP1
-    descent x is the smaller Cayley target, and T_s x = x' + gamma, x'
-    the other one, as long as x.  So gamma is the only label of T_s x
-    longer than x, with coefficient 1.  If D^2 fixes every label
-    shorter than gamma, it fixes T_s x, and so gamma.  By induction on
-    length, D^2 is the identity once it fixes every generator."""
+    answer of checking D^2 = Id and the intertwining at every gamma, as
+    `tests/reference_klv.verify_duality` does.
+
+    Intertwining.  Let Phi_s(y) = u D((T_s + 1)y) - (T_s + 1)D(y).  It is
+    additive and bar-semilinear, as D is and T_s is linear, so its kernel
+    is a submodule.  The kernel is T_s-stable: the quadratic relation
+    gives (T_s + 1)T_s = u(T_s + 1), so (T_s + 1)^2 = (u + 1)(T_s + 1),
+    and if Phi_s(y) = 0, then D((T_s + 1)y) = u^(-1)(T_s + 1)D(y) and
+    Phi_s((T_s + 1)y) = (1 + u)D((T_s + 1)y) - (T_s + 1)D((T_s + 1)y)
+    = u^(-1)((1 + u)(T_s + 1) - (T_s + 1)^2)D(y) = 0.  Every label that
+    `_t_generator` skips at s lies in the T_s-span of those it keeps: at a
+    complex descent gamma = T_s x, x its cross target, an ascent; at an
+    RP1 descent gamma = T_s x - x', x and x' its Cayley targets, both
+    NCI1; and of an RP2 cross pair gamma, gamma' over the NCI2 label x,
+    the larger is T_s x - x minus the smaller.  So Phi_s vanishes on the
+    whole module once it vanishes at the kept labels.  This needs the
+    quadratic relation at s and the orbit shapes of `validate_block`,
+    whose lemma gives the first from the second.
+
+    Involution.  D is bar-semilinear, so intertwining on the basis
+    extends to the whole module, and D^2, which is linear, then commutes
+    with every T_s.  Let gamma be no generator, with s and x from
+    `_descent`.  At a complex descent x is the cross target, a complex
+    ascent, and T_s x = gamma; at an RP1 descent x is the smaller Cayley
+    target, and T_s x = x' + gamma, x' the other one, as long as x.  So
+    gamma is the only label of T_s x longer than x, with coefficient 1.
+    If D^2 fixes every label shorter than gamma, it fixes T_s x, and so
+    gamma.  By induction on length, D^2 is the identity once it fixes
+    every generator."""
     packed = _PackedDuality(b, r)
     return packed.sound and packed.involutive() and packed.intertwines()
 
@@ -867,21 +922,111 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix,
     return PMatrix(order=order, entries=entries)
 
 
+def _dual_map(b: BlockData, order: tuple[str, ...]) -> dict[str, str] | None:
+    """phi of `multiplicities`, label -> label, or None when the class does
+    not qualify: a status that is not complex (the scan stops at the
+    first), not exactly one label without a descent (g) or without an
+    ascent (t), or a search from phi(g) = t along phi(s x) = s phi(x) that
+    breaks one of its conditions."""
+    params = b.params
+    asc, desc = SimpleStatus.COMPLEX_ASCENT, SimpleStatus.COMPLEX_DESCENT
+    bottom, top = [], []
+    for x in order:
+        status = params[x].status
+        for st in status:
+            if st is not asc and st is not desc:
+                return None
+        if desc not in status:
+            bottom.append(x)
+        if asc not in status:
+            top.append(x)
+    if len(bottom) != 1 or len(top) != 1:
+        return None
+    lens = [params[x].length for x in order]
+    total = min(lens) + max(lens)
+    members = set(order)
+    phi = {bottom[0]: top[0]}
+    queue = [bottom[0]]
+    for x in queue:  # grows as it runs: breadth-first from g
+        p, q = params[x], params[phi[x]]
+        if p.length + q.length != total:
+            return None
+        for s, st in enumerate(p.status):
+            if q.status[s] is st:
+                return None
+            y, z = p.cross[s], q.cross[s]
+            known = phi.get(y)
+            if known is None:
+                if y not in members or z not in members:
+                    return None
+                phi[y] = z
+                queue.append(y)
+            elif known != z:
+                return None
+    if len(phi) != len(order) or len(set(phi.values())) != len(order):
+        return None
+    return phi
+
+
+def _back_substitution(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The rows of m = M^(-1), for the off-diagonal nonzero entries of
+    each row of an upper unitriangular M: row i of m is e_i - sum over
+    k > i of M[i][k] row k of m."""
+    inv: list[dict[int, int]] = [{} for _ in rows]
+    for i in range(len(rows) - 1, -1, -1):
+        acc = {i: 1}
+        for k, c in rows[i].items():
+            for j, x in inv[k].items():
+                acc[j] = acc.get(j, 0) - c * x
+        inv[i] = {j: x for j, x in acc.items() if x}
+    return inv
+
+
 def multiplicities(b: BlockData, p: PMatrix) -> MultMatrices:
     """M, the P entries at u = 1 signed by the length difference, and
-    its inverse m.  M must be upper unitriangular in the order of p."""
+    its inverse m.  M must be upper unitriangular in the order of p, or
+    MultiplicityError names its first entry below the diagonal.
+
+    Inversion on self-dual classes.  Let every status of the class be
+    complex, g its one label without a descent and t its one label
+    without an ascent, and let phi (`_dual_map`) be found by breadth-first
+    search from phi(g) = t along phi(s x) = s phi(x), s x the cross
+    target.  When phi is a bijection with
+    l(phi x) - l_min = l_max - l(x) that swaps ascent and descent at
+    every label and simple, it is an isomorphism of the class onto its
+    Vogan dual, the block with the same labels and cross action, the
+    lengths reversed and every ascent and descent exchanged.  (phi o phi
+    fixes g, since phi(t) is the one label with no descent, and commutes
+    with the cross action, so it is the identity.)  The T_s rows of the
+    dual are those of the class through phi, so it has the same R, P and
+    M through phi, and Vogan's character-multiplicity duality (Duke
+    Math. J. 49 (1982)), m[x][y] = (-1)^(l y - l x) M_dual[y][x], reads
+    m off M:
+
+        m[x][y] = (-1)^(l y - l x) M[phi y][phi x] = P(phi y, phi x)(1).
+
+    On a Weyl group phi is w -> w w0 and this is the Kazhdan-Lusztig
+    inversion formula (Invent. Math. 53 (1979), section 3).  A class
+    that fails these conditions, every class with a real or imaginary
+    status among them, is inverted by back-substitution
+    (`_back_substitution`), which `tests/reference_klv.back_substitution`
+    copies as the oracle of both routes."""
     order = p.order
     n = len(order)
     index = {x: i for i, x in enumerate(order)}
     rows: list[dict[int, int]] = [{} for _ in range(n)]
+    odd = [b.params[x].length % 2 for x in order]
+    values: dict[int, int] = {}  # id of a polynomial -> its value at u = 1
     lower = []
     for (phi, gamma), poly in p.entries.items():
         i, j = index.get(phi), index.get(gamma)
         if i is None or j is None or i == j:
             continue
-        val = poly.eval_at_one()
+        val = values.get(id(poly))
+        if val is None:
+            val = values[id(poly)] = poly.eval_at_one()
         if val:
-            if (b.params[gamma].length - b.params[phi].length) % 2:
+            if odd[i] != odd[j]:
                 val = -val
             rows[i][j] = val
             if i > j:
@@ -890,15 +1035,8 @@ def multiplicities(b: BlockData, p: PMatrix) -> MultMatrices:
         i, j = min(lower)
         raise MultiplicityError(
             f"M not unitriangular at {(order[i], order[j])!r}")
-    # m = M^(-1) by back-substitution over the nonzero entries of each
-    # row of M: row i of m is e_i - sum over k > i of M[i][k] row k of m.
-    inv: list[dict[int, int]] = [{} for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        acc = {i: 1}
-        for k, c in rows[i].items():
-            for j, x in inv[k].items():
-                acc[j] = acc.get(j, 0) - c * x
-        inv[i] = {j: x for j, x in acc.items() if x}
+    dual = _dual_map(b, order)
+    inv = _back_substitution(rows) if dual is None else None
     for i, row in enumerate(rows):
         row[i] = 1
 
@@ -908,8 +1046,19 @@ def multiplicities(b: BlockData, p: PMatrix) -> MultMatrices:
             full[j] = x
         return tuple(full)
 
-    return MultMatrices(order=order, M=tuple(map(dense, rows)),
-                        m=tuple(map(dense, inv)))
+    M = tuple(map(dense, rows))
+    del rows  # as large as M: freed before m is built
+    if inv is not None:
+        return MultMatrices(order=order, M=M, m=tuple(map(dense, inv)))
+    # row i of m: column phi(i) of M, in the order phi(j), times
+    # (-1)^(l i + l j)
+    f = [index[dual[x]] for x in order]
+    sign = [-1 if x else 1 for x in odd]
+    flipped = [-x for x in sign]
+    cols = list(zip(*M))
+    m = tuple(tuple(map(operator.mul, map(cols[f[i]].__getitem__, f),
+                        flipped if odd[i] else sign)) for i in range(n))
+    return MultMatrices(order=order, M=M, m=m)
 
 
 # ---------------------------------------------------------------------------

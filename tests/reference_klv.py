@@ -15,8 +15,11 @@ product per pair, `verify_duality` checks D^2 = Id at every parameter,
 `klv.compute_P` did for a recursed column under check before it
 replayed the recursion, `solve_linear` solves the level systems of
 the duality by dense `Fraction` elimination, one unknown at a time,
-and the inverse of M is a dense back-substitution.  The library's versions
-must agree with them exactly.
+and the inverse of M is a dense back-substitution in `multiplicities`
+and a sparse one, over the nonzero entries of each row, in
+`back_substitution`, the inverse that `klv.multiplicities` took on
+every class before it read m off M on self-dual classes.  The
+library's versions must agree with them exactly.
 """
 
 import itertools
@@ -501,3 +504,38 @@ def multiplicities(b, p):
             inv[i][j] = -sum(big[i][k] * inv[k][j] for k in range(i + 1, j + 1))
     return MultMatrices(order=order, M=tuple(map(tuple, big)),
                         m=tuple(map(tuple, inv)))
+
+
+def back_substitution(b, p):
+    """M and m = M^(-1) by back-substitution over dicts, row i of m
+    being e_i - sum over k > i of M[i][k] row k of m: the inverse of
+    `klv.multiplicities` on every class, as it was before the inversion
+    formula."""
+    order = p.order
+    n = len(order)
+    index = {x: i for i, x in enumerate(order)}
+    rows = [{} for _ in range(n)]
+    for (phi, gamma), poly in p.entries.items():
+        i, j = index.get(phi), index.get(gamma)
+        if i is None or j is None or i == j:
+            continue
+        val = poly.eval_at_one()
+        if val:
+            if (b.params[gamma].length - b.params[phi].length) % 2:
+                val = -val
+            rows[i][j] = val
+    inv = [{} for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        acc = {i: 1}
+        for k, c in rows[i].items():
+            for j, x in inv[k].items():
+                acc[j] = acc.get(j, 0) - c * x
+        inv[i] = {j: x for j, x in acc.items() if x}
+    for i, row in enumerate(rows):
+        row[i] = 1
+
+    def dense(row):
+        return tuple(row.get(j, 0) for j in range(n))
+
+    return MultMatrices(order=order, M=tuple(map(dense, rows)),
+                        m=tuple(map(dense, inv)))

@@ -63,6 +63,40 @@ def test_generate_complex_block_counts():
     assert validate_block(a3) == []
 
 
+_A3 = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
+_A4 = ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1))
+_B5 = ((1, 3, 2, 2, 2), (3, 1, 3, 2, 2), (2, 3, 1, 3, 2), (2, 2, 3, 1, 4),
+       (2, 2, 2, 4, 1))
+
+
+@pytest.mark.parametrize("names, braid, size, offending", [
+    (("s", "e"), A2_BRAID, 6, "'e'"),
+    (("a", "b", "ab"), ((1, 2, 2), (2, 1, 2), (2, 2, 1)), 8, "'a', 'ab'"),
+    (("a", "b", "c", "d", "e"), _B5, 3840, "'e'"),
+    (("", "b"), ((1, 2), (2, 1)), 4, "''"),
+    (("a", "a"), ((1, 2), (2, 1)), 4, "'a'"),
+])
+def test_colliding_simple_names_are_refused(names, braid, size, offending):
+    """With an empty simple name, one named e, or one name a prefix of
+    another, two elements would share a label: A2 over (s, e) gave 5
+    parameters, A1^3 over (a, b, ab) 7, and B5 over a-e a bare KeyError
+    in `compute_duality`.  The error names the offending simples."""
+    with pytest.raises(ValueError) as exc:
+        generate_complex_block(names, braid)
+    assert str(exc.value) == (
+        f"simple names must be nonempty, not 'e' and none a prefix of another: {offending}")
+    if size < 100:
+        renamed = tuple(f"q{i}" for i in range(len(names)))
+        assert len(generate_complex_block(renamed, braid).params) == size
+
+
+def test_usual_simple_names_are_kept():
+    """The names of the benchmark inputs (a letter and an index) and the
+    letters a-d of `tools/ladder.py`'s F4."""
+    assert len(generate_complex_block(("a", "b", "c", "d"), _A4).params) == 120
+    assert len(generate_complex_block(("a1", "a2", "a3"), _A3).params) == 24
+
+
 def test_complex_statuses():
     a2 = generate_complex_block(("s1", "s2"), A2_BRAID)
     e = a2.params["e"]

@@ -378,3 +378,100 @@ def test_generators_match_the_t_row_ranking_on_mutated_blocks(name, mutations):
     b = block_from_json(_mutated(_MUTATION_BASES[name](), mutations))
     if validate_block(b) == []:
         _assert_generators_agree(b)
+
+
+# ---------------------------------------------------------------------------
+# The labels that `check_braid` and `klv._PackedDuality.intertwines` skip,
+# and the spans that carry their checks to them.
+
+def _span(b, s, gamma):
+    """The labels whose T_s images give gamma, as (x, others): gamma is
+    T_s x minus the others, by the case of its status at s; None when
+    gamma is a T_s-generator."""
+    p = b.params[gamma]
+    st = p.status[s]
+    if st is SimpleStatus.COMPLEX_DESCENT:
+        return p.cross[s], []
+    if st is SimpleStatus.RP1:
+        x, other = sorted(p.cayley[s])
+        return x, [other]
+    if st is SimpleStatus.RP2 and p.cross[s] < gamma:
+        (x,) = p.cayley[s]
+        return x, [x, p.cross[s]]
+    return None
+
+
+def test_each_skipped_label_is_in_the_t_s_span_of_kept_ones():
+    """On every valid named block, at every simple s: a label that
+    `klv._t_generator` skips is T_s x minus other labels, all of them kept at s
+    and, at a complex or RP1 descent, shorter, as `check_braid`'s
+    induction needs; no other label is skipped."""
+    for b in _named_blocks():
+        for s, gamma in itertools.product(range(len(b.simples)), b.params):
+            span = _span(b, s, gamma)
+            assert klv._t_generator(b.params[gamma], s) == (span is None), (gamma, s)
+            if span is None:
+                continue
+            x, others = span
+            image = reference_klv.T_basis(b, s, x)
+            for y in others:
+                image = image - basis(y)
+            assert image == basis(gamma), (gamma, s)
+            assert all(klv._t_generator(b.params[y], s) for y in [x, *others])
+            derived = b.params[gamma].status[s] in hecke._DERIVED
+            assert derived == (b.params[gamma].status[s] is not SimpleStatus.RP2)
+            if derived:
+                assert all(b.params[y].length < b.params[gamma].length for y in [x, *others])
+
+
+@pytest.mark.parametrize("kinds", [("sl2r", "sl2r"), ("sl2r", "A1"), ("nci2", "sl2r")])
+def test_braid_check_tries_the_noncompact_imaginary_labels(kinds):
+    """Rank-one factors with braid order 3 instead of 2: the relation
+    fails, and among the labels that `check_braid` tries, only those with
+    a noncompact imaginary status at one of the simples see it."""
+    b = _with_braid_order(product_block(_FACTORS[kinds[0]]("a"), _FACTORS[kinds[1]]("b")),
+                          0, 1, 3)
+    noncompact = (SimpleStatus.NCI1, SimpleStatus.NCI2)
+    for label in b.sorted_labels():
+        status = b.params[label].status
+        if not noncompact[0] in status and not noncompact[1] in status:
+            lhs, rhs = basis(label), basis(label)
+            for i in range(3):
+                lhs = reference_klv.apply_T(b, (0, 1)[i % 2], lhs)
+                rhs = reference_klv.apply_T(b, (1, 0)[i % 2], rhs)
+            if lhs != rhs:
+                assert set(status) & hecke._DERIVED, label
+    assert not check_braid(b, 0, 1) and not check_braid(b, 1, 0)
+    assert not reference_klv.check_braid(b, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# m on all-complex classes: the inversion formula against the
+# back-substitution.
+
+_COMPLEX_BASES = {
+    "A2": lambda: _FACTORS["A2"]("a"),
+    "B2": lambda: _FACTORS["B2"]("a"),
+    "A1xA1": lambda: product_block(_FACTORS["A1"]("a"), _FACTORS["A1"]("b")),
+    "A1xA2": lambda: product_block(_FACTORS["A1"]("a"), _FACTORS["A2"]("b")),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_COMPLEX_BASES)), st.lists(_MUTATIONS, min_size=1, max_size=3),
+       st.data())
+def test_multiplicities_match_back_substitution_on_mutated_complex_blocks(name, mutations,
+                                                                          data):
+    """Mutated complex blocks that `validate_block` accepts with every
+    status complex, relabelled and reordered: on each class m is the
+    back-substitution's, whether it was read off M or not."""
+    b = block_from_json(_mutated(_COMPLEX_BASES[name](), mutations))
+    complex_ = {SimpleStatus.COMPLEX_ASCENT, SimpleStatus.COMPLEX_DESCENT}
+    if validate_block(b) or any(set(p.status) - complex_ for p in b.params.values()):
+        return
+    n = len(b.params)
+    b = test_klv._relabelled(b, data.draw(st.permutations([f"q{i:02d}" for i in range(n)])),
+                             data.draw(st.permutations(range(n))))
+    for blk in partition_blocks(b):
+        p = klv.compute_P(b, blk, klv.compute_duality(b, blk))
+        assert klv.multiplicities(b, p) == reference_klv.back_substitution(b, p)

@@ -23,6 +23,7 @@ from klvkit.blockdata import (
     validate_block,
 )
 from klvkit import cli, klv
+from klvkit.coxeter import CoxeterGroup, _mat_mul
 from klvkit.klv import (
     DualityError,
     MultiplicityError,
@@ -1215,3 +1216,208 @@ def test_default_packing_holds_only_the_fallback_down_sets(monkeypatch):
     assert made == []
     klv.solve_block(b, blk, check=True)
     assert [set(p.cols) for p in made] == [set(blk)]
+
+
+# ---------------------------------------------------------------------------
+# Intertwining at the T_s-generators only, and D^2 at the generators that
+# have an RP2 descent.
+
+def test_involution_is_checked_at_the_generators_with_an_rp2_descent():
+    """nci2 times a block without simples, {x, y} with y two lengths
+    above x: D + psi (x) delta, with psi(P1) = P1 - P2 = -psi(P2),
+    psi(D) = 0 and delta(y) = u^(-3)(1 - u) x.  psi intertwines T + 1 with
+    u^(-1)(T + 1) on nci2 and the second factor has no simple, so the R
+    of that D is sound and passes every intertwining, and D^2 differs
+    from Id only at (P1,y) and (P2,y): generators whose one descent is
+    type-II real.  Only the involution check can reject it."""
+    b = product_block(_FACTORS["nci2"]("a"), _rank_zero_block({"x": 0, "y": 2}))
+    assert validate_block(b) == []
+    entries, down = {}, {}
+    for blk in partition_blocks(b):
+        r = compute_duality(b, blk)
+        entries.update(r.entries)
+        down.update(r.down)
+    order = tuple(sorted(b.params, key=lambda x: (b.params[x].length, x)))
+    for top, own, other in (("(P1,y)", "(P1,x)", "(P2,x)"), ("(P2,y)", "(P2,x)", "(P1,x)")):
+        down[top] |= {own, other}
+        entries[(own, top)] = ONE - U
+        entries[(other, top)] = U - ONE
+    bad = RMatrix(order, entries, down)
+    dual = reference_klv.duality_map(b, bad)
+    assert [g for g in order if reference_klv.apply_D(dual, dual[g])
+            != ModuleElement({g: ONE})] == ["(P1,y)", "(P2,y)"]
+    for g in ("(P1,y)", "(P2,y)"):
+        assert g in klv._generators(b, order) and _descents(b, g) == {SimpleStatus.RP2}
+    for s, g in itertools.product(range(len(b.simples)), order):
+        lhs = reference_klv.apply_D(dual, reference_klv.apply_T(b, s, ModuleElement({g: ONE}))
+                                    + ModuleElement({g: ONE}))
+        assert lhs == reference_klv.ts_plus_one_over_u(b, s, dual[g])
+    packed = klv._PackedDuality(b, bad)
+    assert packed.sound and packed.intertwines() and not packed.involutive()
+    assert not verify_duality(b, list(order), bad)
+    assert not reference_klv.verify_duality(b, bad)
+
+
+def test_intertwining_is_checked_at_the_smaller_rp2_label():
+    """On nci2, R(D, P1) = 0 and R(D, P2) = 2(u - 1) keep R sound, D an
+    involution and the intertwining at D: of the checked labels only P1,
+    the smaller of the RP2 pair, sees the fault."""
+    b = _FACTORS["nci2"]("a")
+    blk, r, _, _ = _pipeline(b)
+    entries = {k: v for k, v in r.entries.items() if k != ("D", "P1")}
+    bad = RMatrix(r.order, {**entries, ("D", "P2"): (U - ONE) * 2}, r.down)
+    dual = reference_klv.duality_map(b, bad)
+    broken = [g for g in r.order if reference_klv.apply_D(
+        dual, reference_klv.apply_T(b, 0, ModuleElement({g: ONE})) + ModuleElement({g: ONE}))
+        != reference_klv.ts_plus_one_over_u(b, 0, dual[g])]
+    assert broken == ["P1", "P2"]
+    assert [g for g in r.order if klv._t_generator(b.params[g], 0)] == ["D", "P1"]
+    packed = klv._PackedDuality(b, bad)
+    assert packed.sound and packed.involutive() and not packed.intertwines()
+    assert not verify_duality(b, blk, bad)
+    assert not reference_klv.verify_duality(b, bad)
+
+
+@pytest.mark.parametrize("name", ["A3", "B2xsl2r", "sl2rxnci2xA1"])
+def test_rejects_a_duality_first_broken_at_a_skipped_pair(name):
+    """R(phi, gamma) + (u - 1) at the longest derived gamma breaks only the
+    intertwining.  In (length, label) order the first broken pair is
+    always checked: a skipped label breaks it only if a shorter or
+    smaller label that spans it does (see `verify_duality`).  So R's
+    order is reversed here, and the full check, in that order, breaks
+    first at a skipped pair; `verify_duality` must still reject."""
+    b = _REFERENCE_BLOCKS[name]()
+    for blk in partition_blocks(b):
+        r = compute_duality(b, blk)
+        gens = klv._generators(b, r.order)
+        gamma = [x for x in r.order if x not in gens][-1]
+        phi = r.order[0]
+        bad = RMatrix(tuple(reversed(r.order)), {
+            **r.entries, (phi, gamma): r.entry(phi, gamma) + U - ONE}, r.down)
+        dual = reference_klv.duality_map(b, bad)
+        first = next((s, g) for s in range(len(b.simples)) for g in bad.order
+                     if reference_klv.apply_D(dual, reference_klv.apply_T(
+                         b, s, ModuleElement({g: ONE})) + ModuleElement({g: ONE}))
+                     != reference_klv.ts_plus_one_over_u(b, s, dual[g]))
+        assert not klv._t_generator(b.params[first[1]], first[0])
+        packed = klv._PackedDuality(b, bad)
+        assert packed.sound and packed.involutive() and not packed.intertwines()
+        assert not verify_duality(b, list(blk), bad)
+
+
+def test_packing_is_the_same_with_unshared_polynomials():
+    """R as `compute_duality` returns it, with one object per distinct
+    value, and the same R with a fresh object at every entry: the pass
+    over R and the packed rows agree, and so do the answers, on a valid
+    and on a corrupted R."""
+    b = _REFERENCE_BLOCKS["sl2rxnci2xA1"]()
+    for blk in partition_blocks(b):
+        r = compute_duality(b, blk)
+        assert len({id(p) for p in r.entries.values()}) < len(r.entries)
+        phi, gamma = r.order[0], r.order[-1]
+        bad = RMatrix(r.order, {**r.entries, (phi, gamma): r.entry(phi, gamma) + U - ONE},
+                      r.down)
+        for shared in (r, bad):
+            fresh = RMatrix(shared.order, {k: LaurentPoly(dict(p.terms))
+                                           for k, p in shared.entries.items()}, shared.down)
+            a, c = klv._PackedDuality(b, shared), klv._PackedDuality(b, fresh)
+            assert (a.sound, a.max_entry, a.max_row, a.width, a.cols) == (
+                c.sound, c.max_entry, c.max_row, c.width, c.cols)
+            assert a._plain() == c._plain()
+            assert verify_duality(b, blk, shared) == verify_duality(b, blk, fresh)
+        assert verify_duality(b, blk, r) and not verify_duality(b, blk, bad)
+
+
+# ---------------------------------------------------------------------------
+# m read off M on self-dual classes, by the Kazhdan-Lusztig inversion
+# formula, against the back-substitution.
+
+_INVERTED = {
+    **_COXETER,
+    "B4": ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 4), (2, 2, 4, 1)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _complex_p(name):
+    b = generate_complex_block(tuple(f"s{i + 1}" for i in range(len(_INVERTED[name]))),
+                               _INVERTED[name])
+    (blk,) = partition_blocks(b)
+    return b, compute_P(b, blk, compute_duality(b, blk))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "B4", "G2"])
+def test_m_is_read_off_M_on_complex_blocks(name, monkeypatch):
+    """On a complex block m comes from the inversion formula, with no
+    back-substitution, and equals the back-substitution's m."""
+    b, p = _complex_p(name)
+    want = reference_klv.back_substitution(b, p)
+
+    def refuse(rows):
+        raise AssertionError("back-substitution on a self-dual class")
+
+    monkeypatch.setattr(klv, "_back_substitution", refuse)
+    assert multiplicities(b, p) == want
+    assert min(x for row in want.m for x in row) >= 0
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "G2"])
+def test_dual_map_of_a_weyl_group_is_right_multiplication_by_w0(name):
+    braid = _INVERTED[name]
+    names = tuple(f"s{i + 1}" for i in range(len(braid)))
+    w = CoxeterGroup(names, braid)
+    w0 = max(w.elements, key=w.length.__getitem__)
+    b = generate_complex_block(names, braid)
+    order = tuple(sorted(b.params, key=lambda x: (b.params[x].length, x)))
+    want = {w.label(x): w.label(_mat_mul(x, w0)) for x in w.elements}
+    assert klv._dual_map(b, order) == want
+
+
+def test_classes_that_are_not_all_complex_take_back_substitution(monkeypatch):
+    """sl2r x A2 and nci2 x A1: the scan stops at a status that is not
+    complex, and m is the back-substitution's."""
+    calls = []
+    inverse = klv._back_substitution
+    monkeypatch.setattr(klv, "_back_substitution", lambda rows: calls.append(1) or inverse(rows))
+    for b in (product_block(_FACTORS["sl2r"]("a"), _FACTORS["A2"]("b")),
+              product_block(_FACTORS["nci2"]("a"), _FACTORS["A1"]("b"))):
+        for blk in partition_blocks(b):
+            blk, r, p, mm = _pipeline(b, blk)
+            assert klv._dual_map(b, p.order) is None
+            assert mm == reference_klv.back_substitution(b, p)
+    assert len(calls) == 2
+
+
+def _two_simples_block(statuses):
+    """Four labels e < a, b < t over two simples, crossing as on A1 x A1
+    (s1: e-a, b-t; s2: e-b, a-t), with the given complex statuses of a
+    and b; e ascends and t descends at both."""
+    up, down = "ComplexAscent", "ComplexDescent"
+    cross = {"e": ["a", "b"], "a": ["e", "t"], "b": ["t", "e"], "t": ["b", "a"]}
+    status = {"e": [up, up], "a": statuses[0], "b": statuses[1], "t": [down, down]}
+    length = {"e": 0, "a": 1, "b": 1, "t": 2}
+    return block_from_json({
+        "simples": ["s1", "s2"], "braid": [[1, 2], [2, 1]], "infchar_tag": "x",
+        "params": [{"label": x, "length": length[x], "cartan_class": "",
+                    "status": status[x], "cross": cross[x], "cayley": [None, None]}
+                   for x in "eabt"]})
+
+
+def test_inversion_needs_ascent_and_descent_swapped():
+    """The same search on two blocks that differ in the statuses of a and
+    b.  On A1 x A1 phi swaps a and b and the inversion applies.  With a
+    and b both (ascent, descent) the block is not valid, and phi, found
+    with the same lengths and cross action, keeps the statuses: the class
+    is not self-dual, and m must be the inverse of M, which the formula
+    would get wrong for P(e, a) = 1."""
+    good = _two_simples_block([["ComplexDescent", "ComplexAscent"],
+                               ["ComplexAscent", "ComplexDescent"]])
+    assert validate_block(good) == []
+    assert klv._dual_map(good, ("e", "a", "b", "t")) == {"e": "t", "a": "b", "b": "a", "t": "e"}
+    bad = _two_simples_block([["ComplexAscent", "ComplexDescent"]] * 2)
+    assert validate_block(bad) != []
+    assert klv._dual_map(bad, ("e", "a", "b", "t")) is None
+    p = PMatrix(("e", "a", "b", "t"), {("e", "a"): ONE})
+    mm = multiplicities(bad, p)
+    assert mm == reference_klv.back_substitution(bad, p)
+    assert mm.m[0][1] == 1

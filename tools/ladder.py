@@ -2,9 +2,11 @@
 
     python tools/ladder.py --block F4 [--check] [--src DIR]
 
-builds the block inline (F4 from its Coxeter matrix with
-`generate_complex_block`, nci2xN as the product of N copies of the
-builtin nci2 block), runs the stages of `klv solve_block` on each class
+builds the block inline (F4 over the simples a-d and B5 over a1-a5
+from their Coxeter matrices with `generate_complex_block`, sl2rxB4 as
+the builtin sl2r block times B4 over b1-b4, nci2xN as the product of N
+copies of the builtin nci2 block), runs the stages of `klv solve_block`
+on each class
 and prints one JSON line.  --check runs them as `klv --check` does: it
 adds a `verify` stage (`verify_duality`, which must pass) and runs
 `compute_P` with check=True.  The line holds the time of each stage
@@ -29,12 +31,21 @@ import sys
 import time
 
 _F4 = ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1))
-BLOCKS = ("F4", "nci2x3", "nci2x4")
+_B4 = ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 4), (2, 2, 4, 1))
+_B5 = ((1, 3, 2, 2, 2), (3, 1, 3, 2, 2), (2, 3, 1, 3, 2), (2, 2, 3, 1, 4),
+       (2, 2, 2, 4, 1))
+BLOCKS = ("F4", "B5", "sl2rxB4", "nci2x3", "nci2x4")
 
 
 def _build(blockdata, name: str):
     if name == "F4":
         return blockdata.generate_complex_block(("a", "b", "c", "d"), _F4)
+    if name == "B5":
+        return blockdata.generate_complex_block(("a1", "a2", "a3", "a4", "a5"), _B5)
+    if name == "sl2rxB4":
+        return blockdata.product_block(
+            blockdata.builtin_sl2r_block(),
+            blockdata.generate_complex_block(("b1", "b2", "b3", "b4"), _B4))
     n = int(name.removeprefix("nci2x"))
     factors = [blockdata.block_from_json({
         **blockdata.block_to_json(blockdata.builtin_nci2_block()), "simples": [f"n{i}"]})
