@@ -10,15 +10,19 @@ decomposes each root over the base by integer dot products and
 divisibility tests, and stores the coefficients, the Levi roots and the
 nilradical roots on the `LeviSelection`, which every later check reads.
 The command line runs `RootDatum.validate` and `LeviSelection.validate`
-on every root datum it loads."""
+on every root datum it loads.  `RootDatum.validate` reads each root once
+as an integer code, and checks theta and each reflection on every root
+at once: one big-int product packs the images, and one set test reads
+them (the lemma is in its docstring)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 
-from .coxeter import _mat_mul, reflection_group
+from .coxeter import reflection_group
 from .gaussian import GVec, mat_apply
 
 __all__ = [
@@ -30,14 +34,6 @@ DEFAULT_WEYL_CAP = 10080
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
-
-
-def _identity(n: int) -> IntMat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_vec(m: IntMat, v: IntVec) -> IntVec:
-    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 @dataclass(frozen=True)
@@ -53,38 +49,80 @@ class RootDatum:
         except KeyError:
             raise ValueError(f"not a root: {alpha}") from None
 
-    def theta_apply(self, v: IntVec) -> IntVec:
-        return _mat_vec(self.theta, v)
-
     def validate(self) -> list[str]:
-        """Structural checks, as a list of human-readable violations."""
+        """Structural checks, as a list of human-readable violations: the
+        roots are distinct and closed under negation, <coroot(a), a> = 2,
+        theta^2 = 1, and theta and s_a, for each root a with a coroot,
+        permute the roots.
+
+        A vector v is read as its code E(v) = sum_i v_i 2^(w i).  Let top,
+        ctop and ttop be the largest absolute entries of the roots, their
+        coroots and theta.  Each vector x the checks compare (a root, its
+        negative, s_a(b) = b - <coroot(a), b> a, theta(b), a column of
+        theta^2 or of the identity) has |x_i| <= max(1, top + rank ctop
+        top^2, rank ttop max(top, ttop)) < 2^(w-1), so its entries are
+        balanced base-2^w digits: E is injective on these vectors, and x
+        is a root exactly when E(x) is a root's code.  With B =
+        sum_i 2^(w-1) 2^(w i), E(x) + B has the unsigned w-bit digits
+        x_i + 2^(w-1), so it is below 2^W for W = 8 size > w rank, and
+        the W-bit lanes of sum_j (E(x_j) + B) 2^(W j), its size-byte
+        chunks, are these biased codes.  Digit i of each lane of the
+        packed roots, less 2^(w-1), gives cols_i = sum_j b_ji 2^(W j).  E
+        is linear, so sum_j (E(s_a b_j) + B) 2^(W j) is the packed roots
+        minus E(a) sum_i coroot(a)_i cols_i, and sum_j E(theta b_j)
+        2^(W j) = sum_k E(theta e_k) cols_k: one product packs a map's
+        image of every root, and one set test of its chunks checks it.
+        Roots with the same reflection, such as a and -a, share one
+        test."""
         out = []
-        rs = set(self.roots)
-        if len(rs) != len(self.roots):
+        roots, rank, n = self.roots, self.rank, len(self.roots)
+        coroots = [self.coroots.get(a) for a in roots]
+        tcols = list(zip(*self.theta))
+        top, ctop, ttop = (max(map(abs, chain.from_iterable(vs)), default=0)
+                           for vs in (roots, filter(None, coroots), tcols))
+        w = max(1, top + rank * ctop * top * top,
+                rank * ttop * max(top, ttop)).bit_length() + 1
+        digits = range(0, w * rank, w)
+        codes = [sum(map(lshift, a, digits)) for a in roots]
+        rs = set(codes)
+        if len(rs) != n:
             out.append("duplicate roots")
-        for a in self.roots:
-            if tuple(-x for x in a) not in rs:
+        for a, e, cr in zip(roots, codes, coroots):
+            if -e not in rs:
                 out.append(f"roots not closed under negation at {a}")
-            cr = self.coroots.get(a)
             if cr is None:
                 out.append(f"missing coroot for {a}")
             elif sum(map(mul, cr, a)) != 2:
                 out.append(f"<coroot,root> != 2 at {a}")
-        th2 = _mat_mul(self.theta, self.theta)
-        if th2 != _identity(self.rank):
+        theta_codes = [sum(map(lshift, c, digits)) for c in tcols]
+        if [sum(map(mul, c, theta_codes)) for c in tcols] != [1 << k for k in digits]:
             out.append("theta^2 != identity")
-        for a in self.roots:
-            if self.theta_apply(a) not in rs:
-                out.append(f"theta does not permute roots at {a}")
-        for a in self.roots:
-            cr = self.coroot(a)
-            for b in self.roots:
-                # s_a(b) = b - <coroot(a), b> a, which is b itself when
-                # the pairing is 0
-                p = sum(map(mul, cr, b))
-                if p and tuple([x - p * y for x, y in zip(b, a)]) not in rs:
-                    out.append(f"reflection in {a} does not permute roots")
-                    break
+        size = w * rank // 8 + 1
+        bias = sum(1 << k for k in digits) << (w - 1)
+        biased = [(e + bias).to_bytes(size, "little") for e in codes]
+        keys = set(biased)
+        chunks = [slice(k, k + size) for k in range(0, size * n, size)]
+        packed = int.from_bytes(b"".join(biased), "little")
+        lanes = int.from_bytes((b"\1" + bytes(size - 1)) * n, "little")
+        cols = [((packed >> k) & ((1 << w) - 1) * lanes) - (lanes << (w - 1))
+                for k in digits]
+
+        def images(x: int):
+            """The chunks of x, one per root."""
+            return map(x.to_bytes(size * n, "little").__getitem__, chunks)
+
+        moved = images(sum(map(mul, theta_codes, cols)) + bias * lanes)
+        out.extend(f"theta does not permute roots at {a}"
+                   for a, k in zip(roots, moved) if k not in keys)
+        permutes: dict[int, bool] = {}
+        for a, e, cr in zip(roots, codes, coroots):
+            if cr is None:
+                continue
+            x = packed - e * sum(map(mul, cr, cols))
+            if x not in permutes:
+                permutes[x] = keys.issuperset(images(x))
+            if not permutes[x]:
+                out.append(f"reflection in {a} does not permute roots")
         return out
 
 
@@ -117,16 +155,17 @@ class LeviSelection:
     base_rank: int
 
     def validate(self, d: RootDatum) -> list[str]:
-        """Checks against the datum the selection was loaded with."""
+        """Checks against the datum the selection was loaded with.  A
+        Levi root without a coroot is `RootDatum.validate`'s to report."""
         out = []
         for a, coeffs in zip(d.roots, self.coefficients, strict=True):
             if coeffs is None:
                 out.append(f"root {a} not an integer combination of the base")
-            elif not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+            elif coeffs and min(coeffs) < 0 < max(coeffs):
                 out.append(f"root {a} has mixed signs over the base")
         for a in self.levi:
-            cr = d.coroot(a)
-            if any(cr[j] != 0 for j in self.a_coordinates):
+            cr = d.coroots.get(a)
+            if cr is not None and any(cr[j] != 0 for j in self.a_coordinates):
                 out.append(f"Levi root {a} does not pair to zero with a-coordinates")
         if self.base_rank < len(self.simple_base):
             out.append(f"simple_base of {len(self.simple_base)} vectors has rank "
@@ -139,13 +178,14 @@ def _split(d: RootDatum, simple_base, levi_simples, a_coordinates) -> LeviSelect
     the Levi or the nilradical."""
     elim = _eliminator(simple_base, d.rank)
     coefficients = tuple(_decompose(a, simple_base, elim) for a in d.roots)
+    outside = [k for k in range(len(simple_base)) if k not in levi_simples]
     levi, nilradical = [], []
     for a, coeffs in zip(d.roots, coefficients):
         if coeffs is None:
             continue
-        if all(c == 0 for k, c in enumerate(coeffs) if k not in levi_simples):
+        if not any(map(coeffs.__getitem__, outside)):
             levi.append(a)
-        elif all(c >= 0 for c in coeffs):
+        elif min(coeffs) >= 0:
             nilradical.append(a)
     return LeviSelection(simple_base, levi_simples, a_coordinates, coefficients,
                          tuple(sorted(levi)), tuple(sorted(nilradical)), len(elim[0]))
@@ -231,7 +271,7 @@ def weyl_stabilizer(d: RootDatum, xi: GVec, cap: int = DEFAULT_WEYL_CAP) -> list
 def _ints(values, field: str, length: int | None = None) -> IntVec:
     """A JSON list of integers, of the given length if one is given;
     ValueError names the field."""
-    if not isinstance(values, list) or any(type(x) is not int for x in values) \
+    if not isinstance(values, list) or not set(map(type, values)) <= {int} \
             or length not in (None, len(values)):
         what = "a list of" if length is None else f"lists of {length}"
         raise ValueError(f"{field} must be {what} integers")
@@ -241,7 +281,10 @@ def _ints(values, field: str, length: int | None = None) -> IntVec:
 def _vectors(rows, field: str, rank: int) -> tuple[IntVec, ...]:
     if not isinstance(rows, list):
         raise ValueError(f"{field} must be a list of vectors")
-    return tuple(_ints(r, field, rank) for r in rows)
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {rank}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        raise ValueError(f"{field} must be lists of {rank} integers")
+    return tuple(map(tuple, rows))
 
 
 def _indices(values, field: str, bound: int) -> IntVec:
@@ -259,8 +302,8 @@ def rootdatum_from_json(doc: dict) -> tuple[RootDatum, LeviSelection | None]:
     checked (ValueError naming the field); the root-system axioms are
     left to `RootDatum.validate` and `LeviSelection.validate`."""
     rank = doc["rank"]
-    if type(rank) is not int:
-        raise ValueError("rank must be an integer")
+    if type(rank) is not int or rank < 0:
+        raise ValueError("rank must be a nonnegative integer")
     roots = _vectors(doc["roots"], "roots", rank)
     coroot_list = _vectors(doc["coroots"], "coroots", rank)
     if len(coroot_list) != len(roots):

@@ -323,7 +323,9 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, sl2_path):
     # arrangement print the functional [1, 1] on a one-dimensional a*.
     repeated_a = {"simple_base": [[2]], "levi_simples": [], "a_coordinates": [0, 0]}
     repeated_levi = {"simple_base": [[2]], "levi_simples": [0, 0], "a_coordinates": []}
-    for i, (edit, field) in enumerate([({"roots": 5}, "roots"),
+    # A negative rank was reported as a fault of theta or the roots.
+    for i, (edit, field) in enumerate([({"rank": -1}, "rank"),
+                                       ({"roots": 5}, "roots"),
                                        ({"levi": 5}, "levi"),
                                        ({"roots": [[2, 0], [-2, 0]]}, "roots"),
                                        ({"roots": [[2.5], [-2]]}, "roots"),

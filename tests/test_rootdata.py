@@ -1,11 +1,16 @@
+import dataclasses
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_rootdata
 from klvkit import rootdata
 from klvkit.coxeter import CoxeterCapExceeded
 from klvkit.gaussian import gvec
 from klvkit.rootdata import (
+    RootDatum,
     reflection_matrix,
     rootdatum_from_json,
     weyl_enumerate,
@@ -115,6 +120,106 @@ def test_validate_names_each_violation(doc, expected):
     in order."""
     d, _ = rootdatum_from_json(doc)
     assert d.validate() == expected
+
+
+def test_validate_reports_a_root_without_a_coroot():
+    """A root with no coroot once ended in ValueError from the reflection
+    check; its reflection is now skipped."""
+    d = RootDatum(rank=1, roots=((2,), (-2,)), coroots={(2,): (1,)},
+                  theta=((1,),))
+    assert d.validate() == ["missing coroot for (-2,)"]
+
+
+def test_levi_validate_skips_a_levi_root_without_a_coroot():
+    d, lv = rootdatum_from_json({**SL2_SPLIT, "levi": {
+        "simple_base": [[2]], "levi_simples": [0], "a_coordinates": [0]}})
+    d = dataclasses.replace(d, coroots={(2,): (1,)})
+    assert lv.levi == ((-2,), (2,))
+    assert lv.validate(d) == [
+        "Levi root (2,) does not pair to zero with a-coordinates"]
+
+
+def _type_b_roots(rank: int) -> list[tuple[int, ...]]:
+    """The roots +-e_i +- e_j and +-e_i of B_rank."""
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    return [tuple(s * x for x in e) for e in units for s in (1, -1)] + [
+        tuple(s * x + t * y for x, y in zip(e, f))
+        for e, f in itertools.combinations(units, 2) for s in (1, -1) for t in (1, -1)]
+
+
+def _entries(values, n: int):
+    """n entries from values, drawn as one integer of n base-len(values)
+    digits (one draw in place of n, so that rank 14 stays cheap); it
+    shrinks towards values[0]."""
+    k = len(values)
+    return st.integers(0, k ** n - 1).map(
+        lambda x: tuple(values[x // k ** i % k] for i in range(n)))
+
+
+def _strategies(rank: int):
+    """Vectors with entries -2..2, vectors from B_rank or with entries
+    -2..2, and theta: -Id, Id or entries 0, +-1.  Built once per rank,
+    since building strategies inside a draw is slow."""
+    small = _entries((0, 1, -1, 2, -2), rank)
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    theta = st.one_of(
+        st.just(tuple(tuple(-x for x in e) for e in units)), st.just(tuple(units)),
+        _entries((0, 1, -1), rank * rank).map(lambda xs: tuple(zip(*[iter(xs)] * rank))))
+    return small, st.one_of(small, st.sampled_from(_type_b_roots(rank))), theta
+
+
+_STRATEGIES = {rank: _strategies(rank) for rank in (1, 2, 3, 4, 5, 6, 14)}
+
+
+@st.composite
+def _root_data(draw):
+    """Root data of rank 1-6 or 14 that may break any axiom: up to 16
+    roots, from B_rank or with entries -2..2, with or without their
+    negatives and a duplicate; coroots with entries -2..2, or 2a/(a, a)
+    where that is integral, or none; theta -Id, Id or with entries
+    0, +-1.  One draw in ten scales roots, coroots or theta by a factor
+    near 10^25."""
+    rank = draw(st.sampled_from(sorted(_STRATEGIES)))
+    small, vec, thetas = _STRATEGIES[rank]
+    roots = draw(st.lists(vec, max_size=8))
+    if draw(st.booleans()):
+        roots += [tuple(-x for x in a) for a in roots]
+    if roots and draw(st.booleans()):
+        roots.append(draw(st.sampled_from(roots)))
+    roots = draw(st.permutations(roots))
+    coroots = {}
+    for a in roots:
+        kind = draw(st.sampled_from(["natural", "small", "none"]))
+        norm = sum(x * x for x in a)
+        if kind == "natural" and norm and all(2 * x % norm == 0 for x in a):
+            coroots[a] = tuple(2 * x // norm for x in a)
+        elif kind != "none":
+            coroots[a] = draw(small)
+    theta = draw(thetas)
+    if draw(st.integers(0, 9)) == 0:
+        scale = 10 ** 25 + draw(st.integers(-3, 3))
+        which = draw(st.sampled_from(["roots", "coroots", "theta"]))
+        big = lambda v: tuple(scale * x for x in v)  # noqa: E731
+        if which == "roots":
+            coroots = {big(a): cr for a, cr in coroots.items()}
+            roots = list(map(big, roots))
+        elif which == "coroots":
+            coroots = {a: big(cr) for a, cr in coroots.items()}
+        else:
+            theta = tuple(map(big, theta))
+    return RootDatum(rank=rank, roots=tuple(roots), coroots=coroots, theta=theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_root_data())
+# the reflection sends the root to 10^25 - 2 * 10^50: digits as wide as
+# the roots' entries alone would not hold it
+@example(RootDatum(rank=1, roots=((10 ** 25,),), coroots={(10 ** 25,): (2,)},
+                   theta=((-1,),)))
+def test_validate_matches_the_tuple_loop(d):
+    """The packed checks name the same violations, in the same order, as
+    one tuple per pair of roots."""
+    assert d.validate() == reference_rootdata.validate(d)
 
 
 def test_reflection_matrix_involution():
