@@ -13,11 +13,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import re
 import sys
 from fractions import Fraction
+
+try:  # the interpreter's own SHA-256: hashlib would map OpenSSL (3.4 MB)
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import blockdata, correspondence, genericity, hecke, klv, rootdata, singular
 from .gaussian import gvec
@@ -42,12 +49,21 @@ def _digest(path: str) -> str:
     if path in _BUILTIN_BLOCKS:
         return "builtin"
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return sha256(fh.read()).hexdigest()
 
 
 def _read_json(path: str):
+    """The JSON in the file; one too deep or with too long an integer
+    for json is an InputError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except RecursionError:
+            raise InputError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
 
 def _load_block(path: str) -> blockdata.BlockData:
@@ -123,12 +139,13 @@ def _poly_map(mats: list, labels: list[str], indent: str):
     one), so the keys are distinct and sort by x + "|", then by y."""
     # one JSON text per distinct value, keyed by id(): safe only as every
     # class's R and P, held in mats, live until the write ends
-    texts = {id(v): v for mat in mats for v in mat.entries.values()}
+    texts = {id(v): v for mat in mats for col in mat.cols.values() for v in col.values()}
     texts = {i: _encode_str(str(v)) for i, v in texts.items()}
     rows: dict[str, list] = {x: [] for x in sorted(labels, key=lambda x: x + "|")}
     for mat in mats:
-        for (x, y), v in mat.entries.items():
-            rows[x].append((y, texts[id(v)]))
+        for y, col in mat.cols.items():
+            for x, v in col.items():
+                rows[x].append((y, texts[id(v)]))
     # the encoded key of x|y: encoded x, its closing quote dropped, "|",
     # encoded y, its opening quote dropped (JSON encodes char by char)
     enc = {x: _encode_str(x) for x in labels}

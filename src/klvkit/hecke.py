@@ -5,9 +5,9 @@ T_s of a basis label is one integer row, label -> {v-exponent:
 coefficient}, built on first use by `_T_row` and kept in the block's
 `derived` table, so every caller shares one row per (s, label): the
 validators, `apply_T` (and so `hecke-apply`), and the classes, order
-and duality steps of `klv`.  `klv` also shares the packing of
-`check_braid`: `_width`, the codec `_pack` and `_unpack`, and `_times`,
-which applies packed rows."""
+and duality steps of `klv`.  The rows share one term table per case.
+`klv` also shares the packing of `check_braid`: `_width`, the codec
+`_pack` and `_unpack`, and `_times`, which applies packed rows."""
 
 from __future__ import annotations
 
@@ -20,41 +20,41 @@ __all__ = ["apply_T", "check_quadratic", "check_braid"]
 # T_s applied to shorter labels.
 _DERIVED = frozenset({SimpleStatus.COMPLEX_DESCENT, SimpleStatus.RP1})
 
+# The term tables of the T rows, 1, u, -1, u - 1 and u - 2, one each,
+# shared by every row: read them, never change them.
+_ONE, _U, _NEG, _U1, _U2 = {0: 1}, {2: 1}, {0: -1}, {2: 1, 0: -1}, {2: 1, 0: -2}
+
 
 def _T_row(b: BlockData, s: int, label: str) -> dict[str, dict[int, int]]:
     """T_s label as label -> {v-exponent: coefficient}, with no zero
     coefficient and no empty label.  A label named twice in one case
-    keeps its last value."""
+    keeps its last value.  The term tables are the shared ones above."""
     p = b.param(label)
     if not 0 <= s < len(b.simples):
         raise ValueError(f"unknown simple index: {s}")
     st = p.status[s]
     cross = p.cross[s]
     if st is SimpleStatus.COMPLEX_ASCENT:
-        return {cross: {0: 1}}
+        return {cross: _ONE}
     if st is SimpleStatus.COMPLEX_DESCENT:
-        return {cross: {2: 1}, label: {2: 1, 0: -1}}
+        return {cross: _U, label: _U1}
     if st is SimpleStatus.COMPACT_IMAGINARY:
-        return {label: {2: 1}}
+        return {label: _U}
     if st is SimpleStatus.REAL_NONPARITY:
-        return {label: {0: -1}}
+        return {label: _NEG}
     if st is SimpleStatus.NCI1:
         (up,) = p.cayley[s]
-        return {cross: {0: 1}, up: {0: 1}}
+        return {cross: _ONE, up: _ONE}
     if st is SimpleStatus.NCI2:
         up1, up2 = sorted(p.cayley[s])
-        return {label: {0: 1}, up1: {0: 1}, up2: {0: 1}}
+        return {label: _ONE, up1: _ONE, up2: _ONE}
     if st is SimpleStatus.RP1:
         lo1, lo2 = sorted(p.cayley[s])
-        return {label: {2: 1, 0: -2}, lo1: {2: 1, 0: -1}, lo2: {2: 1, 0: -1}}
+        return {label: _U2, lo1: _U1, lo2: _U1}
     # RealParityII: (u - 1)(label + lo) - cross
     (lo,) = p.cayley[s]
-    out = {label: {2: 1, 0: -1}, lo: {2: 1, 0: -1}}
-    row = out.get(cross)
-    if row is None:
-        out[cross] = {0: -1}
-    else:
-        row[0] -= 1
+    out = {label: _U1, lo: _U1}
+    out[cross] = _U2 if cross in out else _NEG
     return out
 
 

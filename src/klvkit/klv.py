@@ -20,7 +20,9 @@ Kronecker substitution (see `compute_duality`); `LaurentPoly` objects
 are made only for the entries of the `RMatrix` and the `PMatrix`, one
 per distinct value in a class: the entries with that value share it.
 Few of them are distinct (2 values for the 15,543 entries of P on
-sl2r x nci2 x A3 x A1).
+sl2r x nci2 x A3 x A1).  Both keep them by column, cols[gamma] =
+{phi: entry}; `entries` is a read-only view over (phi, gamma) keys.
+M and m are tuples of `array` rows (see `multiplicities`).
 
 `compute_P` finds most columns of P by the descent recursion of
 Kazhdan-Lusztig on the same T rows, with no R, and solves the few
@@ -43,7 +45,8 @@ is self-dual, so it is C_gamma.
 from __future__ import annotations
 
 import itertools
-import operator
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,32 +136,53 @@ def compute_order(b: BlockData, block: list[str]) -> dict[str, frozenset[str]]:
 # ---------------------------------------------------------------------------
 # Duality
 
+class _Entries(Mapping):
+    """The read-only view (phi, gamma) -> cols[gamma][phi]: no dict."""
+
+    def __init__(self, cols: dict[str, dict[str, LaurentPoly]]):
+        self._cols = cols
+
+    def __getitem__(self, key):
+        if type(key) is tuple and len(key) == 2 and key[0] in self._cols.get(key[1], ()):
+            return self._cols[key[1]][key[0]]
+        raise KeyError(key)
+
+    def __iter__(self):
+        return ((phi, gamma) for gamma, col in self._cols.items() for phi in col)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._cols.values()))
+
+
 @dataclass(frozen=True)
 class RMatrix:
+    """R of one class by column, cols[gamma] = {phi: R(phi, gamma)}."""
     order: tuple[str, ...]
-    entries: dict[tuple[str, str], LaurentPoly]
+    cols: dict[str, dict[str, LaurentPoly]]
     down: dict[str, frozenset[str]]
+    entries = property(lambda self: _Entries(self.cols))
 
     def entry(self, phi: str, gamma: str) -> LaurentPoly:
-        return self.entries.get((phi, gamma), ZERO)
+        return self.cols.get(gamma, {}).get(phi, ZERO)
 
 
 @dataclass(frozen=True)
 class PMatrix:
+    """P as `RMatrix`, with no diagonal (it is 1) and no empty column."""
     order: tuple[str, ...]
-    entries: dict[tuple[str, str], LaurentPoly]
+    cols: dict[str, dict[str, LaurentPoly]]
+    entries = property(lambda self: _Entries(self.cols))
 
     def entry(self, phi: str, gamma: str) -> LaurentPoly:
-        if phi == gamma:
-            return ONE
-        return self.entries.get((phi, gamma), ZERO)
+        return ONE if phi == gamma else self.cols.get(gamma, {}).get(phi, ZERO)
 
 
 @dataclass(frozen=True)
 class MultMatrices:
+    """M and m of one class: rows of `_zeros`, frozen."""
     order: tuple[str, ...]
-    M: tuple[tuple[int, ...], ...]
-    m: tuple[tuple[int, ...], ...]
+    M: tuple[array | tuple[int, ...], ...]
+    m: tuple[array | tuple[int, ...], ...]
 
 
 _UNIT = {0: 1}
@@ -474,10 +498,11 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
     order = tuple(sorted(block, key=_sort_key(b)))
     packed, w, _ = _packed_dual(b, order, down)
     odd = {x: b.params[x].length % 2 for x in order}
-    entries: dict[tuple[str, str], LaurentPoly] = {}
+    cols: dict[str, dict[str, LaurentPoly]] = {}
     polys: dict[int, LaurentPoly] = {}  # packed R value -> the one object
     for gamma in order:
         dg, og = down[gamma], odd[gamma]
+        cols[gamma] = col = {}
         for phi, x in packed.pop(gamma).items():
             if phi not in dg:
                 raise DualityError(
@@ -488,8 +513,8 @@ def compute_duality(b: BlockData, block: list[str]) -> RMatrix:
             poly = polys.get(x)
             if poly is None:
                 poly = polys[x] = LaurentPoly._trusted(_unpack(x, w))
-            entries[(phi, gamma)] = poly
-    return RMatrix(order=order, entries=entries, down=down)
+            col[phi] = poly
+    return RMatrix(order=order, cols=cols, down=down)
 
 
 # ---------------------------------------------------------------------------
@@ -530,25 +555,26 @@ class _PackedDuality:
         # distinct value, as the entries of one value share its table
         facts: dict[int, tuple[int, int, int, int, bool]] = {}
         ones, sound, down = 0, True, r.down
-        for (phi, psi), poly in r.entries.items():
-            t = poly._t
-            col = cols.get(psi)
-            if col is None or not t:
-                continue
-            l_phi = lens.get(phi)
-            n = lens[psi] - (b.params[phi].length if l_phi is None else l_phi)
-            f = facts.get(id(t))
-            if f is None:
-                f = facts[id(t)] = (_l1(t), sum(t.values()), min(t), max(t),
-                                    any(k % 2 for k in t))
-            l1, total, lo, hi, odd = f
-            diagonal = phi == psi
-            ones += diagonal and total == 1 and lo == hi == 0
-            if sound and (odd or lo < 0 or hi > 2 * n or total != diagonal
-                          or phi not in down[psi]):
-                sound = False
-            col.append((phi, -1 if n % 2 else 1, t, n))
-            row_l1[phi] = row_l1.get(phi, 0) + l1
+        for psi, col in cols.items():
+            l_psi = lens[psi]
+            for phi, poly in r.cols.get(psi, {}).items():
+                t = poly._t
+                if not t:
+                    continue
+                l_phi = lens.get(phi)
+                n = l_psi - (b.params[phi].length if l_phi is None else l_phi)
+                f = facts.get(id(t))
+                if f is None:
+                    f = facts[id(t)] = (_l1(t), sum(t.values()), min(t), max(t),
+                                        any(k % 2 for k in t))
+                l1, total, lo, hi, odd = f
+                diagonal = phi == psi
+                ones += diagonal and total == 1 and lo == hi == 0
+                if sound and (odd or lo < 0 or hi > 2 * n or total != diagonal
+                              or phi not in down[psi]):
+                    sound = False
+                col.append((phi, -1 if n % 2 else 1, t, n))
+                row_l1[phi] = row_l1.get(phi, 0) + l1
         self.max_entry = max((f[0] for f in facts.values()), default=0)
         self.cols = cols
         self.sound = sound and ones == len(r.order)
@@ -887,17 +913,16 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix,
     times it."""
     order, down, params = r.order, r.down, b.params
     reads = {x: ([], []) for x in frozenset().union(*(down[g] for g in _generators(b, order)))}
-    if reads:
-        for (phi, psi), poly in r.entries.items():
-            t = poly._t
-            if psi in reads and t:
-                if (params[psi].length - params[phi].length) % 2:
+    for psi, (read, rest) in reads.items():
+        l_psi = params[psi].length
+        for phi, poly in r.cols.get(psi, {}).items():
+            if t := poly._t:
+                if (l_psi - params[phi].length) % 2:
                     t = {k: -c for k, c in t.items()}
-                read, rest = reads[psi]
                 (read if phi != psi and phi in down[psi] else rest).append((phi, t))
-    cols: dict[str, dict[str, dict[int, int]]] = {}
+    cols: dict[str, dict[str, dict[int, int]]] = {}  # the term tables of pcols
+    pcols: dict[str, dict[str, LaurentPoly]] = {}
     tp1: list[dict[str, list]] = [{} for _ in b.simples]
-    entries: dict[tuple[str, str], LaurentPoly] = {}
     polys: dict[tuple, LaurentPoly] = {}  # sorted terms -> the one object
     for i, gamma in enumerate(order):
         descent = _descent(params[gamma])
@@ -911,6 +936,8 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix,
             if check:
                 _replay(b, gamma, y, col, order[:i], down[gamma], cols)
         cols[gamma] = col
+        if col:
+            pcols[gamma] = pcol = {}
         for phi, t in col.items():
             key = tuple(sorted(t.items()))
             poly = polys.get(key)
@@ -918,8 +945,8 @@ def compute_P(b: BlockData, block: list[str], r: RMatrix,
                 poly = polys[key] = LaurentPoly._trusted(t)
             else:
                 col[phi] = poly._t  # frees t: later columns read the shared table
-            entries[(phi, gamma)] = poly
-    return PMatrix(order=order, entries=entries)
+            pcol[phi] = poly
+    return PMatrix(order=order, cols=pcols)
 
 
 def _dual_map(b: BlockData, order: tuple[str, ...]) -> dict[str, str] | None:
@@ -982,6 +1009,30 @@ def _back_substitution(rows: list[dict[int, int]]) -> list[dict[int, int]]:
     return inv
 
 
+# the signed array typecodes, narrowest first, each with 2^(bits - 1)
+_TYPECODES = [(tc, 1 << 8 * array(tc).itemsize - 1) for tc in "bhiq"]
+
+
+def _typecode(lo: int, hi: int) -> str | None:
+    """The narrowest that holds every int from lo to hi, if any."""
+    return next((tc for tc, half in _TYPECODES if -half <= lo and hi < half), None)
+
+
+def _zeros(n: int, lo: int, hi: int) -> list:
+    """n rows of n zeros with 1 on the diagonal, as arrays of
+    `_typecode(lo, hi)`, or as lists if there is none."""
+    tc = _typecode(lo, hi)
+    zero = array(tc, [0]) if tc else [0]
+    rows = [zero * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
+def _frozen(rows: list) -> tuple:
+    return tuple(row if type(row) is array else tuple(row) for row in rows)
+
+
 def multiplicities(b: BlockData, p: PMatrix) -> MultMatrices:
     """M, the P entries at u = 1 signed by the length difference, and
     its inverse m.  M must be upper unitriangular in the order of p, or
@@ -1010,55 +1061,66 @@ def multiplicities(b: BlockData, p: PMatrix) -> MultMatrices:
     that fails these conditions, every class with a real or imaginary
     status among them, is inverted by back-substitution
     (`_back_substitution`), which `tests/reference_klv.back_substitution`
-    copies as the oracle of both routes."""
+    copies as the oracle of both routes.  M is filled from P's columns
+    into arrays of the narrowest typecode (`_typecode`), widened when an
+    entry does not fit, and m from the values it reads."""
     order = p.order
     n = len(order)
     index = {x: i for i, x in enumerate(order)}
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
     odd = [b.params[x].length % 2 for x in order]
     values: dict[int, int] = {}  # id of a polynomial -> its value at u = 1
+    dual = _dual_map(b, order)
+    # the sparse rows of M, for the back-substitution, when it is needed
+    rows: list[dict[int, int]] = [{} for _ in range(n)] if dual is None else []
     lower = []
-    for (phi, gamma), poly in p.entries.items():
-        i, j = index.get(phi), index.get(gamma)
-        if i is None or j is None or i == j:
-            continue
-        val = values.get(id(poly))
-        if val is None:
-            val = values[id(poly)] = poly.eval_at_one()
-        if val:
+    M = _zeros(n, 0, 1)
+    for j, gamma in enumerate(order):
+        for phi, poly in p.cols.get(gamma, {}).items():
+            i = index.get(phi)
+            if i is None or i == j:
+                continue
+            val = values.get(id(poly))
+            if val is None:
+                val = values[id(poly)] = poly.eval_at_one()
+            if not val:
+                continue
             if odd[i] != odd[j]:
                 val = -val
-            rows[i][j] = val
             if i > j:
                 lower.append((i, j))
+            if rows:
+                rows[i][j] = val
+            try:
+                M[i][j] = val
+            except OverflowError:  # widen M to the narrowest typecode for val too
+                half = 1 << 8 * M[0].itemsize - 1
+                tc = _typecode(min(val, -half), max(val, half - 1))
+                M = [array(tc, row) if tc else list(row) for row in M]
+                M[i][j] = val
     if lower:
         i, j = min(lower)
         raise MultiplicityError(
             f"M not unitriangular at {(order[i], order[j])!r}")
-    dual = _dual_map(b, order)
-    inv = _back_substitution(rows) if dual is None else None
-    for i, row in enumerate(rows):
-        row[i] = 1
-
-    def dense(row: dict[int, int]) -> tuple[int, ...]:
-        full = [0] * n
-        for j, x in row.items():
-            full[j] = x
-        return tuple(full)
-
-    M = tuple(map(dense, rows))
-    del rows  # as large as M: freed before m is built
-    if inv is not None:
-        return MultMatrices(order=order, M=M, m=tuple(map(dense, inv)))
-    # row i of m: column phi(i) of M, in the order phi(j), times
-    # (-1)^(l i + l j)
+    if dual is None:
+        inv = _back_substitution(rows)
+        del rows
+        m = _zeros(n, min(min(row.values()) for row in inv),
+                   max(max(row.values()) for row in inv)) if n else []
+        for row, r in zip(m, inv):
+            for j, x in r.items():
+                row[j] = x
+        return MultMatrices(order=order, M=_frozen(M), m=_frozen(m))
+    # m[x][y] = P(phi y, phi x)(1): row x of m is column phi(x) of P, each
+    # entry at phi of it put at phi(phi); phi o phi is the identity
     f = [index[dual[x]] for x in order]
-    sign = [-1 if x else 1 for x in odd]
-    flipped = [-x for x in sign]
-    cols = list(zip(*M))
-    m = tuple(tuple(map(operator.mul, map(cols[f[i]].__getitem__, f),
-                        flipped if odd[i] else sign)) for i in range(n))
-    return MultMatrices(order=order, M=M, m=m)
+    m = _zeros(n, min(values.values(), default=1), max(values.values(), default=1))
+    for i, x in enumerate(order):
+        row = m[i]
+        for phi, poly in p.cols.get(dual[x], {}).items():
+            j = index.get(phi)
+            if j is not None and f[j] != i:
+                row[f[j]] = values[id(poly)]
+    return MultMatrices(order=order, M=_frozen(M), m=_frozen(m))
 
 
 # ---------------------------------------------------------------------------
@@ -1073,8 +1135,8 @@ class BlockKLV:
     order: tuple[str, ...]
     r: RMatrix
     p: PMatrix
-    M: tuple[tuple[int, ...], ...]
-    m: tuple[tuple[int, ...], ...]
+    M: tuple[array | tuple[int, ...], ...]
+    m: tuple[array | tuple[int, ...], ...]
     verified: bool | None
 
 

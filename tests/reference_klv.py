@@ -33,6 +33,20 @@ from klvkit.laurent import ONE, U, ZERO, LaurentPoly
 U_INV = LaurentPoly({-2: 1})
 
 
+def by_column(entries):
+    """The store of `RMatrix` and `PMatrix`, gamma -> {phi: value}, of a
+    dict of entries keyed (phi, gamma), in the order of the dict."""
+    cols = {}
+    for (phi, gamma), v in entries.items():
+        cols.setdefault(gamma, {})[phi] = v
+    return cols
+
+
+def rows(mat):
+    """M or m as a tuple of tuples of ints, whatever its rows are."""
+    return tuple(map(tuple, mat))
+
+
 class ModuleElement:
     """Sparse element of the block module: label -> LaurentPoly."""
 
@@ -369,7 +383,7 @@ def compute_duality(b, block):
                     f"D({gamma!r}) has a term at {phi!r} outside its down-set")
             sign = -1 if (lg - b.params[phi].length) % 2 else 1
             entries[(phi, gamma)] = poly.shifted(2 * lg) * sign
-    return RMatrix(order=order, entries=entries, down=down)
+    return RMatrix(order=order, cols=by_column(entries), down=down)
 
 
 def apply_D(dual, m):
@@ -468,7 +482,7 @@ def compute_P(b, r):
         col = ModuleElement({phi: pval(phi, gamma) for phi in r.down[gamma]})
         if apply_D(dual, col) != col.scale(LaurentPoly({-2 * lg: 1})):
             raise PSolveError(f"column {gamma!r} of P is not self-dual")
-    return PMatrix(order=r.order, entries=entries)
+    return PMatrix(order=r.order, cols=by_column(entries))
 
 
 def net(b, r, dual, gamma, col):

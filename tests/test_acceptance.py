@@ -35,6 +35,7 @@ from klvkit.klv import (
 from klvkit.laurent import ONE, U, ZERO
 from klvkit.rootdata import rootdatum_from_json
 from oracle_kl import ClassicalKL
+from reference_klv import rows
 
 from test_rootdata import A2 as A2_DATUM
 from test_rootdata import SL2_SPLIT
@@ -81,8 +82,8 @@ def test_criterion_1_sl2r_golden_values():
     assert all(r.entry(g, g) == ONE for g in cls)
     assert p.entry("D+", "P") == ONE and p.entry("D-", "P") == ONE
     assert mm.order == ("D+", "D-", "P")
-    assert mm.M == ((1, 0, -1), (0, 1, -1), (0, 0, 1))
-    assert mm.m == ((1, 0, 1), (0, 1, 1), (0, 0, 1))
+    assert rows(mm.M) == ((1, 0, -1), (0, 1, -1), (0, 0, 1))
+    assert rows(mm.m) == ((1, 0, 1), (0, 1, 1), (0, 0, 1))
 
 
 def test_criterion_2_matches_classical_kl_oracle():

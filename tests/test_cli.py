@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -23,6 +24,7 @@ from klvkit.blockdata import (
 from klvkit import cli, klv, rootdata
 from klvkit.cli import run
 
+from reference_klv import rows
 from test_blockdata import _doc_with
 from test_klv import _COXETER, _FACTORS, _relabelled
 from test_rootdata import A1xA1, A2, B2, B3, SL2_SPLIT, SWAP
@@ -475,6 +477,79 @@ def _written(tmp_path, name, doc):
     return str(p)
 
 
+def _unreadable(tmp_path):
+    """Path -> part of its error: a JSON array nested 100,000 deep and a
+    block file with a 5,000-digit length, which json.load meets with a
+    RecursionError and a ValueError."""
+    doc = block_to_json(builtin_sl2r_block())
+    doc["params"][0]["length"] = "LENGTH"
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "digits.json").write_text(json.dumps(doc).replace('"LENGTH"', "9" * 5000))
+    return {str(tmp_path / "deep.json"): "JSON nested too deeply",
+            str(tmp_path / "digits.json"): "Exceeds the limit (4300 digits)"}
+
+
+def test_unreadable_json_exits_2_naming_the_file(capsys, tmp_path, sl2_path):
+    """Each subcommand exits 2 with one error line that names the file
+    when json cannot read it; both files once ended in a traceback."""
+    pairs = _written(tmp_path, "id.json", _MAP_BASE)
+    for path, why in _unreadable(tmp_path).items():
+        for argv in (["validate", path], ["blocks", path],
+                     ["hecke-apply", path, "--simple", "0", "--label", "P"],
+                     ["klv", path], ["klv", path, "--check"],
+                     ["induce", path, "builtin:sl2r", pairs],
+                     ["induce", "builtin:sl2r", path, pairs],
+                     ["induce", "builtin:sl2r", "builtin:sl2r", path],
+                     ["generic", path, "--xi-m", "0", "--nu", "1/2"],
+                     ["arrangement", path, "--xi-m", "0"],
+                     ["translate-check", path, "--xi", "1/2", "--mu", "1"],
+                     ["translate-check", sl2_path, "--xi", "1/2", "--mu", "1",
+                      "--square", path]):
+            assert run(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {path}: "), argv
+            assert why in err and err.count("\n") == 1, argv
+
+
+def test_unreadable_json_reaches_stderr_without_a_traceback(tmp_path):
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for path, why in _unreadable(tmp_path).items():
+        proc = subprocess.run([sys.executable, "-m", "klvkit.cli", "klv", path],
+                              capture_output=True, text=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: {path}: ") and why in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_digest_is_the_sha256_of_the_file(tmp_path):
+    """The builtin SHA-256 of `_digest` agrees with hashlib's, across the
+    64-byte block boundaries and on larger files."""
+    rng = random.Random(43)
+    for n in [0, 1, 55, 56, 63, 64, 65, 127, 128, 1000, 1 << 16] + [
+            rng.randrange(1 << 12) for _ in range(20)]:
+        data = rng.randbytes(n)
+        path = tmp_path / f"{n}.bin"
+        path.write_bytes(data)
+        assert cli._digest(str(path)) == hashlib.sha256(data).hexdigest()
+
+
+def test_klv_loads_no_openssl(tmp_path):
+    """`klvkit klv` hashes its input with the interpreter's own SHA-256:
+    no _hashlib, and so no OpenSSL, is loaded."""
+    path = _written(tmp_path, "sl2r.json", block_to_json(builtin_sl2r_block()))
+    code = ("import contextlib, io, sys\n"
+            "from klvkit import cli\n"
+            "for argv in (['klv', 'builtin:sl2r'], ['klv', sys.argv[1]]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.run(argv) == 0\n"
+            "print('_hashlib' in sys.modules)\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, path], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "False\n"
+
+
 _DATUM_BASES = [SL2_SPLIT, A2, A1xA1, SWAP, B2]
 _MAP_BASE = {"pairs": [["D+", "D+"], ["D-", "D-"], ["P", "P"]], "length_shift": 0}
 
@@ -676,8 +751,8 @@ def test_klv_report_matches_one_str_per_entry(capsys, tmp_path):
             payload["order"].extend(res.order)
             payload["R"].update({f"{x}|{y}": str(v) for (x, y), v in res.r.entries.items()})
             payload["P"].update({f"{x}|{y}": str(v) for (x, y), v in res.p.entries.items()})
-            payload["M"].append(res.M)
-            payload["m"].append(res.m)
+            payload["M"].append(rows(res.M))
+            payload["m"].append(rows(res.m))
         if check:
             payload["checks_passed"] = True
         digest = hashlib.sha256((tmp_path / "union.json").read_bytes()).hexdigest()
@@ -714,8 +789,8 @@ def _klv_oracle(path, check):
         payload["order"].extend(res.order)
         for name, mat in (("R", res.r), ("P", res.p)):
             payload[name].update({f"{x}|{y}": str(v) for (x, y), v in mat.entries.items()})
-        payload["M"].append(res.M)
-        payload["m"].append(res.m)
+        payload["M"].append(rows(res.M))
+        payload["m"].append(rows(res.m))
     if check:
         payload["checks_passed"] = True
     with open(path, "rb") as fh:

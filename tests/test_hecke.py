@@ -23,7 +23,7 @@ from klvkit.laurent import ONE, U, LaurentPoly
 
 import reference_klv
 import test_klv
-from reference_klv import ModuleElement, basis
+from reference_klv import ModuleElement, basis, rows
 from test_klv import _FACTORS, _REFERENCE_BLOCKS, _compact_and_nonparity_block
 
 U1 = U - ONE
@@ -371,6 +371,43 @@ def test_generators_match_the_t_row_ranking_on_every_named_block():
         _assert_generators_agree(b)
 
 
+def test_entries_views_agree_with_a_dict_of_the_columns():
+    """R's and P's `entries`, a view over their columns, read as the dict
+    built from those columns does, on every named block: its length, keys,
+    values and items in order, and get and in on every pair of labels."""
+    for b in _named_blocks():
+        for blk in partition_blocks(b):
+            res = klv.solve_block(b, blk)
+            for mat in (res.r, res.p):
+                want = {(phi, g): v for g, col in mat.cols.items() for phi, v in col.items()}
+                view = mat.entries
+                assert len(view) == len(want)
+                assert list(view) == list(want)
+                assert [id(v) for v in view.values()] == [id(v) for v in want.values()]
+                assert list(view.items()) == list(want.items())
+                for key in [*itertools.product(blk, repeat=2), blk[0], (blk[0],), ("?", blk[0])]:
+                    assert (key in view) == (key in want), key
+                    assert view.get(key) is want.get(key), key
+
+
+@pytest.mark.parametrize("name", ["A3", "sl2rxnci2xA1", "nci2xnci2"])
+def test_shared_term_tables_keep_their_values(name, tmp_path, capsys):
+    """The T rows share one term table per case; `klv --check`, which
+    reads them in every stage, changes none of them."""
+    b = _REFERENCE_BLOCKS[name]()
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(block_to_json(b)))
+    assert cli.run(["klv", str(path), "--check"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks_passed"] is True
+    assert [hecke._ONE, hecke._U, hecke._NEG, hecke._U1, hecke._U2] == [
+        {0: 1}, {2: 1}, {0: -1}, {2: 1, 0: -1}, {2: 1, 0: -2}]
+    fresh = _REFERENCE_BLOCKS[name]()
+    for s in range(len(b.simples)):
+        for label in b.params:
+            assert ({mu: LaurentPoly(t) for mu, t in hecke._T_row(fresh, s, label).items()}
+                    == reference_klv.T_basis(b, s, label).coeffs)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(sorted(_MUTATION_BASES)), st.lists(_MUTATIONS, min_size=1, max_size=3))
 def test_generators_match_the_t_row_ranking_on_mutated_blocks(name, mutations):
@@ -474,4 +511,5 @@ def test_multiplicities_match_back_substitution_on_mutated_complex_blocks(name, 
                              data.draw(st.permutations(range(n))))
     for blk in partition_blocks(b):
         p = klv.compute_P(b, blk, klv.compute_duality(b, blk))
-        assert klv.multiplicities(b, p) == reference_klv.back_substitution(b, p)
+        mm, want = klv.multiplicities(b, p), reference_klv.back_substitution(b, p)
+        assert (mm.order, rows(mm.M), rows(mm.m)) == (want.order, want.M, want.m)

@@ -1,6 +1,6 @@
 """Stage times of the KLV pipeline on one large block, in this process.
 
-    python tools/ladder.py --block F4 [--check] [--src DIR]
+    python tools/ladder.py --block F4 [--check] [--src DIR] [--mode cli]
 
 builds the block inline (F4 over the simples a-d and B5 over a1-a5
 from their Coxeter matrices with `generate_complex_block`, sl2rxB4 as
@@ -16,11 +16,20 @@ checkouts can compare.  Run it once per measurement, so that each
 figure comes from a fresh process.  --src imports klvkit from DIR
 (default: the src/ next to this script), to time another checkout with
 the same script.
+
+--mode cli runs the whole `klv` command instead, end to end: it writes
+the block to block.json in a temporary directory, runs
+`klvkit.cli.run(["klv", "block.json"])` there (with --check if given)
+into a sink that counts and hashes the report, and prints the exit
+code, the report's bytes and sha256, the wall time of the run and the
+peak RSS of the process.  The path is relative and fixed, so two
+checkouts that write the same report print the same sha256.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -28,6 +37,7 @@ import os
 import platform
 import resource
 import sys
+import tempfile
 import time
 
 _F4 = ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1))
@@ -57,17 +67,60 @@ def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+class _Sink:
+    """A stdout that keeps the byte count and the sha256 of the text."""
+
+    def __init__(self):
+        self.bytes, self.sha256 = 0, hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        data = text.encode()
+        self.bytes += len(data)
+        self.sha256.update(data)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _run_cli(cli, blockdata, b, check: bool) -> dict:
+    """`klv` on b, written to block.json in a temporary directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("block.json", "w", encoding="utf-8") as fh:
+                json.dump(blockdata.block_to_json(b), fh)
+            sink = _Sink()
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(sink):
+                code = cli.run(["klv", "block.json"] + ["--check"] * check)
+            wall = time.perf_counter() - t0
+        finally:
+            os.chdir(cwd)
+    return {"exit": code, "bytes": sink.bytes, "sha256": sink.sha256.hexdigest(),
+            "wall_s": round(wall, 4)}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--block", required=True, choices=BLOCKS)
     ap.add_argument("--check", action="store_true")
     ap.add_argument("--src", default=os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+    ap.add_argument("--mode", choices=("stages", "cli"), default="stages")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from klvkit import blockdata, klv
+    from klvkit import blockdata, cli, klv
 
     b = _build(blockdata, args.block)
+    if args.mode == "cli":
+        out = _run_cli(cli, blockdata, b, args.check)
+        print(json.dumps({
+            "block": args.block, "mode": "cli", "check": args.check,
+            "params": len(b.params), "python": platform.python_version(),
+            **out, "peak_rss_mb": round(_rss_mb(), 1)}))
+        return 0
     times: dict[str, float] = {}
     rss: dict[str, float] = {}
     digest = hashlib.sha256()
